@@ -3,7 +3,9 @@
 
 Runs each detector on a generated G(n, p) graph once per backend and prints
 a timing table.  The backend is fixed at import time by
-LABELPROP_DISABLE_NUMBA, so the interpreted pass runs in a subprocess.
+LABELPROP_DISABLE_NUMBA, so each pass runs in a subprocess.  Where numba
+cannot be imported both passes run the interpreter, and only the
+interpreter column is printed.
 
 Usage:
     python benchmarks/backend_bench.py [--vertices N] [--degree D] [--threads T]
@@ -69,6 +71,16 @@ def main() -> int:
         )
         data = json.loads(out.stdout.strip().splitlines()[-1])
         tables[data["backend"]] = data["timings"]
+
+    if "numba" not in tables:
+        # Both passes ran the interpreter; there is nothing to compare.
+        print("numba is not importable here: interpreter timings only")
+        names = list(tables["python"])
+        width = max(len(n) for n in names)
+        print(f"{'detector':<{width}}  {'python':>10}")
+        for name in names:
+            print(f"{name:<{width}}  {tables['python'][name]['seconds']:>9.3f}s")
+        return 0
 
     names = list(tables["numba"])
     width = max(len(n) for n in names)

@@ -63,12 +63,33 @@ def _load(args) -> Graph:
     )
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _checked(convert, ok, expected: str):
+    """An argparse type that rejects values outside the accepted range."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text.strip()!r}")
+        return value
+
+    return parse
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(t) for t in text.split(",") if t.strip())
+def _grid(item):
+    """An argparse type for a comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> tuple:
+        return tuple(item(t) for t in text.split(",") if t.strip())
+
+    return parse
+
+
+_positive_int = _checked(int, lambda x: x >= 1, "an integer >= 1")
+_memory_size = _checked(int, lambda x: x >= 2, "an integer >= 2")
+_tolerance = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,12 +102,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="run one detection and emit a community TSV")
     _add_graph_options(p_detect)
     p_detect.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_detect.add_argument("--tolerance", type=float, default=None,
+    p_detect.add_argument("--tolerance", type=_tolerance, default=None,
                           help="convergence fraction (defaults: rak 0.05, copra 0.01, slpa 0.05)")
-    p_detect.add_argument("--max-labels", type=int, default=8, help="copra: labels kept per vertex")
-    p_detect.add_argument("--memory-size", type=int, default=20, help="slpa: memory capacity")
-    p_detect.add_argument("--max-iterations", type=int, default=100)
-    p_detect.add_argument("--threads", type=int, default=_default_threads(),
+    p_detect.add_argument("--max-labels", type=_positive_int, default=8,
+                          help="copra: labels kept per vertex")
+    p_detect.add_argument("--memory-size", type=_memory_size, default=20,
+                          help="slpa: memory capacity")
+    p_detect.add_argument("--max-iterations", type=_positive_int, default=100)
+    p_detect.add_argument("--threads", type=_positive_int, default=_default_threads(),
                           help="worker count; 1 = sequential (env LABELPROP_THREADS)")
     p_detect.add_argument("--seed", type=int, default=1)
     p_detect.add_argument("--output", default="-", help="TSV path, '-' for stdout")
@@ -98,15 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--graph-format", choices=("auto", "mtx", "edgelist"), default="auto")
     p_sweep.add_argument("--no-self-loops", action="store_true")
     p_sweep.add_argument("--keep-weights", action="store_true")
-    p_sweep.add_argument("--tolerances", type=_floats,
+    p_sweep.add_argument("--tolerances", type=_grid(_tolerance),
                          default=DEFAULT_TOLERANCES, metavar="T1,T2,...")
-    p_sweep.add_argument("--max-labels-grid", type=_ints,
+    p_sweep.add_argument("--max-labels-grid", type=_grid(_positive_int),
                          default=DEFAULT_MAX_LABELS, metavar="L1,L2,...")
-    p_sweep.add_argument("--memory-sizes", type=_ints,
+    p_sweep.add_argument("--memory-sizes", type=_grid(_memory_size),
                          default=DEFAULT_MEMORY_SIZES, metavar="M1,M2,...")
-    p_sweep.add_argument("--modes", default="strict,non-strict", metavar="MODE1,MODE2")
-    p_sweep.add_argument("--workers-grid", type=_ints, default=(1,), metavar="W1,W2,...")
-    p_sweep.add_argument("--repetitions", type=int, default=1)
+    p_sweep.add_argument("--modes", default="strict,non-strict", metavar="MODE1,MODE2",
+                         help="comma-separated: strict, non-strict")
+    p_sweep.add_argument("--workers-grid", type=_grid(_positive_int), default=(1,),
+                         metavar="W1,W2,...")
+    p_sweep.add_argument("--repetitions", type=_positive_int, default=1)
     p_sweep.add_argument("--seed", type=int, default=1)
     p_sweep.add_argument("--output", default="-", help="CSV path, '-' for stdout")
 
@@ -153,17 +178,21 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        algorithm=args.algorithm,
-        graphs=tuple(args.input),
-        tolerances=tuple(args.tolerances),
-        max_labels=tuple(args.max_labels_grid),
-        memory_sizes=tuple(args.memory_sizes),
-        modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
-        workers=tuple(args.workers_grid),
-        repetitions=args.repetitions,
-        seed=args.seed,
-    )
+    try:
+        spec = SweepSpec(
+            algorithm=args.algorithm,
+            graphs=tuple(args.input),
+            tolerances=tuple(args.tolerances),
+            max_labels=tuple(args.max_labels_grid),
+            memory_sizes=tuple(args.memory_sizes),
+            modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
+            workers=tuple(args.workers_grid),
+            repetitions=args.repetitions,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"labelprop sweep: error: {exc}", file=sys.stderr)
+        return 2
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
         print(CSV_HEADER, file=out, flush=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, njit, prange, thread_pool
+from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, check_symmetric
 from .prng import XorShift32, draw_bounded, worker_states
 from .quality import modularity
@@ -51,11 +51,12 @@ class CopraParams:
 
 
 @njit(cache=True)
-def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, out_bel):
+def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, out_bel, row):
     # Keep labels whose normalized share reaches 1/max_labels (compared as
     # tally * max_labels >= total to avoid per-label division), renormalize
-    # the kept ones, and store them sorted by label id.  Falls back to one
-    # random maximum label with belonging 1 when nothing qualifies.
+    # the kept ones, and store them sorted by label id in the row starting
+    # at out_labels[row] / out_bel[row].  Falls back to one random maximum
+    # label with belonging 1 when nothing qualifies.
     total = 0.0
     for i in range(count):
         total += tally[touched[i]]
@@ -65,8 +66,8 @@ def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, 
         lab = touched[i]
         w = tally[lab]
         if w * max_labels >= total and k < max_labels:
-            out_labels[k] = lab
-            out_bel[k] = w
+            out_labels[row + k] = lab
+            out_bel[row + k] = w
             kept += w
             k += 1
     if k == 0:
@@ -86,20 +87,20 @@ def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, 
             lab = touched[i]
             if tally[lab] == best_w:
                 if j == 0:
-                    out_labels[0] = lab
-                    out_bel[0] = 1.0
+                    out_labels[row] = lab
+                    out_bel[row] = 1.0
                     return 1
                 j -= 1
         return 1  # unreachable
     inv = 1.0 / kept
-    for i in range(k):
+    for i in range(row, row + k):
         out_bel[i] *= inv
     # insertion sort by label id (k <= max_labels, small)
-    for i in range(1, k):
+    for i in range(row + 1, row + k):
         lab = out_labels[i]
         b = out_bel[i]
         j = i - 1
-        while j >= 0 and out_labels[j] > lab:
+        while j >= row and out_labels[j] > lab:
             out_labels[j + 1] = out_labels[j]
             out_bel[j + 1] = out_bel[j]
             j -= 1
@@ -109,15 +110,15 @@ def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, 
 
 
 @njit(cache=True)
-def _best_of_row(labels_row, bel_row, k):
+def _best_of_row(labs, bels, row, k):
     # rows are sorted by label id, so a strict comparison keeps the
     # smallest id among belonging ties
-    best = labels_row[0]
-    best_b = bel_row[0]
-    for j in range(1, k):
-        if bel_row[j] > best_b:
-            best_b = bel_row[j]
-            best = labels_row[j]
+    best = labs[row]
+    best_b = bels[row]
+    for j in range(row + 1, row + k):
+        if bels[j] > best_b:
+            best_b = bels[j]
+            best = labs[j]
     return best
 
 
@@ -126,7 +127,8 @@ def _copra_seq(
     offsets, neighbors, weights, labs, bels, sizes, best, tolerance, max_labels,
     max_iterations, states, tally, touched, check, stats
 ):
-    n = sizes.shape[0]
+    # labs/bels are flat: vertex v's row starts at v * max_labels
+    n = len(sizes)
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -138,29 +140,31 @@ def _copra_seq(
                 if u == v:
                     continue  # own labels never feed the accumulator
                 w = weights[e]
-                for j in range(sizes[u]):
-                    lab = labs[u, j]
+                ru = u * max_labels
+                for j in range(ru, ru + sizes[u]):
+                    lab = labs[j]
                     if tally[lab] == 0.0:
                         touched[count] = lab
                         count += 1
-                    tally[lab] += bels[u, j] * w
+                    tally[lab] += bels[j] * w
+            rv = v * max_labels
             if count == 0:
-                labs[v, 0] = v
-                bels[v, 0] = 1.0
+                labs[rv] = v
+                bels[rv] = 1.0
                 sizes[v] = 1
                 newbest = v
             else:
                 k = _select_labels(
-                    touched, tally, count, max_labels, states, 0, labs[v], bels[v]
+                    touched, tally, count, max_labels, states, 0, labs, bels, rv
                 )
                 sizes[v] = k
                 for i in range(count):
                     tally[touched[i]] = 0.0
-                newbest = _best_of_row(labs[v], bels[v], k)
+                newbest = _best_of_row(labs, bels, rv, k)
             if check == 1:
                 s = 0.0
-                for j in range(sizes[v]):
-                    s += bels[v, j]
+                for j in range(rv, rv + sizes[v]):
+                    s += bels[j]
                 err = abs(s - 1.0)
                 if err > stats[0]:
                     stats[0] = err
@@ -184,7 +188,9 @@ def _copra_par(
     # labs/bels/sizes carry two buffers per vertex; cur[v] names the
     # published one.  A writer fills the spare buffer completely, then
     # flips cur[v], so concurrent readers always see a whole snapshot.
-    n = cur.shape[0]
+    # All three are flat: buffer b of vertex v is sizes[b * n + v], and its
+    # label row starts at labs[(b * n + v) * max_labels].
+    n = len(cur)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
     while iterations < max_iterations:
@@ -205,28 +211,30 @@ def _copra_par(
                     if u == v:
                         continue
                     w = weights[e]
-                    bu = cur[u]
-                    for j in range(sizes[bu, u]):
-                        lab = labs[bu, u, j]
+                    su = cur[u] * n + u
+                    ru = su * max_labels
+                    for j in range(ru, ru + sizes[su]):
+                        lab = labs[j]
                         if tally[lab] == 0.0:
                             touched[count] = lab
                             count += 1
-                        tally[lab] += bels[bu, u, j] * w
+                        tally[lab] += bels[j] * w
                 nb = 1 - cur[v]
+                sv = nb * n + v
+                rv = sv * max_labels
                 if count == 0:
-                    labs[nb, v, 0] = v
-                    bels[nb, v, 0] = 1.0
-                    sizes[nb, v] = 1
+                    labs[rv] = v
+                    bels[rv] = 1.0
+                    sizes[sv] = 1
                     newbest = v
                 else:
                     k = _select_labels(
-                        touched, tally, count, max_labels, states, tid,
-                        labs[nb, v], bels[nb, v],
+                        touched, tally, count, max_labels, states, tid, labs, bels, rv
                     )
-                    sizes[nb, v] = k
+                    sizes[sv] = k
                     for i in range(count):
                         tally[touched[i]] = 0.0
-                    newbest = _best_of_row(labs[nb, v], bels[nb, v], k)
+                    newbest = _best_of_row(labs, bels, rv, k)
                 cur[v] = nb
                 if newbest != best[v]:
                     best[v] = newbest
@@ -235,6 +243,15 @@ def _copra_par(
         if changed <= tolerance * n:
             break
     return iterations
+
+
+def _own_label_rows(n: int, max_labels: int, buffers: int):
+    """Flat (labs, bels) with every row holding only its vertex's own id."""
+    labs = np.zeros(buffers * n * max_labels, dtype=np.int64)
+    bels = np.zeros(buffers * n * max_labels, dtype=np.float64)
+    labs[::max_labels] = np.tile(np.arange(n), buffers)
+    bels[::max_labels] = 1.0
+    return labs, bels
 
 
 def _detect_full(graph: Graph, params: CopraParams, check_invariants: bool = False):
@@ -247,44 +264,49 @@ def _detect_full(graph: Graph, params: CopraParams, check_invariants: bool = Fal
     if n == 0:
         empty = np.zeros((0, L))
         return np.zeros(0, dtype=np.int64), 0, 0.0, stats, empty.astype(np.int64), empty, np.zeros(0, dtype=np.int64)
-    best = np.arange(n, dtype=np.int64)
     check = 1 if check_invariants else 0
     start = time.perf_counter()
     if params.workers == 1:
-        labs = np.zeros((n, L), dtype=np.int64)
-        bels = np.zeros((n, L), dtype=np.float64)
-        labs[:, 0] = np.arange(n)
-        bels[:, 0] = 1.0
-        sizes = np.ones(n, dtype=np.int64)
-        states = worker_states(params.seed, 1)
-        tally = np.zeros(n, dtype=np.float64)
-        touched = np.empty(n, dtype=np.int64)
+        labs, bels = _own_label_rows(n, L, 1)
+        offsets, neighbors, weights, labs, bels, sizes, best, states, tally, touched, stats = (
+            kernel_args(
+                graph.offsets, graph.neighbors, graph.weights, labs, bels,
+                np.ones(n, dtype=np.int64), np.arange(n, dtype=np.int64),
+                worker_states(params.seed, 1), np.zeros(n, dtype=np.float64),
+                np.empty(n, dtype=np.int64), stats,
+            )
+        )
         iterations = _copra_seq(
-            graph.offsets, graph.neighbors, graph.weights, labs, bels, sizes, best,
+            offsets, neighbors, weights, labs, bels, sizes, best,
             params.tolerance, L, params.max_iterations, states, tally, touched,
             check, stats,
         )
+        labs = np.asarray(labs, dtype=np.int64).reshape(n, L)
+        bels = np.asarray(bels, dtype=np.float64).reshape(n, L)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        stats = np.asarray(stats, dtype=np.float64)
     else:
         workers = effective_workers(params.workers)
-        labs2 = np.zeros((2, n, L), dtype=np.int64)
-        bels2 = np.zeros((2, n, L), dtype=np.float64)
-        labs2[:, :, 0] = np.arange(n)
-        bels2[:, :, 0] = 1.0
-        sizes2 = np.ones((2, n), dtype=np.int64)
-        cur = np.zeros(n, dtype=np.int64)
-        states = worker_states(params.seed, workers)
-        tallies = np.zeros((workers, n + PAD), dtype=np.float64)
-        touches = np.empty((workers, n + PAD), dtype=np.int64)
+        labs, bels = _own_label_rows(n, L, 2)
+        offsets, neighbors, weights, labs, bels, sizes, cur, best, states, tallies, touches = (
+            kernel_args(
+                graph.offsets, graph.neighbors, graph.weights, labs, bels,
+                np.ones(2 * n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                np.arange(n, dtype=np.int64), worker_states(params.seed, workers),
+                np.zeros((workers, n + PAD), dtype=np.float64),
+                np.empty((workers, n + PAD), dtype=np.int64),
+            )
+        )
         with thread_pool(workers):
             iterations = _copra_par(
-                graph.offsets, graph.neighbors, graph.weights, labs2, bels2, sizes2,
-                cur, best, params.tolerance, L, params.max_iterations, states,
-                tallies, touches, CHUNK,
+                offsets, neighbors, weights, labs, bels, sizes, cur, best,
+                params.tolerance, L, params.max_iterations, states, tallies, touches, CHUNK,
             )
-        pick = cur[np.newaxis, :, np.newaxis]
-        labs = np.take_along_axis(labs2, pick, axis=0)[0]
-        bels = np.take_along_axis(bels2, pick, axis=0)[0]
-        sizes = sizes2[cur, np.arange(n)]
+        published = (np.asarray(cur, dtype=np.int64), np.arange(n))
+        labs = np.asarray(labs, dtype=np.int64).reshape(2, n, L)[published]
+        bels = np.asarray(bels, dtype=np.float64).reshape(2, n, L)[published]
+        sizes = np.asarray(sizes, dtype=np.int64).reshape(2, n)[published]
+    best = np.asarray(best, dtype=np.int64)
     elapsed = time.perf_counter() - start
     return best, int(iterations), elapsed, stats, labs, bels, sizes
 
@@ -320,7 +342,7 @@ def collect_and_threshold(labels, weights, max_labels: int, rng: XorShift32):
         dense[lab] += w
     out_l = np.zeros(max_labels, dtype=np.int64)
     out_b = np.zeros(max_labels, dtype=np.float64)
-    k = _select_labels(touched, dense, count, max_labels, rng._state, 0, out_l, out_b)
+    k = _select_labels(touched, dense, count, max_labels, rng._state, 0, out_l, out_b, 0)
     return out_l[:k].copy(), out_b[:k].copy()
 
 

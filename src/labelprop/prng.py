@@ -8,16 +8,17 @@ output.  Bounded draws use plain modulo reduction -- the bias is at most
 ``n / 2**32``, negligible for the bounds used here, and fixing a single
 reduction rule keeps sequences comparable across implementations.
 
-States are carried in int64 arrays (one slot per worker) so the same
-functions work inside compiled kernels and in plain Python; all
-arithmetic is masked back to 32 bits explicitly.
+States are carried in int64 arrays (one slot per worker), or in lists of
+Python ints when the kernels run interpreted, so the same functions work
+inside compiled kernels and in plain Python; all arithmetic is masked
+back to 32 bits explicitly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._backend import njit
+from ._backend import kernel_args, njit
 
 _MASK = 0xFFFFFFFF
 
@@ -81,17 +82,19 @@ _ORDER_STREAM = 0x4F524452
 
 @njit(cache=True)
 def _fisher_yates(order, states):
-    for i in range(order.shape[0] - 1, 0, -1):
+    for i in range(len(order) - 1, 0, -1):
         j = draw_bounded(states, 0, i + 1)
         order[i], order[j] = order[j], order[i]
 
 
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
     """Seed-determined permutation of range(n), stable across backends."""
-    order = np.arange(n, dtype=np.int64)
-    states = np.array([mix_seed(int(seed) & _MASK, _ORDER_STREAM)], dtype=np.int64)
+    order, states = kernel_args(
+        np.arange(n, dtype=np.int64),
+        np.array([mix_seed(int(seed) & _MASK, _ORDER_STREAM)], dtype=np.int64),
+    )
     _fisher_yates(order, states)
-    return order
+    return np.asarray(order, dtype=np.int64)
 
 
 class XorShift32:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, njit, prange, thread_pool
+from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, check_symmetric
 from .prng import XorShift32, draw_bounded, shuffled_indices, worker_states
 from .quality import modularity
@@ -89,7 +89,7 @@ def _rak_seq(
     offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, states, tally,
     touched
 ):
-    n = labels.shape[0]
+    n = len(labels)
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -121,7 +121,7 @@ def _rak_par(
     offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, states, tallies,
     touches, chunk
 ):
-    n = labels.shape[0]
+    n = len(labels)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
     while iterations < max_iterations:
@@ -171,25 +171,31 @@ def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult
     order = shuffled_indices(n, params.seed)
     start = time.perf_counter()
     if params.workers == 1:
-        states = worker_states(params.seed, 1)
-        tally = np.zeros(n, dtype=np.float64)
-        touched = np.empty(n, dtype=np.int64)
-        iterations = _rak_seq(
+        offsets, neighbors, weights, labels, order, states, tally, touched = kernel_args(
             graph.offsets, graph.neighbors, graph.weights, labels, order,
+            worker_states(params.seed, 1), np.zeros(n, dtype=np.float64),
+            np.empty(n, dtype=np.int64),
+        )
+        iterations = _rak_seq(
+            offsets, neighbors, weights, labels, order,
             params.strict, params.tolerance, params.max_iterations,
             states, tally, touched,
         )
     else:
         workers = effective_workers(params.workers)
-        states = worker_states(params.seed, workers)
-        tallies = np.zeros((workers, n + PAD), dtype=np.float64)
-        touches = np.empty((workers, n + PAD), dtype=np.int64)
+        offsets, neighbors, weights, labels, order, states, tallies, touches = kernel_args(
+            graph.offsets, graph.neighbors, graph.weights, labels, order,
+            worker_states(params.seed, workers),
+            np.zeros((workers, n + PAD), dtype=np.float64),
+            np.empty((workers, n + PAD), dtype=np.int64),
+        )
         with thread_pool(workers):
             iterations = _rak_par(
-                graph.offsets, graph.neighbors, graph.weights, labels, order,
+                offsets, neighbors, weights, labels, order,
                 params.strict, params.tolerance, params.max_iterations,
                 states, tallies, touches, CHUNK,
             )
+    labels = np.asarray(labels, dtype=np.int64)
     elapsed = time.perf_counter() - start
     return DetectionResult(labels, int(iterations), elapsed, modularity(graph, labels))
 

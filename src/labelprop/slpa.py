@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, njit, prange, thread_pool
+from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, check_symmetric
 from .prng import draw_bounded, worker_states
 from .quality import modularity
@@ -49,16 +49,16 @@ class SlpaParams:
 
 
 @njit(cache=True)
-def _modal_label(slots_row, filled):
-    # most frequent label; frequency ties go to the smallest id.
-    # O(filled^2), fine for the small memories used here.
+def _modal_label(slots, row, filled):
+    # most frequent of slots[row:row + filled]; frequency ties go to the
+    # smallest id.  O(filled^2), fine for the small memories used here.
     best = -1
     best_count = 0
-    for i in range(filled):
-        lab = slots_row[i]
+    for i in range(row, row + filled):
+        lab = slots[i]
         c = 0
-        for j in range(filled):
-            if slots_row[j] == lab:
+        for j in range(row, row + filled):
+            if slots[j] == lab:
                 c += 1
         if c > best_count or (c == best_count and lab < best):
             best = lab
@@ -67,21 +67,24 @@ def _modal_label(slots_row, filled):
 
 
 @njit(cache=True)
-def _listen(offsets, neighbors, weights, slots, filled, v, strict, states, slot, tally, touched):
+def _listen(
+    offsets, neighbors, weights, slots, filled, memory_size, v, strict, states, slot, tally, touched
+):
+    # slots is flat: vertex v's memory starts at v * memory_size
     count = 0
     for e in range(offsets[v], offsets[v + 1]):
         u = neighbors[e]
         if u == v:
             continue  # self-loops do not speak
         j = draw_bounded(states, slot, filled[u])
-        lab = slots[u, j]
+        lab = slots[u * memory_size + j]
         if tally[lab] == 0.0:
             touched[count] = lab
             count += 1
         tally[lab] += weights[e]
     if count == 0:
         # no speakers: fall back to the listener's own most popular label
-        return _modal_label(slots[v], filled[v])
+        return _modal_label(slots, v * memory_size, filled[v])
     lab = _pick_from_tally(touched, tally, count, strict, states, slot)
     for i in range(count):
         tally[touched[i]] = 0.0
@@ -89,19 +92,21 @@ def _listen(offsets, neighbors, weights, slots, filled, v, strict, states, slot,
 
 
 @njit(cache=True)
-def _slpa_seq(offsets, neighbors, weights, slots, filled, prev, strict, tolerance, states, tally, touched):
-    n = filled.shape[0]
-    memory_size = slots.shape[1]
+def _slpa_seq(
+    offsets, neighbors, weights, slots, filled, prev, memory_size, strict, tolerance, states,
+    tally, touched
+):
+    n = len(filled)
     iterations = 0
     for t in range(1, memory_size):
         iterations += 1
         repeats = 0
         for v in range(n):
             lab = _listen(
-                offsets, neighbors, weights, slots, filled, v, strict, states, 0,
+                offsets, neighbors, weights, slots, filled, memory_size, v, strict, states, 0,
                 tally, touched,
             )
-            slots[v, filled[v]] = lab
+            slots[v * memory_size + filled[v]] = lab
             filled[v] += 1  # publish only after the slot is written
             if lab == prev[v]:
                 repeats += 1
@@ -112,9 +117,11 @@ def _slpa_seq(offsets, neighbors, weights, slots, filled, prev, strict, toleranc
 
 
 @njit(cache=True, parallel=True)
-def _slpa_par(offsets, neighbors, weights, slots, filled, prev, strict, tolerance, states, tallies, touches, chunk):
-    n = filled.shape[0]
-    memory_size = slots.shape[1]
+def _slpa_par(
+    offsets, neighbors, weights, slots, filled, prev, memory_size, strict, tolerance, states,
+    tallies, touches, chunk
+):
+    n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
     for t in range(1, memory_size):
@@ -130,10 +137,10 @@ def _slpa_par(offsets, neighbors, weights, slots, filled, prev, strict, toleranc
                 hi = n
             for v in range(c * chunk, hi):
                 lab = _listen(
-                    offsets, neighbors, weights, slots, filled, v, strict, states, tid,
-                    tally, touched,
+                    offsets, neighbors, weights, slots, filled, memory_size, v, strict, states,
+                    tid, tally, touched,
                 )
-                slots[v, filled[v]] = lab
+                slots[v * memory_size + filled[v]] = lab
                 filled[v] += 1
                 if lab == prev[v]:
                     local += 1
@@ -145,9 +152,9 @@ def _slpa_par(offsets, neighbors, weights, slots, filled, prev, strict, toleranc
 
 
 @njit(cache=True)
-def _project(slots, filled, labels):
-    for v in range(labels.shape[0]):
-        labels[v] = _modal_label(slots[v], filled[v])
+def _project(slots, filled, memory_size, labels):
+    for v in range(len(labels)):
+        labels[v] = _modal_label(slots, v * memory_size, filled[v])
 
 
 def _detect_full(graph: Graph, params: SlpaParams):
@@ -157,31 +164,43 @@ def _detect_full(graph: Graph, params: SlpaParams):
     n = graph.vertex_count
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0, 0.0, np.zeros((0, params.memory_size), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    slots = np.zeros((n, params.memory_size), dtype=np.int64)
-    slots[:, 0] = np.arange(n)
-    filled = np.ones(n, dtype=np.int64)
-    prev = np.full(n, -1, dtype=np.int64)
+    M = params.memory_size
+    slots = np.zeros(n * M, dtype=np.int64)
+    slots[::M] = np.arange(n)
     start = time.perf_counter()
     if params.workers == 1:
-        states = worker_states(params.seed, 1)
-        tally = np.zeros(n, dtype=np.float64)
-        touched = np.empty(n, dtype=np.int64)
+        offsets, neighbors, weights, slots, filled, prev, labels, states, tally, touched = (
+            kernel_args(
+                graph.offsets, graph.neighbors, graph.weights, slots,
+                np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                np.empty(n, dtype=np.int64), worker_states(params.seed, 1),
+                np.zeros(n, dtype=np.float64), np.empty(n, dtype=np.int64),
+            )
+        )
         iterations = _slpa_seq(
-            graph.offsets, graph.neighbors, graph.weights, slots, filled, prev,
+            offsets, neighbors, weights, slots, filled, prev, M,
             params.strict, params.tolerance, states, tally, touched,
         )
     else:
         workers = effective_workers(params.workers)
-        states = worker_states(params.seed, workers)
-        tallies = np.zeros((workers, n + PAD), dtype=np.float64)
-        touches = np.empty((workers, n + PAD), dtype=np.int64)
+        offsets, neighbors, weights, slots, filled, prev, labels, states, tallies, touches = (
+            kernel_args(
+                graph.offsets, graph.neighbors, graph.weights, slots,
+                np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+                np.empty(n, dtype=np.int64), worker_states(params.seed, workers),
+                np.zeros((workers, n + PAD), dtype=np.float64),
+                np.empty((workers, n + PAD), dtype=np.int64),
+            )
+        )
         with thread_pool(workers):
             iterations = _slpa_par(
-                graph.offsets, graph.neighbors, graph.weights, slots, filled, prev,
+                offsets, neighbors, weights, slots, filled, prev, M,
                 params.strict, params.tolerance, states, tallies, touches, CHUNK,
             )
-    labels = np.empty(n, dtype=np.int64)
-    _project(slots, filled, labels)
+    _project(slots, filled, M, labels)
+    labels = np.asarray(labels, dtype=np.int64)
+    slots = np.asarray(slots, dtype=np.int64).reshape(n, M)
+    filled = np.asarray(filled, dtype=np.int64)
     elapsed = time.perf_counter() - start
     return labels, int(iterations), elapsed, slots, filled
 
@@ -199,4 +218,4 @@ def most_popular_label(memory) -> int:
     arr = np.asarray(memory, dtype=np.int64)
     if arr.size == 0:
         raise ValueError("empty memory")
-    return int(_modal_label(arr, arr.size))
+    return int(_modal_label(arr, 0, arr.size))

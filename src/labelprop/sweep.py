@@ -28,6 +28,7 @@ CSV_HEADER = "graph,algorithm,mode,tolerance,max_labels,memory_size,workers,seed
 DEFAULT_TOLERANCES = (0.1, 0.05, 0.01, 0.001, 0.0001)
 DEFAULT_MAX_LABELS = (1, 2, 4, 8, 16, 32)
 DEFAULT_MEMORY_SIZES = (4, 8, 16, 32)
+MODES = ("strict", "non-strict")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class SweepSpec:
     tolerances: tuple = DEFAULT_TOLERANCES
     max_labels: tuple = DEFAULT_MAX_LABELS
     memory_sizes: tuple = DEFAULT_MEMORY_SIZES
-    modes: tuple = ("strict", "non-strict")
+    modes: tuple = MODES
     workers: tuple = (1,)
     repetitions: int = 1
     seed: int = 1
@@ -55,16 +56,11 @@ class SweepSpec:
         ):
             if len(grid) == 0:
                 raise ValueError(f"{name} grid must be non-empty")
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-
-    def combos_per_graph(self) -> int:
-        reps = self.repetitions * len(self.workers)
-        if self.algorithm == "rak":
-            return len(self.tolerances) * len(self.modes) * reps
-        if self.algorithm == "copra":
-            return len(self.tolerances) * len(self.max_labels) * reps
-        return len(self.memory_sizes) * len(self.modes) * reps
 
 
 @dataclass(frozen=True)

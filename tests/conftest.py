@@ -11,7 +11,7 @@ import labelprop as lp
 
 requires_jit = pytest.mark.skipif(
     not lp.JIT_ENABLED,
-    reason="needs compiled kernels (LABELPROP_DISABLE_NUMBA is set)",
+    reason="needs compiled kernels (numba is not importable, or LABELPROP_DISABLE_NUMBA is set)",
 )
 
 

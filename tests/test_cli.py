@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from labelprop.cli import main
+from labelprop.sweep import SweepSpec
+
 TRI2_MTX = """%%MatrixMarket matrix coordinate pattern symmetric
 6 6 6
 2 1
@@ -67,6 +70,22 @@ class TestDetect:
     def test_unknown_algorithm_exits_2(self, tri2):
         proc = run_cli("detect", "--algorithm", "bogus", "--input", str(tri2))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--threads", "0"),
+        ("--tolerance", "0"),
+        ("--tolerance", "1.5"),
+        ("--max-labels", "0"),
+        ("--memory-size", "1"),
+        ("--max-iterations", "0"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, tri2, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--algorithm", "rak", "--input", str(tri2), option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err.splitlines()[-1]
+        assert "Traceback" not in err
 
     def test_unreadable_file_exits_nonzero(self):
         proc = run_cli("detect", "--algorithm", "rak", "--input", "no_such_file.mtx")
@@ -155,6 +174,34 @@ class TestSweep:
         rows = proc.stdout.strip().splitlines()[1:]
         assert len(rows) == 1
         assert rows[0].startswith(str(tri2))
+
+    @pytest.mark.parametrize("option, value", [
+        ("--workers-grid", "0"),
+        ("--repetitions", "0"),
+        ("--tolerances", "0"),
+        ("--tolerances", "0.1,1.5"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, tri2, capsys, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--algorithm", "rak", "--input", str(tri2), option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_spec_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'strct'"):
+            SweepSpec(algorithm="rak", modes=("strct",))
+
+    def test_unknown_mode_rejected(self, tri2):
+        proc = run_cli(
+            "sweep", "--algorithm", "rak", "--input", str(tri2), "--modes", "strict,strct",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            "labelprop sweep: error: unknown mode 'strct'; expected one of strict, non-strict"
+        ]
 
     def test_copra_grid_uses_max_labels(self, tri2):
         proc = run_cli(

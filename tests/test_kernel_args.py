@@ -1,0 +1,137 @@
+"""The kernels give the same results whether fed numpy arrays or lists.
+
+Where numba is missing the drivers hand the interpreted kernels Python
+lists (``kernel_args``); compiled kernels always receive numpy arrays.
+The golden hashes pin the full detector state on two graphs, and the
+equivalence test runs the same kernels on arrays, which checks the
+flat-row index arithmetic without needing numba.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import labelprop as lp
+from labelprop import copra, prng, rak, slpa
+from labelprop._backend import kernel_args
+from labelprop.copra import _detect_full as copra_full
+from labelprop.slpa import _detect_full as slpa_full
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def weighted_graph():
+    rng = np.random.default_rng(5)
+    n, m = 120, 600
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    w = rng.integers(1, 5, m).astype(np.float64)
+    return lp.preprocess(lp.from_arcs(n, src, dst, w), unit_weights=False)
+
+
+GRAPHS = {
+    "ring": lambda: lp.ring_of_cliques(16, 6),
+    "weighted": weighted_graph,
+    # COPRA rows here hold several labels, so a sort or scan that strays
+    # past its row's start changes the state
+    "gnp": lambda: lp.gnp(400, 0.02, seed=3),
+}
+
+
+def full_state(algorithm, graph, **kw):
+    """(iterations, digest of every output array) of one seed-3 run."""
+    if algorithm == "rak":
+        r = lp.rak_detect(graph, lp.RakParams(strict=True, seed=3, **kw))
+        return r.iterations, digest(r.assignment)
+    if algorithm == "slpa":
+        labels, it, _, slots, filled = slpa_full(
+            graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
+        )
+        return it, digest(labels, slots, filled)
+    best, it, _, _, labs, bels, sizes = copra_full(graph, lp.CopraParams(seed=3, **kw))
+    return it, digest(best, labs, bels, sizes)
+
+
+# (iterations, sha256) captured before the kernels took flat rows and lists.
+GOLDEN = {
+    ("ring", "rak", 1): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
+    ("ring", "rak", 2): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
+    ("ring", "slpa", 1): (9, "ad880f67c9dd651e94d3732a0c901a3cfa9717bb64516bec1363c3129ae2db94"),
+    ("ring", "copra-ml1", 1): (3, "35d2e2e01983f03e209034474dd575347e683337ca81cd0d27ba26b26a0d9df4"),
+    ("ring", "copra-ml8", 1): (3, "3da72581efbf7ccd96673d9e2c7bd93ca1f2d29d17d162d19045e76968da9552"),
+    ("weighted", "rak", 1): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
+    ("weighted", "rak", 2): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
+    ("weighted", "slpa", 1): (9, "300b2863bfd782238cdec01b84b38f022fa487751a8662e11484e2287430920e"),
+    ("weighted", "copra-ml1", 1): (5, "56e607f5f201f2a040d46b65ad2f979ab56c4c3f03887f6e9c52502ac977d06b"),
+    ("weighted", "copra-ml8", 1): (5, "d0cf6619e42f20d7b317dd63161ff8b8e99906222260ed05b8aba201b92d2560"),
+    ("gnp", "copra-ml8", 1): (8, "c42889e4f886edae497c294b93970f8d9b5b895c70b88fe5f7dda68e851762d4"),
+    ("gnp", "copra-ml8", 2): (8, "c59efd9fa74c84ef5ec6523d0d3af28373b0952e7570d8db1fba549ca47cc2fe"),
+}
+
+
+def _golden_case(key):
+    marks = []
+    if key[2] > 1:
+        # compiled parallel runs race between threads, so only the
+        # interpreter's one-thread run of the parallel kernel is pinned
+        marks.append(pytest.mark.skipif(lp.JIT_ENABLED, reason="racy under compiled threads"))
+    return pytest.param(key, id="-".join(map(str, key)), marks=marks)
+
+
+@pytest.mark.parametrize("key", [_golden_case(k) for k in GOLDEN])
+def test_golden_state(key):
+    graph_name, algorithm, workers = key
+    kw = {"workers": workers}
+    if algorithm.startswith("copra"):
+        kw["max_labels"] = int(algorithm[len("copra-ml"):])
+        algorithm = "copra"
+    assert full_state(algorithm, GRAPHS[graph_name](), **kw) == GOLDEN[key]
+
+
+def test_kernel_args_follow_the_backend():
+    a = np.arange(3)
+    (out,) = kernel_args(a)
+    if lp.JIT_ENABLED:
+        assert out is a
+    else:
+        assert out == [0, 1, 2] and all(type(x) is int for x in out)
+
+
+def _every_run():
+    """Full state of every detector variant on both graphs, plus a shuffle."""
+    runs = {"shuffle": prng.shuffled_indices(1000, 9).tolist()}
+    for name, make in GRAPHS.items():
+        g = make()
+        for workers in (1, 2):
+            for strict in (True, False):
+                r = lp.rak_detect(g, lp.RakParams(strict=strict, seed=4, workers=workers))
+                runs[name, "rak", workers, strict] = (r.iterations, digest(r.assignment))
+                labels, it, _, slots, filled = slpa_full(
+                    g, lp.SlpaParams(memory_size=7, strict=strict, seed=4, workers=workers)
+                )
+                runs[name, "slpa", workers, strict] = (it, digest(labels, slots, filled))
+            for max_labels in (1, 3, 8):
+                best, it, _, stats, labs, bels, sizes = copra_full(
+                    g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers),
+                    check_invariants=workers == 1,
+                )
+                runs[name, "copra", workers, max_labels] = (
+                    it, digest(best, labs, bels, sizes, stats)
+                )
+    return runs
+
+
+def test_array_fed_kernels_match_list_fed(monkeypatch):
+    fed_by_backend = _every_run()
+    for module in (rak, copra, slpa, prng):
+        monkeypatch.setattr(module, "kernel_args", lambda *arrays: arrays)
+    fed_arrays = _every_run()
+    assert fed_arrays == fed_by_backend
