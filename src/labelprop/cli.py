@@ -225,7 +225,8 @@ def cmd_score(args) -> int:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
     n = graph.vertex_count
-    communities = np.full(n, -1, dtype=np.int64)
+    communities = np.zeros(n, dtype=np.int64)
+    assigned = np.zeros(n, dtype=bool)
     try:
         with open(args.assignment, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -240,17 +241,18 @@ def cmd_score(args) -> int:
                 if not 0 <= v < n:
                     print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
                     return 1
-                if communities[v] != -1:
+                if assigned[v]:
                     print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
                     return 1
                 communities[v] = c
+                assigned[v] = True
     except OSError as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
     except ValueError:
         print("labelprop: non-integer token in assignment file", file=sys.stderr)
         return 1
-    missing = np.flatnonzero(communities == -1)
+    missing = np.flatnonzero(~assigned)
     if missing.size:
         print(f"labelprop: missing assignment for vertex {int(missing[0])}", file=sys.stderr)
         return 1

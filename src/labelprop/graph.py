@@ -6,6 +6,12 @@ turns any loaded graph into the canonical form the detectors expect:
 symmetric, unit arc weights by default, and exactly one weight-1 self-loop
 per vertex.
 
+Files are UTF-8 text.  A file whose data rows are plain numbers of one
+width is parsed by numpy in one pass; anything else (comment lines, mixed
+widths, a value that fails a check) goes through a line-by-line loop that
+accepts the same inputs and names the line of the first error.  Vertex
+counts are bounded by `MAX_VERTICES`.
+
 Weight conventions, fixed once here and relied on everywhere else:
 
 * each undirected edge is stored as two directed arcs; a self-loop is
@@ -18,13 +24,18 @@ Weight conventions, fixed once here and relied on everywhere else:
 from __future__ import annotations
 
 import io
+import math
 import os
+import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
 Source = Union[str, os.PathLike, IO[str]]
+
+MAX_VERTICES = 3_037_000_499
+"""Largest vertex count for which the ``u * n + v`` arc keys fit in int64."""
 
 
 class GraphParseError(ValueError):
@@ -55,33 +66,51 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def from_arcs(vertex_count: int, u, v, w) -> Graph:
-    """Build a CSR graph from arc arrays, merging duplicate arcs by weight sum."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
-    n = int(vertex_count)
-    if u.size:
-        order = np.lexsort((v, u))
-        u, v, w = u[order], v[order], w[order]
-        fresh = np.empty(u.size, dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        starts = np.flatnonzero(fresh)
-        w = np.add.reduceat(w, starts)
-        u, v = u[starts], v[starts]
+def _csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+    """Wrap arcs already sorted by (u, v) and free of duplicates as a Graph."""
     offsets = np.zeros(n + 1, dtype=np.int64)
-    if u.size:
-        np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
-    total = float(w.sum() + w[u == v].sum())
+    np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
     return Graph(
         vertex_count=n,
         edge_count=int(u.size),
         offsets=_freeze(offsets),
-        neighbors=_freeze(v.copy()),
-        weights=_freeze(w.copy()),
-        total_weight=total,
+        neighbors=_freeze(v),
+        weights=_freeze(w),
+        total_weight=float(w.sum() + w[u == v].sum()),
     )
+
+
+def _group_starts(key: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values in sorted ``key``."""
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(key[1:], key[:-1], out=fresh[1:])
+    return np.flatnonzero(fresh)
+
+
+def from_arcs(vertex_count: int, u, v, w) -> Graph:
+    """Build a CSR graph from arc arrays, merging duplicate arcs by weight sum.
+
+    Duplicates are summed in input order (the sort by ``u * n + v`` is
+    stable).  ``vertex_count`` may not exceed `MAX_VERTICES`, and every
+    endpoint must lie in ``[0, vertex_count)``.
+    """
+    n = int(vertex_count)
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    w = np.asarray(w, dtype=np.float64)
+    if not u.size:
+        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+        raise ValueError(f"arc endpoints must lie in [0, {n})")
+    key = u * n + v
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = _group_starts(key)
+    u, v = np.divmod(key[starts], n)
+    return _csr(n, u, v, np.add.reduceat(w[order], starts))
 
 
 def arc_rows(graph: Graph) -> np.ndarray:
@@ -92,10 +121,60 @@ def arc_rows(graph: Graph) -> np.ndarray:
     )
 
 
-def _lines(source: Source):
+def _read_text(source: Source) -> str:
+    """The whole input as text, with newlines translated as text-mode reads do.
+
+    Bytes that are not UTF-8 raise `GraphParseError` naming the line.
+    """
     if hasattr(source, "read"):
-        return source
-    return open(source, "r", encoding="utf-8")
+        try:
+            return source.read()
+        except UnicodeDecodeError as exc:
+            raise GraphParseError(f"input is not valid UTF-8 ({exc.reason})") from None
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphParseError(
+            f"line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+_ROW_DTYPES = {
+    2: np.dtype([("u", np.int64), ("v", np.int64)]),
+    3: np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)]),
+}
+
+
+def _numeric_rows(stream: io.StringIO, fields: int):
+    """Parse every remaining line of ``stream`` as ``fields`` numbers in one C pass.
+
+    Returns ``(u, v, w)`` with ``w`` all ones for two fields, or None when
+    numpy rejects the text: comment lines, rows of another width, tokens
+    that are not plain int64 / float64 literals, or no rows at all.  The
+    line loop then decides, and names the line of any error.
+    ``comments=None`` matters: with ``"#"`` numpy would accept ``1 2 # x``.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(stream, dtype=_ROW_DTYPES[fields], comments=None, ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    return rows["u"], rows["v"], rows["w"] if fields == 3 else np.ones(rows.size)
+
+
+def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
+    return bool(a.size == 0 or (lo <= a.min() and a.max() <= hi))
+
+
+def _valid_weights(w: np.ndarray) -> bool:
+    return bool(((w > 0) & (w < np.inf)).all())
 
 
 def load_matrix_market(source: Source) -> Graph:
@@ -106,126 +185,180 @@ def load_matrix_market(source: Source) -> Graph:
     the file and shifted to 0-based.  ``pattern`` entries get weight 1;
     ``symmetric`` storage is expanded to both arc directions (diagonal
     entries are kept single); duplicate arcs are merged by weight sum.
+    Weights must be finite and positive, and neither declared size may
+    exceed `MAX_VERTICES`.
     """
-    stream = _lines(source)
-    close = stream is not source
-    try:
-        header = stream.readline()
-        if not header:
-            raise GraphParseError("line 1: empty file, expected MatrixMarket header")
-        parts = header.strip().lower().split()
-        if len(parts) != 5 or parts[0] != "%%matrixmarket":
-            raise GraphParseError(f"line 1: malformed MatrixMarket header: {header.strip()!r}")
-        _, obj, fmt, field, symmetry = parts
-        if obj != "matrix" or fmt != "coordinate":
-            raise GraphParseError(f"line 1: unsupported MatrixMarket type {obj!r} {fmt!r}")
-        if field not in ("pattern", "real", "integer"):
-            raise GraphParseError(f"line 1: unsupported field type {field!r}")
-        if symmetry not in ("general", "symmetric"):
-            raise GraphParseError(f"line 1: unsupported symmetry {symmetry!r}")
+    return _matrix_market(io.StringIO(_read_text(source)))
 
-        lineno = 1
-        rows = cols = count = -1
-        for raw in stream:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            dims = line.split()
-            if len(dims) != 3:
-                raise GraphParseError(f"line {lineno}: expected 'rows cols entries', got {line!r}")
-            try:
-                rows, cols, count = (int(t) for t in dims)
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-integer size line {line!r}") from None
-            if rows < 0 or cols < 0 or count < 0:
-                raise GraphParseError(f"line {lineno}: negative value in size line {line!r}")
-            break
-        if rows < 0:
-            raise GraphParseError(f"line {lineno}: missing size line")
 
-        want_weight = field != "pattern"
-        us = np.empty(count, dtype=np.int64)
-        vs = np.empty(count, dtype=np.int64)
-        ws = np.empty(count, dtype=np.float64)
-        seen = 0
-        for raw in stream:
-            lineno += 1
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            if seen >= count:
-                raise GraphParseError(f"line {lineno}: more entries than the {count} declared")
-            toks = line.split()
-            if len(toks) != (3 if want_weight else 2):
-                raise GraphParseError(f"line {lineno}: malformed entry {line!r}")
-            try:
-                i = int(toks[0])
-                j = int(toks[1])
-                weight = float(toks[2]) if want_weight else 1.0
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
-            if not (1 <= i <= rows) or not (1 <= j <= cols):
-                raise GraphParseError(
-                    f"line {lineno}: index ({i}, {j}) outside declared {rows} x {cols} bounds"
-                )
-            if weight <= 0:
-                raise GraphParseError(f"line {lineno}: non-positive weight {weight}")
-            us[seen], vs[seen], ws[seen] = i - 1, j - 1, weight
-            seen += 1
-        if seen != count:
-            raise GraphParseError(f"line {lineno}: file ended after {seen} of {count} entries")
+def _matrix_market(stream: io.StringIO) -> Graph:
+    header = stream.readline()
+    if not header:
+        raise GraphParseError("line 1: empty file, expected MatrixMarket header")
+    parts = header.strip().lower().split()
+    if len(parts) != 5 or parts[0] != "%%matrixmarket":
+        raise GraphParseError(f"line 1: malformed MatrixMarket header: {header.strip()!r}")
+    _, obj, fmt, field, symmetry = parts
+    if obj != "matrix" or fmt != "coordinate":
+        raise GraphParseError(f"line 1: unsupported MatrixMarket type {obj!r} {fmt!r}")
+    if field not in ("pattern", "real", "integer"):
+        raise GraphParseError(f"line 1: unsupported field type {field!r}")
+    if symmetry not in ("general", "symmetric"):
+        raise GraphParseError(f"line 1: unsupported symmetry {symmetry!r}")
 
-        if symmetry == "symmetric":
-            off = us != vs
-            us, vs, ws = (
-                np.concatenate([us, vs[off]]),
-                np.concatenate([vs, us[off]]),
-                np.concatenate([ws, ws[off]]),
+    lineno = 1
+    rows = cols = count = -1
+    for raw in stream:
+        lineno += 1
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        dims = line.split()
+        if len(dims) != 3:
+            raise GraphParseError(f"line {lineno}: expected 'rows cols entries', got {line!r}")
+        try:
+            rows, cols, count = (int(t) for t in dims)
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: non-integer size line {line!r}") from None
+        if rows < 0 or cols < 0 or count < 0:
+            raise GraphParseError(f"line {lineno}: negative value in size line {line!r}")
+        if max(rows, cols) > MAX_VERTICES:
+            raise GraphParseError(
+                f"line {lineno}: size {max(rows, cols)} exceeds the supported maximum "
+                f"{MAX_VERTICES}"
             )
-        return from_arcs(max(rows, cols), us, vs, ws)
-    finally:
-        if close:
-            stream.close()
+        break
+    if rows < 0:
+        raise GraphParseError(f"line {lineno}: missing size line")
+
+    want_weight = field != "pattern"
+    body_start = stream.tell()
+    parsed = _numeric_rows(stream, 3 if want_weight else 2)
+    if (
+        parsed is not None
+        and parsed[0].size == count
+        and _in_range(parsed[0], 1, rows)
+        and _in_range(parsed[1], 1, cols)
+        and _valid_weights(parsed[2])
+    ):
+        us, vs, ws = parsed[0] - 1, parsed[1] - 1, parsed[2]
+    else:
+        stream.seek(body_start)
+        us, vs, ws = _matrix_market_loop(stream, lineno, rows, cols, count, want_weight)
+
+    if symmetry == "symmetric":
+        off = us != vs
+        us, vs, ws = (
+            np.concatenate([us, vs[off]]),
+            np.concatenate([vs, us[off]]),
+            np.concatenate([ws, ws[off]]),
+        )
+    return from_arcs(max(rows, cols), us, vs, ws)
+
+
+def _matrix_market_loop(lines, lineno: int, rows: int, cols: int, count: int, want_weight: bool):
+    """Parse MatrixMarket entries one line at a time, naming the line of any error."""
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
+    for raw in lines:
+        lineno += 1
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        if len(us) >= count:
+            raise GraphParseError(f"line {lineno}: more entries than the {count} declared")
+        toks = line.split()
+        if len(toks) != (3 if want_weight else 2):
+            raise GraphParseError(f"line {lineno}: malformed entry {line!r}")
+        try:
+            i = int(toks[0])
+            j = int(toks[1])
+            weight = float(toks[2]) if want_weight else 1.0
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
+        if not (1 <= i <= rows) or not (1 <= j <= cols):
+            raise GraphParseError(
+                f"line {lineno}: index ({i}, {j}) outside declared {rows} x {cols} bounds"
+            )
+        if not 0 < weight < math.inf:
+            raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
+        us.append(i - 1)
+        vs.append(j - 1)
+        ws.append(weight)
+    if len(us) != count:
+        raise GraphParseError(f"line {lineno}: file ended after {len(us)} of {count} entries")
+    return _arrays(us, vs, ws)
+
+
+def _arrays(us: list, vs: list, ws: list):
+    return (
+        np.array(us, dtype=np.int64),
+        np.array(vs, dtype=np.int64),
+        np.array(ws, dtype=np.float64),
+    )
 
 
 def load_edge_list(source: Source) -> Graph:
     """Parse a whitespace edge list (``u v [w]``, 0-based, ``#`` comments).
 
     A missing weight defaults to 1.  The vertex count is the largest index
-    seen plus one.  Duplicate arcs are merged by weight sum.
+    seen plus one, at most `MAX_VERTICES`.  Weights must be finite and
+    positive.  Duplicate arcs are merged by weight sum.
     """
-    stream = _lines(source)
-    close = stream is not source
+    return _edge_list(io.StringIO(_read_text(source)))
+
+
+def _edge_list(stream: io.StringIO) -> Graph:
+    first = next((line for line in stream if line.strip()), "")
+    fields = len(first.split())
+    stream.seek(0)
+    parsed = _numeric_rows(stream, fields) if fields in (2, 3) else None
+    if (
+        parsed is not None
+        and _in_range(parsed[0], 0, MAX_VERTICES - 1)
+        and _in_range(parsed[1], 0, MAX_VERTICES - 1)
+        and _valid_weights(parsed[2])
+    ):
+        us, vs, ws = parsed
+    else:
+        stream.seek(0)
+        us, vs, ws = _edge_list_loop(stream)
+    n = 1 + max(us.max(initial=-1), vs.max(initial=-1))
+    return from_arcs(n, us, vs, ws)
+
+
+def _edge_list_loop(lines):
+    """Parse edge-list lines one at a time, naming the line of any error."""
     us: list[int] = []
     vs: list[int] = []
     ws: list[float] = []
-    try:
-        for lineno, raw in enumerate(stream, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) not in (2, 3):
-                raise GraphParseError(f"line {lineno}: expected 'u v [w]', got {line!r}")
-            try:
-                u = int(toks[0])
-                v = int(toks[1])
-                weight = float(toks[2]) if len(toks) == 3 else 1.0
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
-            if u < 0 or v < 0:
-                raise GraphParseError(f"line {lineno}: negative vertex index in {line!r}")
-            if weight <= 0:
-                raise GraphParseError(f"line {lineno}: non-positive weight {weight}")
-            us.append(u)
-            vs.append(v)
-            ws.append(weight)
-    finally:
-        if close:
-            stream.close()
-    n = 1 + max(max(us, default=-1), max(vs, default=-1))
-    return from_arcs(n, us, vs, ws)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) not in (2, 3):
+            raise GraphParseError(f"line {lineno}: expected 'u v [w]', got {line!r}")
+        try:
+            u = int(toks[0])
+            v = int(toks[1])
+            weight = float(toks[2]) if len(toks) == 3 else 1.0
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
+        if u < 0 or v < 0:
+            raise GraphParseError(f"line {lineno}: negative vertex index in {line!r}")
+        if max(u, v) >= MAX_VERTICES:
+            raise GraphParseError(
+                f"line {lineno}: vertex index {max(u, v)} exceeds the supported maximum "
+                f"{MAX_VERTICES - 1}"
+            )
+        if not 0 < weight < math.inf:
+            raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
+        us.append(u)
+        vs.append(v)
+        ws.append(weight)
+    return _arrays(us, vs, ws)
 
 
 def load_graph(path: Source, fmt: str = "auto") -> Graph:
@@ -236,19 +369,14 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
         return load_edge_list(path)
     if fmt != "auto":
         raise ValueError(f"unknown graph format {fmt!r}")
-    if hasattr(path, "read"):
-        text = path.read()
-        stream = io.StringIO(text)
-        if text.lstrip().lower().startswith("%%matrixmarket"):
-            return load_matrix_market(stream)
-        return load_edge_list(stream)
-    if str(path).endswith((".mtx", ".mm")):
+    is_stream = hasattr(path, "read")
+    if not is_stream and str(path).endswith((".mtx", ".mm")):
         return load_matrix_market(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    if first.lower().startswith("%%matrixmarket"):
-        return load_matrix_market(path)
-    return load_edge_list(path)
+    text = _read_text(path)
+    head = text.lstrip() if is_stream else text
+    if head[:64].lower().startswith("%%matrixmarket"):
+        return _matrix_market(io.StringIO(text))
+    return _edge_list(io.StringIO(text))
 
 
 def preprocess(
@@ -264,46 +392,36 @@ def preprocess(
     to 1.  With ``self_loops`` existing self-loops are dropped and every
     vertex gets exactly one self-loop of weight 1; otherwise self-loops
     pass through untouched.
+
+    Every off-diagonal arc is emitted in both directions, next to the
+    self-loops, and one sort by ``row * n + col`` groups each arc with its
+    reverse; a group keeps its largest weight.  The input's arcs are taken
+    to be distinct, as in every graph `from_arcs` builds.
     """
     n = graph.vertex_count
-    if n == 0:
-        return from_arcs(0, [], [], [])
     rows = arc_rows(graph)
     cols = graph.neighbors
-    w = np.asarray(graph.weights, dtype=np.float64)
-
-    diag = rows == cols
-    ru, rv, rw = rows[~diag], cols[~diag], w[~diag]
-
-    # Undirected pair -> max weight over both stored directions, then emit both.
-    lo = np.minimum(ru, rv)
-    hi = np.maximum(ru, rv)
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key, lo, hi, rw = key[order], lo[order], hi[order], rw[order]
-    if key.size:
-        fresh = np.empty(key.size, dtype=bool)
-        fresh[0] = True
-        fresh[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(fresh)
-        rw = np.maximum.reduceat(rw, starts)
-        lo, hi = lo[starts], hi[starts]
-    if unit_weights:
-        rw = np.ones_like(rw)
-    out_u = np.concatenate([lo, hi])
-    out_v = np.concatenate([hi, lo])
-    out_w = np.concatenate([rw, rw])
-
+    w = graph.weights
+    off = rows != cols
+    ru, rv, rw = rows[off], cols[off], w[off]
     if self_loops:
-        loop_u = np.arange(n, dtype=np.int64)
-        loop_w = np.ones(n, dtype=np.float64)
+        loops = np.arange(n, dtype=np.int64)
+        loop_w = np.ones(n)
     else:
-        loop_u = rows[diag]
-        loop_w = np.ones_like(w[diag]) if unit_weights else w[diag]
-    out_u = np.concatenate([out_u, loop_u])
-    out_v = np.concatenate([out_v, loop_u])
-    out_w = np.concatenate([out_w, loop_w])
-    return from_arcs(n, out_u, out_v, out_w)
+        loops = rows[~off]
+        loop_w = w[~off]
+    key = np.concatenate([ru * n + rv, rv * n + ru, loops * (n + 1)])
+    if not key.size:
+        return from_arcs(n, [], [], [])
+    order = np.argsort(key)  # a group's maximum does not depend on its order
+    key = key[order]
+    starts = _group_starts(key)
+    if unit_weights:
+        weights = np.ones(starts.size)
+    else:
+        weights = np.maximum.reduceat(np.concatenate([rw, rw, loop_w])[order], starts)
+    u, v = np.divmod(key[starts], n)
+    return _csr(n, u, v, weights)
 
 
 def degree_weight(graph: Graph, vertex: int) -> float:

@@ -124,6 +124,17 @@ class TestScore:
         assert proc.returncode == 1
         assert "vertex 0" in proc.stderr
 
+    def test_community_id_minus_one_is_an_ordinary_label(self, tmp_path, capsys):
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n")
+        scores = []
+        for name, text in (("neg", "0\t-1\n1\t-1\n2\t3\n"), ("pos", "0\t0\n1\t0\n2\t1\n")):
+            tsv = tmp_path / f"{name}.tsv"
+            tsv.write_text(text)
+            assert main(["score", "--input", str(graph), "--assignment", str(tsv)]) == 0
+            scores.append(capsys.readouterr().out)
+        assert scores[0] == scores[1]
+
     def test_round_trip_reproduces_reported_modularity(self, tri2, tmp_path):
         out = tmp_path / "rt.tsv"
         detect = run_cli(
@@ -235,3 +246,48 @@ class TestInfo:
         proc = run_cli("info", "nope.mtx", str(tri2))
         assert proc.returncode == 1
         assert len(proc.stdout.strip().splitlines()) == 2  # header + tri2
+
+
+class TestBadGraphFile:
+    """A malformed graph file gives one ``labelprop:`` line and exit 1, never a traceback."""
+
+    @pytest.fixture()
+    def assignment(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("0\t0\n1\t0\n")
+        return path
+
+    def argv(self, command, graph, assignment):
+        if command == "detect":
+            return ["detect", "--algorithm", "rak", "--keep-weights", "--input", str(graph)]
+        if command == "score":
+            return ["score", "--keep-weights", "--input", str(graph), "--assignment", str(assignment)]
+        return ["info", str(graph)]
+
+    @pytest.mark.parametrize("command", ["detect", "score", "info"])
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfe0 1\n", "line 1: not valid UTF-8"),
+        (b"0 1 nan\n", "line 1: non-positive or non-finite weight nan"),
+        (b"0 1 inf\n", "line 1: non-positive or non-finite weight inf"),
+        (b"0 99999999999999999999\n", "line 1: vertex index 99999999999999999999 exceeds"),
+    ])
+    def test_one_error_line(self, tmp_path, assignment, capsys, command, content, message):
+        graph = tmp_path / "bad.txt"
+        graph.write_bytes(content)
+        assert main(self.argv(command, graph, assignment)) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("labelprop: ")
+        assert message in err[0]
+
+    def test_sweep_skips_non_utf8_file(self, tmp_path, tri2, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        code = main([
+            "sweep", "--algorithm", "rak", "--input", str(bad), str(tri2),
+            "--tolerances", "0.05", "--modes", "strict",
+        ])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err.strip().splitlines() == [f"labelprop: skipping {bad}: line 1: not valid UTF-8 (byte 0xff)"]
+        assert len(out.strip().splitlines()) == 2  # header + the tri2 row

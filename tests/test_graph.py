@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.graph import arc_rows, check_symmetric, graphs_equal
+from labelprop import graph as graph_module
+from labelprop.graph import MAX_VERTICES, arc_rows, check_symmetric, graphs_equal
 
 
 def mm(text: str) -> lp.Graph:
@@ -40,8 +41,9 @@ class TestMatrixMarket:
         assert g.weights.tolist() == [4.0]
 
     def test_index_out_of_bounds_names_line(self):
-        with pytest.raises(lp.GraphParseError, match="line 3"):
-            mm("%%MatrixMarket matrix coordinate pattern general\n3 3 1\n4 1\n")
+        for entry in ("4 1", "1 4", "0 1", "1 0"):
+            with pytest.raises(lp.GraphParseError, match="line 3"):
+                mm(f"%%MatrixMarket matrix coordinate pattern general\n3 3 1\n{entry}\n")
 
     def test_malformed_header(self):
         with pytest.raises(lp.GraphParseError, match="line 1"):
@@ -52,8 +54,20 @@ class TestMatrixMarket:
             mm("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 0\n")
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(lp.GraphParseError, match="non-positive"):
-            mm("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 0.0\n")
+        # a clean file takes the numpy parse, a comment line forces the line loop
+        for weight in ("0.0", "-1", "nan", "inf", "-inf", "1e400"):
+            for comment, line in (("", 4), ("% note\n", 5)):
+                text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n{comment}1 2 1.0\n2 1 {weight}\n"
+                with pytest.raises(lp.GraphParseError, match=f"line {line}: non-positive or non-finite"):
+                    mm(text)
+
+    def test_size_beyond_vertex_bound_rejected(self):
+        with pytest.raises(lp.GraphParseError, match="line 2: size 3037000500 exceeds"):
+            mm(f"%%MatrixMarket matrix coordinate pattern general\n{MAX_VERTICES + 1} 1 0\n")
+
+    def test_huge_declared_count_allocates_nothing(self):
+        with pytest.raises(lp.GraphParseError, match="ended after 1 of 1000000000000 entries"):
+            mm("%%MatrixMarket matrix coordinate pattern general\n2 2 1000000000000\n1 2\n")
 
     def test_truncated_entries(self):
         with pytest.raises(lp.GraphParseError, match="ended after"):
@@ -87,13 +101,80 @@ class TestEdgeList:
             el("0 -1\n")
 
     def test_non_positive_weight(self):
-        with pytest.raises(lp.GraphParseError, match="non-positive"):
-            el("0 1 -2.0\n")
+        # a clean file takes the numpy parse, a comment line forces the line loop
+        for weight in ("-2.0", "0", "nan", "inf", "-inf", "1e400"):
+            for comment, line in (("", 2), ("# note\n", 3)):
+                with pytest.raises(lp.GraphParseError, match=f"line {line}: non-positive or non-finite"):
+                    el(f"{comment}0 1 1.0\n1 2 {weight}\n")
+
+    @pytest.mark.parametrize("vertex", [str(MAX_VERTICES), "99999999999999999999"])
+    def test_vertex_beyond_bound_rejected(self, vertex):
+        with pytest.raises(lp.GraphParseError, match=f"line 2: vertex index {vertex} exceeds"):
+            el(f"0 1\n0 {vertex}\n")
+
+    def test_non_utf8_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0 1\n\xff\xfe0 1\n")
+        with pytest.raises(lp.GraphParseError, match="line 2: not valid UTF-8"):
+            lp.load_graph(path)
+        with pytest.raises(lp.GraphParseError, match="line 2: not valid UTF-8"):
+            lp.load_edge_list(path)
+
+    def test_crlf_file_matches_lf_text(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"0 1 2.0\r\n1 2 3.0\r2 0 1.0\r\n")
+        assert graphs_equal(lp.load_edge_list(path), el("0 1 2.0\n1 2 3.0\n2 0 1.0\n"))
+
+    def test_mixed_widths_and_python_literals_use_the_line_loop(self):
+        g = el("0 1\n1 2 2.5\n1_0 0\n")
+        assert g.vertex_count == 11
+        assert sorted(g.weights.tolist()) == [1.0, 1.0, 2.5]
 
     def test_empty_stream_is_empty_graph(self):
         g = el("")
         assert g.vertex_count == 0
         assert g.edge_count == 0
+
+
+def test_vertex_bound_is_the_largest_safe_for_int64_keys():
+    int64_max = np.iinfo(np.int64).max
+    assert MAX_VERTICES * MAX_VERTICES - 1 <= int64_max
+    assert (MAX_VERTICES + 1) * (MAX_VERTICES + 1) - 1 > int64_max
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        lp.from_arcs(MAX_VERTICES + 1, [], [], [])
+
+
+@pytest.mark.parametrize("u, v", [([0], [3]), ([3], [0]), ([-1], [0]), ([0], [-1])])
+def test_from_arcs_rejects_endpoints_outside_the_vertex_range(u, v):
+    # an out-of-range endpoint would otherwise fold into another arc's u * n + v key
+    with pytest.raises(ValueError, match=r"arc endpoints must lie in \[0, 3\)"):
+        lp.from_arcs(3, u, v, [1.0])
+
+
+class TestNumericPath:
+    """Clean files take the one-pass numpy parse; the line loop is not entered."""
+
+    @pytest.fixture()
+    def no_loop(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("line loop entered on a clean file")
+
+        monkeypatch.setattr(graph_module, "_edge_list_loop", fail)
+        monkeypatch.setattr(graph_module, "_matrix_market_loop", fail)
+
+    def test_edge_list(self, no_loop):
+        g = el("0 1\n\n1 2\n  2 0  \n0 1\n")
+        assert g.vertex_count == 3
+        assert g.weights.tolist() == [2.0, 1.0, 1.0]
+
+    def test_weighted_edge_list(self, no_loop):
+        assert el("0 1 0.5\n1 0 1.5\n").weights.tolist() == [0.5, 1.5]
+
+    @pytest.mark.parametrize("field", ["pattern", "real", "integer"])
+    def test_matrix_market(self, no_loop, field):
+        entries = "2 1\n3 2\n" if field == "pattern" else "2 1 2\n3 2 3\n"
+        g = mm(f"%%MatrixMarket matrix coordinate {field} symmetric\n% note\n3 3 2\n{entries}")
+        assert g.edge_count == 4
 
 
 class TestPreprocess:
@@ -141,6 +222,89 @@ class TestPreprocess:
         rows = arc_rows(g)
         loops = np.bincount(rows[rows == g.neighbors], minlength=40)
         assert (loops == 1).all()
+
+
+def lexsort_merge(n, u, v, w):
+    """CSR arrays and total weight as from_arcs built them with a lexsort on (u, v)."""
+    u, v, w = (np.asarray(a) for a in (u, v, w))
+    order = np.lexsort((v, u))
+    u, v, w = u[order], v[order], w[order]
+    starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])])
+    w = np.add.reduceat(w, starts)
+    u, v = u[starts], v[starts]
+    offsets = np.r_[0, np.cumsum(np.bincount(u, minlength=n))]
+    return offsets, v, w, float(w.sum() + w[u == v].sum())
+
+
+def two_sort_preprocess(graph, unit_weights, self_loops):
+    """preprocess as it was before the one-sort rewrite: a stable argsort over
+    undirected pairs keeps the larger weight, then `lexsort_merge` builds the CSR."""
+    n = graph.vertex_count
+    rows, cols, w = arc_rows(graph), graph.neighbors, graph.weights
+    diag = rows == cols
+    ru, rv, rw = rows[~diag], cols[~diag], w[~diag]
+    lo, hi = np.minimum(ru, rv), np.maximum(ru, rv)
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    key, lo, hi, rw = key[order], lo[order], hi[order], rw[order]
+    if key.size:
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        rw = np.maximum.reduceat(rw, starts)
+        lo, hi = lo[starts], hi[starts]
+    if unit_weights:
+        rw = np.ones_like(rw)
+    if self_loops:
+        loop_u, loop_w = np.arange(n), np.ones(n)
+    else:
+        loop_u = rows[diag]
+        loop_w = np.ones_like(w[diag]) if unit_weights else w[diag]
+    return lexsort_merge(
+        n,
+        np.concatenate([lo, hi, loop_u]),
+        np.concatenate([hi, lo, loop_u]),
+        np.concatenate([rw, rw, loop_w]),
+    )
+
+
+def csr_parts(g):
+    return g.offsets, g.neighbors, g.weights, g.total_weight
+
+
+def assert_same_csr(got, want):
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert got[3] == want[3]
+
+
+def weighted_random_arcs(n=300, m=3000, seed=7):
+    """Directed arcs with repeats, self-loops and weights that differ by direction."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, m)
+    v = np.where(rng.random(m) < 0.05, u, rng.integers(0, n, m))
+    w = rng.choice([0.1, 0.2, 0.3, 1.5, 1e16], size=m) * rng.integers(1, 4, m)
+    return n, u, v, w
+
+
+class TestSortOnce:
+    """from_arcs and preprocess give the arrays the lexsort / two-sort code gave."""
+
+    def test_from_arcs_sums_duplicates_in_input_order(self):
+        n, u, v, w = weighted_random_arcs(n=20)  # ~7 repeats per arc: sums depend on order
+        assert_same_csr(csr_parts(lp.from_arcs(n, u, v, w)), lexsort_merge(n, u, v, w))
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_preprocess_matches_two_sorts(self, unit_weights, self_loops):
+        ring = lp.ring_of_cliques(16, 6, self_loops=False)
+        forward = arc_rows(ring) < ring.neighbors
+        raws = [
+            lp.from_arcs(ring.vertex_count, arc_rows(ring)[forward], ring.neighbors[forward],
+                         np.arange(1.0, forward.sum() + 1)),
+            lp.from_arcs(*weighted_random_arcs()),
+        ]
+        for raw in raws:
+            got = lp.preprocess(raw, unit_weights=unit_weights, self_loops=self_loops)
+            assert_same_csr(csr_parts(got), two_sort_preprocess(raw, unit_weights, self_loops))
 
 
 class TestDegreeWeight:

@@ -93,3 +93,34 @@ def test_contract_violations():
 def test_empty_graph_scores_zero():
     g = lp.preprocess(lp.from_arcs(0, [], [], []))
     assert lp.modularity(g, np.zeros(0, dtype=np.int64)) == 0.0
+
+
+def test_modularity_matches_networkx():
+    """Independent oracle on graphs without self-loops, where both conventions agree."""
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, 30, 120)
+    v = (u + rng.integers(1, 30, 120)) % 30  # no self-loops
+    graphs = [
+        lp.gnp(40, 0.15, seed=3, self_loops=False),
+        lp.ring_of_cliques(6, 5, self_loops=False),
+        lp.preprocess(
+            lp.from_arcs(30, u, v, rng.choice([0.5, 1.0, 2.0, 3.5], 120)),
+            unit_weights=False,
+            self_loops=False,
+        ),
+    ]
+    for g in graphs:
+        rows = lp.graph.arc_rows(g)
+        assert (rows != g.neighbors).all()
+        G = nx.Graph()
+        G.add_nodes_from(range(g.vertex_count))
+        G.add_weighted_edges_from(
+            (int(a), int(b), float(c))
+            for a, b, c in zip(rows, g.neighbors, g.weights) if a < b
+        )
+        for k in (1, 3, g.vertex_count):
+            labels = rng.integers(0, k, g.vertex_count)
+            communities = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+            want = nx.community.modularity(G, communities, weight="weight")
+            assert lp.modularity(g, labels) == pytest.approx(want, abs=1e-12)
