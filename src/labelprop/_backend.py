@@ -9,8 +9,10 @@ numba's thread pool).  When numba is not importable, or
 no-op and the identical source runs through the interpreter instead.  The
 drivers then pass the kernels Python lists (:func:`kernel_args`), because
 reading a list element is far cheaper than building a numpy scalar; the
-results are bit-identical to the array-fed kernels.  On a 2-vCPU x86-64
-VM without numba, lists rather than arrays cut the wall time of the
+results are bit-identical to the array-fed kernels.  (Strict RAK is the
+exception: interpreted, it runs level by level with numpy, with the same
+results; see `labelprop.rak`.)  On a 2-vCPU x86-64 VM without numba,
+lists rather than arrays cut the wall time of the
 ``perfbench`` ``sweep-planted-rak`` workload from 6.60 s to 1.80 s (median
 of 10 paired runs).  The compiled-versus-interpreted ratio has not been
 measured since; ``benchmarks/backend_bench.py`` measures it where numba is

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .graph import Graph, GraphParseError, load_graph, preprocess
+from .graph import Graph, GraphParseError, load_graph, preprocess, read_text
 from .quality import modularity
 from .sweep import (
     CSV_HEADER,
@@ -163,7 +163,7 @@ def cmd_detect(args) -> int:
         seed=args.seed,
         max_iterations=args.max_iterations,
     )
-    lines = "".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment))
+    lines = "".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist()))
     if args.output == "-":
         sys.stdout.write(lines)
     else:
@@ -228,27 +228,28 @@ def cmd_score(args) -> int:
     communities = np.zeros(n, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)
     try:
-        with open(args.assignment, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                toks = line.split()
-                if len(toks) != 2:
-                    print(f"labelprop: line {lineno}: expected 'vertex<TAB>community'", file=sys.stderr)
-                    return 1
-                v, c = int(toks[0]), int(toks[1])
-                if not 0 <= v < n:
-                    print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
-                    return 1
-                if assigned[v]:
-                    print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
-                    return 1
-                communities[v] = c
-                assigned[v] = True
-    except OSError as exc:
+        text = read_text(args.assignment)
+    except (OSError, GraphParseError) as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
+    try:
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            toks = line.split()
+            if len(toks) != 2:
+                print(f"labelprop: line {lineno}: expected 'vertex<TAB>community'", file=sys.stderr)
+                return 1
+            v, c = int(toks[0]), int(toks[1])
+            if not 0 <= v < n:
+                print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
+                return 1
+            if assigned[v]:
+                print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
+                return 1
+            communities[v] = c
+            assigned[v] = True
     except ValueError:
         print("labelprop: non-integer token in assignment file", file=sys.stderr)
         return 1

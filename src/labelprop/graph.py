@@ -50,7 +50,8 @@ class Graph:
     and ``weights`` (both length ``edge_count``).  Adjacency is sorted by
     neighbor id within each row, which is the documented scan order for
     strict tie breaking.  ``total_weight`` is the sum of all stored arc
-    weights with self-loops counted twice.
+    weights with self-loops counted twice.  ``symmetric`` is set only by
+    `preprocess`, whose output needs no `check_symmetric`.
     """
 
     vertex_count: int
@@ -59,6 +60,7 @@ class Graph:
     neighbors: np.ndarray
     weights: np.ndarray
     total_weight: float
+    symmetric: bool = False
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -66,7 +68,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
+def _csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, symmetric: bool = False) -> Graph:
     """Wrap arcs already sorted by (u, v) and free of duplicates as a Graph."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
@@ -77,6 +79,7 @@ def _csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Graph:
         neighbors=_freeze(v),
         weights=_freeze(w),
         total_weight=float(w.sum() + w[u == v].sum()),
+        symmetric=symmetric,
     )
 
 
@@ -91,9 +94,10 @@ def _group_starts(key: np.ndarray) -> np.ndarray:
 def from_arcs(vertex_count: int, u, v, w) -> Graph:
     """Build a CSR graph from arc arrays, merging duplicate arcs by weight sum.
 
-    Duplicates are summed in input order (the sort by ``u * n + v`` is
-    stable).  ``vertex_count`` may not exceed `MAX_VERTICES`, and every
-    endpoint must lie in ``[0, vertex_count)``.
+    Duplicates are summed in input order: when some ``u * n + v`` key
+    repeats, the arcs are sorted again, stably.  ``vertex_count`` may not
+    exceed `MAX_VERTICES`, and every endpoint must lie in
+    ``[0, vertex_count)``.
     """
     n = int(vertex_count)
     if n > MAX_VERTICES:
@@ -106,10 +110,13 @@ def from_arcs(vertex_count: int, u, v, w) -> Graph:
     if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
         raise ValueError(f"arc endpoints must lie in [0, {n})")
     key = u * n + v
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = _group_starts(key)
-    u, v = np.divmod(key[starts], n)
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = _group_starts(sorted_key)
+    if starts.size < key.size:
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+    u, v = np.divmod(sorted_key[starts], n)
     return _csr(n, u, v, np.add.reduceat(w[order], starts))
 
 
@@ -121,7 +128,7 @@ def arc_rows(graph: Graph) -> np.ndarray:
     )
 
 
-def _read_text(source: Source) -> str:
+def read_text(source: Source) -> str:
     """The whole input as text, with newlines translated as text-mode reads do.
 
     Bytes that are not UTF-8 raise `GraphParseError` naming the line.
@@ -188,7 +195,7 @@ def load_matrix_market(source: Source) -> Graph:
     Weights must be finite and positive, and neither declared size may
     exceed `MAX_VERTICES`.
     """
-    return _matrix_market(io.StringIO(_read_text(source)))
+    return _matrix_market(io.StringIO(read_text(source)))
 
 
 def _matrix_market(stream: io.StringIO) -> Graph:
@@ -306,7 +313,7 @@ def load_edge_list(source: Source) -> Graph:
     seen plus one, at most `MAX_VERTICES`.  Weights must be finite and
     positive.  Duplicate arcs are merged by weight sum.
     """
-    return _edge_list(io.StringIO(_read_text(source)))
+    return _edge_list(io.StringIO(read_text(source)))
 
 
 def _edge_list(stream: io.StringIO) -> Graph:
@@ -372,7 +379,7 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
     is_stream = hasattr(path, "read")
     if not is_stream and str(path).endswith((".mtx", ".mm")):
         return load_matrix_market(path)
-    text = _read_text(path)
+    text = read_text(path)
     head = text.lstrip() if is_stream else text
     if head[:64].lower().startswith("%%matrixmarket"):
         return _matrix_market(io.StringIO(text))
@@ -412,7 +419,7 @@ def preprocess(
         loop_w = w[~off]
     key = np.concatenate([ru * n + rv, rv * n + ru, loops * (n + 1)])
     if not key.size:
-        return from_arcs(n, [], [], [])
+        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), symmetric=True)
     order = np.argsort(key)  # a group's maximum does not depend on its order
     key = key[order]
     starts = _group_starts(key)
@@ -421,7 +428,7 @@ def preprocess(
     else:
         weights = np.maximum.reduceat(np.concatenate([rw, rw, loop_w])[order], starts)
     u, v = np.divmod(key[starts], n)
-    return _csr(n, u, v, weights)
+    return _csr(n, u, v, weights, symmetric=True)
 
 
 def degree_weight(graph: Graph, vertex: int) -> float:

@@ -18,17 +18,37 @@ scan order used for strict ties and lets one label cascade through
 chains of tied regions in a single pass, collapsing graphs like a ring
 of cliques into a monster community; a decorrelated fixed order keeps
 strict runs deterministic without that artifact.
+
+Which code runs.  Compiled (numba), every mode runs the per-vertex
+kernels below.  Interpreted, strict RAK runs level by level with numpy,
+for any ``workers`` (the interpreted parallel kernel visits in the same
+sequential order).  A vertex's level is 1 + the highest level among its
+neighbors that come earlier in the visit order (Jones-Plassmann with the
+visit permutation as the priority), so each level is an independent set.
+Updating a level as a batch, every vertex reads the new labels of its
+earlier neighbors (lower levels, already done) and the old labels of its
+later ones (higher levels, not done yet): exactly what the sequential
+sweep reads, so assignments and iteration counts are bit-for-bit the
+same.  A level's label tallies are summed by ``np.bincount`` in arc
+order, the order the kernel's ``tally[lab] += w`` adds in, so float
+sums and therefore ties are identical on weighted graphs too.
+Non-strict RAK keeps the list kernel: its tie draws follow the visit
+order through one xorshift stream, which levels cannot reproduce.
+COPRA and SLPA keep their kernels as well.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
-from .graph import Graph, check_symmetric
+from ._backend import (
+    JIT_ENABLED, PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool,
+)
+from .graph import Graph, arc_rows, check_symmetric
 from .prng import XorShift32, draw_bounded, shuffled_indices, worker_states
 from .quality import modularity
 from .result import DetectionResult
@@ -158,11 +178,117 @@ def _rak_par(
     return iterations
 
 
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``arange(s, s + l)`` for every pair, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _visit_levels(graph: Graph, order: np.ndarray) -> np.ndarray:
+    """Level of every vertex: 0 without earlier neighbors, else 1 + the
+    highest level among the neighbors that come earlier in ``order``.
+
+    Kahn's frontier over the arcs that point to later vertices: a vertex
+    joins the frontier once every earlier neighbor has a level.  The arcs
+    a vertex reads are taken to be the reverses of the arcs that reach it,
+    which holds on the symmetric graphs `rak_detect` accepts.
+    """
+    n = graph.vertex_count
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    rows = arc_rows(graph)
+    later = pos[graph.neighbors] > pos[rows]
+    succ = graph.neighbors[later]
+    succ_count = np.bincount(rows[later], minlength=n)
+    succ_start = np.cumsum(succ_count) - succ_count
+    waiting = np.bincount(succ, minlength=n)  # earlier neighbors without a level
+    level = np.empty(n, dtype=np.int64)
+    frontier = np.flatnonzero(waiting == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        targets = succ[_concat_ranges(succ_start[frontier], succ_count[frontier])]
+        np.subtract.at(waiting, targets, 1)
+        ready = np.sort(targets[waiting[targets] == 0])  # np.unique would import numpy.ma
+        frontier = ready[np.diff(ready, prepend=-1) != 0]
+        depth += 1
+    return level
+
+
+class _Level(NamedTuple):
+    """One level's vertices that have arcs, with their CSR arc slices concatenated."""
+
+    vertices: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray
+    keys: np.ndarray  # local vertex index * n, per arc
+    counts: np.ndarray  # arcs per vertex
+    starts: np.ndarray  # offset of each vertex's first arc
+
+
+def _level_plan(graph: Graph, order: np.ndarray) -> list[_Level]:
+    """The levels in update order; vertices without arcs never move and are left out."""
+    n = graph.vertex_count
+    level = _visit_levels(graph, order)
+    degree = np.diff(graph.offsets)
+    vertices = np.flatnonzero(degree)
+    vertices = vertices[np.argsort(level[vertices], kind="stable")]
+    counts = degree[vertices]
+    arcs = _concat_ranges(graph.offsets[vertices], counts)
+    neighbors, weights = graph.neighbors[arcs], graph.weights[arcs]
+    arc_end = np.cumsum(counts)
+    arc_start = arc_end - counts
+    plan = []
+    bounds = np.flatnonzero(np.diff(level[vertices], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first, end = arc_start[lo], arc_end[hi - 1]
+        plan.append(_Level(
+            vertices[lo:hi], neighbors[first:end], weights[first:end],
+            np.repeat(np.arange(hi - lo, dtype=np.int64) * n, counts[lo:hi]),
+            counts[lo:hi], arc_start[lo:hi] - first,
+        ))
+    return plan
+
+
+def _update_level(lv: _Level, labels: np.ndarray) -> int:
+    """Relabel one level in place as the strict kernel would; returns the changed count."""
+    seen = labels[lv.neighbors]
+    key = lv.keys + seen
+    by_key = np.argsort(key)
+    key = key[by_key]
+    group = np.empty(key.size, dtype=np.int64)  # (vertex, label) group of each sorted arc
+    group[0] = 0
+    np.cumsum(key[1:] != key[:-1], out=group[1:])
+    group_of_arc = np.empty_like(group)
+    group_of_arc[by_key] = group
+    # bincount adds each group's weights in arc order, as the kernel's tally does
+    total = np.bincount(group_of_arc, weights=lv.weights)[group]
+    # a vertex's arcs span the same slice sorted or not; among the arcs whose
+    # label reaches the vertex's maximum, the earliest in scan order wins
+    best = np.maximum.reduceat(total, lv.starts)
+    tied = np.where(total == np.repeat(best, lv.counts), by_key, key.size)
+    new = seen[np.minimum.reduceat(tied, lv.starts)]
+    changed = np.count_nonzero(new != labels[lv.vertices])
+    labels[lv.vertices] = new
+    return int(changed)
+
+
+def _rak_levels(plan: list[_Level], labels: np.ndarray, tolerance: float, max_iterations: int) -> int:
+    """Strict RAK, level by level; same labels and iterations as `_rak_seq`."""
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        changed = sum(_update_level(lv, labels) for lv in plan)
+        if changed <= tolerance * labels.size:
+            break
+    return iterations
+
+
 def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult:
     """Run RAK on a preprocessed graph."""
     if params is None:
         params = RakParams()
-    if __debug__:
+    if __debug__ and not graph.symmetric:
         check_symmetric(graph)
     n = graph.vertex_count
     labels = np.arange(n, dtype=np.int64)
@@ -170,7 +296,11 @@ def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult
         return DetectionResult(labels, 0, 0.0, 0.0)
     order = shuffled_indices(n, params.seed)
     start = time.perf_counter()
-    if params.workers == 1:
+    if params.strict and not JIT_ENABLED:
+        iterations = _rak_levels(
+            _level_plan(graph, order), labels, params.tolerance, params.max_iterations
+        )
+    elif params.workers == 1:
         offsets, neighbors, weights, labels, order, states, tally, touched = kernel_args(
             graph.offsets, graph.neighbors, graph.weights, labels, order,
             worker_states(params.seed, 1), np.zeros(n, dtype=np.float64),

@@ -159,7 +159,7 @@ def _project(slots, filled, memory_size, labels):
 
 def _detect_full(graph: Graph, params: SlpaParams):
     """Run SLPA and return (labels, iterations, elapsed, slots, filled)."""
-    if __debug__:
+    if __debug__ and not graph.symmetric:
         check_symmetric(graph)
     n = graph.vertex_count
     if n == 0:

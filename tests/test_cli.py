@@ -124,6 +124,13 @@ class TestScore:
         assert proc.returncode == 1
         assert "vertex 0" in proc.stderr
 
+    def test_non_utf8_assignment_names_the_line(self, tri2, tmp_path, capsys):
+        tsv = tmp_path / "bom.tsv"
+        tsv.write_bytes(b"\xff\xfe0\t0\n")
+        assert main(["score", "--input", str(tri2), "--assignment", str(tsv)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["labelprop: line 1: not valid UTF-8 (byte 0xff)"]
+
     def test_community_id_minus_one_is_an_ordinary_label(self, tmp_path, capsys):
         graph = tmp_path / "path.txt"
         graph.write_text("0 1\n1 2\n")

@@ -292,6 +292,14 @@ class TestSortOnce:
         n, u, v, w = weighted_random_arcs(n=20)  # ~7 repeats per arc: sums depend on order
         assert_same_csr(csr_parts(lp.from_arcs(n, u, v, w)), lexsort_merge(n, u, v, w))
 
+    def test_from_arcs_without_repeats_matches_lexsort(self):
+        n, u, v, w = weighted_random_arcs(n=2000)
+        key = np.unique(u * n + v, return_index=True)[1]  # one arc per key, input order kept
+        u, v, w = u[key], v[key], w[key]
+        shuffle = np.random.default_rng(1).permutation(u.size)
+        u, v, w = u[shuffle], v[shuffle], w[shuffle]
+        assert_same_csr(csr_parts(lp.from_arcs(n, u, v, w)), lexsort_merge(n, u, v, w))
+
     @pytest.mark.parametrize("self_loops", [True, False])
     @pytest.mark.parametrize("unit_weights", [True, False])
     def test_preprocess_matches_two_sorts(self, unit_weights, self_loops):
@@ -355,3 +363,25 @@ class TestInvariants:
     def test_check_symmetric_rejects_raw_directed(self):
         with pytest.raises(ValueError):
             check_symmetric(lp.from_arcs(2, [0], [1], [1.0]))
+
+    def test_only_preprocess_marks_graphs_symmetric(self):
+        raw = lp.from_arcs(3, [0, 1], [1, 0], [1.0, 1.0])
+        assert not raw.symmetric
+        assert lp.preprocess(raw).symmetric
+        assert lp.preprocess(lp.from_arcs(2, [], [], []), self_loops=False).symmetric
+
+    def test_preprocessed_graph_never_reaches_check_symmetric(self, monkeypatch):
+        from labelprop import copra, rak, slpa
+
+        def fail(graph):
+            raise AssertionError("check_symmetric called on a preprocessed graph")
+
+        for module in (rak, copra, slpa):
+            monkeypatch.setattr(module, "check_symmetric", fail)
+        g = lp.ring_of_cliques(4, 4)
+        for strict in (True, False):
+            lp.rak_detect(g, lp.RakParams(strict=strict, seed=1))
+            lp.slpa_detect(g, lp.SlpaParams(memory_size=4, strict=strict, seed=1))
+        lp.copra_detect(g, lp.CopraParams(seed=1))
+        with pytest.raises(AssertionError, match="preprocessed"):
+            lp.rak_detect(lp.from_arcs(2, [0, 1], [1, 0], [1.0, 1.0]))

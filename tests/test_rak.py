@@ -3,6 +3,7 @@ import pytest
 
 import labelprop as lp
 from conftest import partition_matches
+from labelprop import rak
 
 
 class TestDetect:
@@ -87,6 +88,68 @@ class TestParallel:
         for workers in (2, 4):
             par = lp.rak_detect(g, lp.RakParams(strict=True, seed=1, workers=workers))
             assert abs(par.modularity - seq.modularity) <= 0.05
+
+
+def level_graphs():
+    rng = np.random.default_rng(7)
+    src, dst = rng.integers(0, 150, 500), rng.integers(0, 150, 500)
+    weighted = lp.from_arcs(150, src, dst, rng.integers(1, 5, 500).astype(np.float64))
+    return {
+        "gnp": lp.gnp(300, 0.03, seed=4),
+        "ring": lp.ring_of_cliques(8, 5),
+        "weighted": lp.preprocess(weighted, unit_weights=False),
+        # no self-loops and 80 arcs on 150 vertices: many vertices have no arcs
+        "sparse": lp.preprocess(lp.from_arcs(150, src[:80], dst[:80], np.ones(80)), self_loops=False),
+    }
+
+
+class TestLevels:
+    @pytest.mark.parametrize("name", sorted(level_graphs()))
+    def test_levels_are_exact_visit_order_layers(self, name):
+        g = level_graphs()[name]
+        n = g.vertex_count
+        order = rak.shuffled_indices(n, 3)
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        plan = rak._level_plan(g, order)
+        level = np.full(n, -1)
+        for i, lv in enumerate(plan):
+            assert (level[lv.vertices] == -1).all()
+            level[lv.vertices] = i
+            arcs = [np.arange(g.offsets[v], g.offsets[v + 1]) for v in lv.vertices]
+            assert np.array_equal(lv.neighbors, g.neighbors[np.concatenate(arcs)])
+            assert np.array_equal(lv.weights, g.weights[np.concatenate(arcs)])
+        # the levels partition the vertices that have arcs
+        has_arcs = np.diff(g.offsets) > 0
+        assert np.array_equal(level >= 0, has_arcs)
+        rows = np.repeat(np.arange(n), np.diff(g.offsets))
+        cols = g.neighbors
+        off = rows != cols
+        # each level is an independent set, and every arc from an earlier to
+        # a later visit position goes to a strictly higher level
+        assert not (level[rows[off]] == level[cols[off]]).any()
+        forward = off & (pos[rows] < pos[cols])
+        assert (level[rows[forward]] < level[cols[forward]]).all()
+
+    def test_visit_level_is_one_above_the_highest_earlier_neighbor(self):
+        for g in level_graphs().values():
+            order = rak.shuffled_indices(g.vertex_count, 5)
+            want = np.zeros(g.vertex_count, dtype=np.int64)
+            done = set()
+            for v in order.tolist():
+                row = g.neighbors[g.offsets[v]:g.offsets[v + 1]].tolist()
+                want[v] = max((want[u] + 1 for u in row if u in done), default=0)
+                done.add(v)
+            assert np.array_equal(rak._visit_levels(g, order), want)
+
+    @pytest.mark.skipif(lp.JIT_ENABLED, reason="compiled parallel runs race between threads")
+    @pytest.mark.parametrize("name", sorted(level_graphs()))
+    def test_strict_two_workers_match_one(self, name):
+        g = level_graphs()[name]
+        one = lp.rak_detect(g, lp.RakParams(strict=True, seed=2, tolerance=0.001))
+        two = lp.rak_detect(g, lp.RakParams(strict=True, seed=2, tolerance=0.001, workers=2))
+        assert np.array_equal(one.assignment, two.assignment)
+        assert one.iterations == two.iterations
 
 
 class TestChooseMaxLabel:
