@@ -1,10 +1,10 @@
 """Label-propagation community detection on CSR graphs.
 
-Three detectors (RAK/LPA, COPRA, SLPA) in sequential and data-parallel
-variants, Newman-Girvan modularity scoring, MatrixMarket/edge-list
-ingestion, and a parameter-sweep harness.  Hot loops are numba-compiled
-by default; set ``LABELPROP_DISABLE_NUMBA=1`` to run the same code
-interpreted.
+Three detectors (RAK/LPA, COPRA, SLPA) whose kernels run on a chosen
+number of worker threads, Newman-Girvan modularity scoring,
+MatrixMarket/edge-list ingestion, and a parameter-sweep harness.  Hot
+loops are numba-compiled by default; set ``LABELPROP_DISABLE_NUMBA=1`` to
+run the same code interpreted.
 """
 
 from ._backend import JIT_ENABLED

@@ -3,20 +3,20 @@
 Every hot loop in this package is written once, as a plain Python function
 that uses only 1-D indexing and ``len()`` on its sequences, and decorated
 with :func:`njit` from this module.  By default that is numba's ``@njit``
-and the loops run compiled on numpy arrays (the parallel variants on
-numba's thread pool).  When numba is not importable, or
-``LABELPROP_DISABLE_NUMBA=1`` is set before import, the decorator is a
-no-op and the identical source runs through the interpreter instead.  The
-drivers then pass the kernels Python lists (:func:`kernel_args`), because
-reading a list element is far cheaper than building a numpy scalar; the
-results are bit-identical to the array-fed kernels.  (Strict RAK is the
-exception: interpreted, it runs level by level with numpy, with the same
-results; see `labelprop.rak`.)  On a 2-vCPU x86-64 VM without numba,
-lists rather than arrays cut the wall time of the
-``perfbench`` ``sweep-planted-rak`` workload from 6.60 s to 1.80 s (median
-of 10 paired runs).  The compiled-versus-interpreted ratio has not been
-measured since; ``benchmarks/backend_bench.py`` measures it where numba is
-installed.
+and the loops run compiled on numpy arrays, the chunked kernels on
+numba's thread pool (``workers=1`` is a pool of one thread).  When numba
+is not importable, or ``LABELPROP_DISABLE_NUMBA=1`` is set before import,
+the decorator is a no-op and the identical source runs through the
+interpreter instead.  The drivers then pass the kernels Python lists
+(:func:`kernel_args`), because reading a list element is far cheaper than
+building a numpy scalar; the results are bit-identical to the array-fed
+kernels.  (Strict RAK is the exception: interpreted, it runs level by
+level with numpy, with the same results; see `labelprop.rak`.)  On a
+2-vCPU x86-64 VM without numba, lists rather than arrays cut the wall
+time of the ``perfbench`` ``sweep-planted-rak`` workload from 6.60 s to
+1.80 s (median of 10 paired runs).  The compiled-versus-interpreted ratio
+has not been measured since; running ``perfbench`` with and without
+``LABELPROP_DISABLE_NUMBA=1`` on a host with numba gives it.
 """
 
 from __future__ import annotations
@@ -65,6 +65,10 @@ if not JIT_ENABLED:
 # Per-worker scratch rows are padded by this many 8-byte slots so that two
 # workers never write to the same cache line.
 PAD = 8
+
+# Vertices per work unit of the chunked kernels; chunks are handed to the
+# pool's threads.
+CHUNK = 1024
 
 
 def effective_workers(requested: int) -> int:

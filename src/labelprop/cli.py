@@ -21,12 +21,16 @@ from .sweep import (
     DEFAULT_MAX_LABELS,
     DEFAULT_MEMORY_SIZES,
     DEFAULT_TOLERANCES,
+    PARAMS,
     SweepSpec,
     run_one,
     run_sweep,
 )
 
 ALGORITHMS = ("rak", "copra", "slpa")
+
+# detect options that set a field of the algorithm's *Params; None = not given
+TUNING = ("tolerance", "max_labels", "memory_size", "max_iterations")
 
 
 def _default_threads() -> int:
@@ -36,8 +40,8 @@ def _default_threads() -> int:
         return 1
 
 
-def _add_graph_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="graph file (MatrixMarket or edge list)")
+def _add_graph_options(p: argparse.ArgumentParser, **input_spec) -> None:
+    p.add_argument("--input", **input_spec)
     p.add_argument("--graph-format", choices=("auto", "mtx", "edgelist"), default="auto")
     p.add_argument("--no-self-loops", action="store_true",
                    help="skip the one-self-loop-per-vertex preprocessing step")
@@ -54,8 +58,8 @@ def _add_mode_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(strict=False)
 
 
-def _load(args) -> Graph:
-    raw = load_graph(args.input, args.graph_format)
+def _load(args, path: str) -> Graph:
+    raw = load_graph(path, args.graph_format)
     return preprocess(
         raw,
         unit_weights=not args.keep_weights,
@@ -92,6 +96,13 @@ _memory_size = _checked(int, lambda x: x >= 2, "an integer >= 2")
 _tolerance = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 
 
+def _defaults(field: str) -> str:
+    """The field's default in each algorithm that has it, for help texts."""
+    found = [f"{alg} {getattr(PARAMS[alg], field)}" for alg in ALGORITHMS
+             if hasattr(PARAMS[alg], field)]
+    return f"(default: {', '.join(found)})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labelprop",
@@ -100,15 +111,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_detect = sub.add_parser("detect", help="run one detection and emit a community TSV")
-    _add_graph_options(p_detect)
+    _add_graph_options(p_detect, required=True, help="graph file (MatrixMarket or edge list)")
     p_detect.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_detect.add_argument("--tolerance", type=_tolerance, default=None,
-                          help="convergence fraction (defaults: rak 0.05, copra 0.01, slpa 0.05)")
-    p_detect.add_argument("--max-labels", type=_positive_int, default=8,
-                          help="copra: labels kept per vertex")
-    p_detect.add_argument("--memory-size", type=_memory_size, default=20,
-                          help="slpa: memory capacity")
-    p_detect.add_argument("--max-iterations", type=_positive_int, default=100)
+    p_detect.add_argument("--tolerance", type=_tolerance,
+                          help=f"convergence fraction {_defaults('tolerance')}")
+    p_detect.add_argument("--max-labels", type=_positive_int,
+                          help=f"labels kept per vertex {_defaults('max_labels')}")
+    p_detect.add_argument("--memory-size", type=_memory_size,
+                          help=f"memory capacity {_defaults('memory_size')}")
+    p_detect.add_argument("--max-iterations", type=_positive_int,
+                          help=f"iteration cap {_defaults('max_iterations')}")
     p_detect.add_argument("--threads", type=_positive_int, default=_default_threads(),
                           help="worker count; 1 = sequential (env LABELPROP_THREADS)")
     p_detect.add_argument("--seed", type=int, default=1)
@@ -117,10 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="cross parameter grids and stream a CSV of runs")
     p_sweep.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p_sweep.add_argument("--input", nargs="*", default=[], help="graph files")
-    p_sweep.add_argument("--graph-format", choices=("auto", "mtx", "edgelist"), default="auto")
-    p_sweep.add_argument("--no-self-loops", action="store_true")
-    p_sweep.add_argument("--keep-weights", action="store_true")
+    _add_graph_options(p_sweep, nargs="*", default=[], help="graph files")
     p_sweep.add_argument("--tolerances", type=_grid(_tolerance),
                          default=DEFAULT_TOLERANCES, metavar="T1,T2,...")
     p_sweep.add_argument("--max-labels-grid", type=_grid(_positive_int),
@@ -136,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--output", default="-", help="CSV path, '-' for stdout")
 
     p_score = sub.add_parser("score", help="modularity of a saved community TSV")
-    _add_graph_options(p_score)
+    _add_graph_options(p_score, required=True, help="graph file (MatrixMarket or edge list)")
     p_score.add_argument("--assignment", required=True, help="vertex<TAB>community TSV")
 
     p_info = sub.add_parser("info", help="per-graph vertex/edge counts and average degree")
@@ -147,8 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_detect(args) -> int:
+    options = {k: getattr(args, k) for k in TUNING if getattr(args, k) is not None}
+    for name in options:
+        if not hasattr(PARAMS[args.algorithm], name):
+            print(f"labelprop detect: error: --{name.replace('_', '-')} does not apply to "
+                  f"--algorithm {args.algorithm}", file=sys.stderr)
+            return 2
     try:
-        graph = _load(args)
+        graph = _load(args, args.input)
     except (OSError, GraphParseError) as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
@@ -156,12 +171,9 @@ def cmd_detect(args) -> int:
         args.algorithm,
         graph,
         mode="strict" if args.strict else "non-strict",
-        tolerance=args.tolerance,
-        max_labels=args.max_labels,
-        memory_size=args.memory_size,
         workers=args.threads,
         seed=args.seed,
-        max_iterations=args.max_iterations,
+        **options,
     )
     lines = "".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist()))
     if args.output == "-":
@@ -200,15 +212,11 @@ def cmd_sweep(args) -> int:
         def graphs():
             for path in spec.graphs:
                 try:
-                    raw = load_graph(path, args.graph_format)
+                    graph = _load(args, path)
                 except (OSError, GraphParseError) as exc:
                     print(f"labelprop: skipping {path}: {exc}", file=sys.stderr)
                     continue
-                yield path, preprocess(
-                    raw,
-                    unit_weights=not args.keep_weights,
-                    self_loops=not args.no_self_loops,
-                )
+                yield path, graph
 
         for record in run_sweep(spec, graphs()):
             print(record.csv_row(), file=out, flush=True)
@@ -220,7 +228,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_score(args) -> int:
     try:
-        graph = _load(args)
+        graph = _load(args, args.input)
     except (OSError, GraphParseError) as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
@@ -232,27 +240,31 @@ def cmd_score(args) -> int:
     except (OSError, GraphParseError) as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
-    try:
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                print(f"labelprop: line {lineno}: expected 'vertex<TAB>community'", file=sys.stderr)
-                return 1
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        toks = line.split()
+        if len(toks) != 2:
+            print(f"labelprop: line {lineno}: expected 'vertex<TAB>community'", file=sys.stderr)
+            return 1
+        try:
             v, c = int(toks[0]), int(toks[1])
-            if not 0 <= v < n:
-                print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
-                return 1
-            if assigned[v]:
-                print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
-                return 1
-            communities[v] = c
-            assigned[v] = True
-    except ValueError:
-        print("labelprop: non-integer token in assignment file", file=sys.stderr)
-        return 1
+        except ValueError:
+            print(f"labelprop: line {lineno}: non-integer token in assignment file",
+                  file=sys.stderr)
+            return 1
+        if not 0 <= v < n:
+            print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
+            return 1
+        if assigned[v]:
+            print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
+            return 1
+        if not -2**63 <= c < 2**63:
+            print(f"labelprop: line {lineno}: community id {c} outside int64", file=sys.stderr)
+            return 1
+        communities[v] = c
+        assigned[v] = True
     missing = np.flatnonzero(~assigned)
     if missing.size:
         print(f"labelprop: missing assignment for vertex {int(missing[0])}", file=sys.stderr)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
+from ._backend import CHUNK, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, check_symmetric
-from .prng import XorShift32, draw_bounded, worker_states
+from .prng import XorShift32, draw_bounded, worker_tallies
 from .quality import modularity
+from .rak import _dense_tally
 from .result import DetectionResult
-
-CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -125,9 +124,10 @@ def _best_of_row(labs, bels, row, k):
 @njit(cache=True)
 def _copra_seq(
     offsets, neighbors, weights, labs, bels, sizes, best, tolerance, max_labels,
-    max_iterations, states, tally, touched, check, stats
+    max_iterations, states, tally, touched
 ):
-    # labs/bels are flat: vertex v's row starts at v * max_labels
+    # In place, for one worker.  labs/bels are flat: vertex v's row starts
+    # at v * max_labels.
     n = len(sizes)
     iterations = 0
     while iterations < max_iterations:
@@ -161,17 +161,6 @@ def _copra_seq(
                 for i in range(count):
                     tally[touched[i]] = 0.0
                 newbest = _best_of_row(labs, bels, rv, k)
-            if check == 1:
-                s = 0.0
-                for j in range(rv, rv + sizes[v]):
-                    s += bels[j]
-                err = abs(s - 1.0)
-                if err > stats[0]:
-                    stats[0] = err
-                if sizes[v] < stats[1]:
-                    stats[1] = sizes[v]
-                if sizes[v] > stats[2]:
-                    stats[2] = sizes[v]
             if newbest != best[v]:
                 best[v] = newbest
                 changed += 1
@@ -254,68 +243,52 @@ def _own_label_rows(n: int, max_labels: int, buffers: int):
     return labs, bels
 
 
-def _detect_full(graph: Graph, params: CopraParams, check_invariants: bool = False):
-    """Run COPRA and return the full final state (used by tests)."""
+def _detect_full(graph: Graph, params: CopraParams):
+    """Run COPRA and return (best, iterations, elapsed, labs, bels, sizes),
+    the final label rows included (used by tests)."""
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
     n = graph.vertex_count
     L = params.max_labels
-    stats = np.array([0.0, np.inf, -np.inf])
     if n == 0:
         empty = np.zeros((0, L))
-        return np.zeros(0, dtype=np.int64), 0, 0.0, stats, empty.astype(np.int64), empty, np.zeros(0, dtype=np.int64)
-    check = 1 if check_invariants else 0
+        return np.zeros(0, dtype=np.int64), 0, 0.0, empty.astype(np.int64), empty, np.zeros(0, dtype=np.int64)
+    # one worker updates in place; more flip between two buffers per vertex
+    buffers = 1 if params.workers == 1 else 2
     start = time.perf_counter()
-    if params.workers == 1:
-        labs, bels = _own_label_rows(n, L, 1)
-        offsets, neighbors, weights, labs, bels, sizes, best, states, tally, touched, stats = (
-            kernel_args(
-                graph.offsets, graph.neighbors, graph.weights, labs, bels,
-                np.ones(n, dtype=np.int64), np.arange(n, dtype=np.int64),
-                worker_states(params.seed, 1), np.zeros(n, dtype=np.float64),
-                np.empty(n, dtype=np.int64), stats,
-            )
+    labs, bels = _own_label_rows(n, L, buffers)
+    offsets, neighbors, weights, labs, bels, sizes, cur, best, states, tallies, touches = (
+        kernel_args(
+            graph.offsets, graph.neighbors, graph.weights, labs, bels,
+            np.ones(buffers * n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            np.arange(n, dtype=np.int64), *worker_tallies(params.seed, n, params.workers),
         )
+    )
+    if buffers == 1:
         iterations = _copra_seq(
             offsets, neighbors, weights, labs, bels, sizes, best,
-            params.tolerance, L, params.max_iterations, states, tally, touched,
-            check, stats,
+            params.tolerance, L, params.max_iterations, states, tallies[0], touches[0],
         )
-        labs = np.asarray(labs, dtype=np.int64).reshape(n, L)
-        bels = np.asarray(bels, dtype=np.float64).reshape(n, L)
-        sizes = np.asarray(sizes, dtype=np.int64)
-        stats = np.asarray(stats, dtype=np.float64)
     else:
-        workers = effective_workers(params.workers)
-        labs, bels = _own_label_rows(n, L, 2)
-        offsets, neighbors, weights, labs, bels, sizes, cur, best, states, tallies, touches = (
-            kernel_args(
-                graph.offsets, graph.neighbors, graph.weights, labs, bels,
-                np.ones(2 * n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-                np.arange(n, dtype=np.int64), worker_states(params.seed, workers),
-                np.zeros((workers, n + PAD), dtype=np.float64),
-                np.empty((workers, n + PAD), dtype=np.int64),
-            )
-        )
-        with thread_pool(workers):
+        with thread_pool(params.workers):
             iterations = _copra_par(
                 offsets, neighbors, weights, labs, bels, sizes, cur, best,
                 params.tolerance, L, params.max_iterations, states, tallies, touches, CHUNK,
             )
-        published = (np.asarray(cur, dtype=np.int64), np.arange(n))
-        labs = np.asarray(labs, dtype=np.int64).reshape(2, n, L)[published]
-        bels = np.asarray(bels, dtype=np.float64).reshape(2, n, L)[published]
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(2, n)[published]
+    published = (np.asarray(cur, dtype=np.int64), np.arange(n))
+    labs = np.asarray(labs, dtype=np.int64).reshape(buffers, n, L)[published]
+    bels = np.asarray(bels, dtype=np.float64).reshape(buffers, n, L)[published]
+    sizes = np.asarray(sizes, dtype=np.int64).reshape(buffers, n)[published]
     best = np.asarray(best, dtype=np.int64)
     elapsed = time.perf_counter() - start
-    return best, int(iterations), elapsed, stats, labs, bels, sizes
+    return best, int(iterations), elapsed, labs, bels, sizes
 
 
 def copra_detect(graph: Graph, params: CopraParams | None = None) -> DetectionResult:
     """Run COPRA on a preprocessed graph; the assignment is each best label."""
     if params is None:
         params = CopraParams()
-    best, iterations, elapsed, _, _, _, _ = _detect_full(graph, params)
+    best, iterations, elapsed, _, _, _ = _detect_full(graph, params)
     return DetectionResult(best, iterations, elapsed, modularity(graph, best))
 
 
@@ -326,23 +299,12 @@ def collect_and_threshold(labels, weights, max_labels: int, rng: XorShift32):
     scan order.  Returns (labels, belongings) sorted by label id, with
     belongings summing to 1.
     """
-    labs = np.asarray(labels, dtype=np.int64)
-    wts = np.asarray(weights, dtype=np.float64)
-    if labs.size == 0:
-        raise ValueError("empty tally: callers handle neighborless vertices")
     if max_labels < 1:
         raise ValueError("max_labels must be >= 1")
-    dense = np.zeros(int(labs.max()) + 1, dtype=np.float64)
-    touched = np.empty(labs.size, dtype=np.int64)
-    count = 0
-    for lab, w in zip(labs, wts):
-        if dense[lab] == 0.0:
-            touched[count] = lab
-            count += 1
-        dense[lab] += w
+    touched, tally, count = _dense_tally(labels, weights)
     out_l = np.zeros(max_labels, dtype=np.int64)
     out_b = np.zeros(max_labels, dtype=np.float64)
-    k = _select_labels(touched, dense, count, max_labels, rng._state, 0, out_l, out_b, 0)
+    k = _select_labels(touched, tally, count, max_labels, rng._state, 0, out_l, out_b, 0)
     return out_l[:k].copy(), out_b[:k].copy()
 
 
@@ -352,5 +314,7 @@ def best_label(labels, belongings) -> int:
     bels = np.asarray(belongings, dtype=np.float64)
     if labs.size == 0:
         raise ValueError("empty label set")
-    top = bels.max()
-    return int(labs[bels == top].min())
+    if labs.size != bels.size:
+        raise ValueError("labels and belongings must have equal length")
+    by_label = np.argsort(labs, kind="stable")
+    return int(_best_of_row(labs[by_label], bels[by_label], 0, labs.size))

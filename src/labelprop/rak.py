@@ -12,7 +12,7 @@ adjacency scan order, deterministic) or non-strictly (uniformly random
 among the tied labels).
 
 Visit order is a fixed seed-derived permutation, constant across
-iterations (parallel runs hand 1024-slot chunks of it to the pool).
+iterations; the kernel hands 1024-slot chunks of it to the workers.
 Visiting in ascending index order would correlate with the ascending
 scan order used for strict ties and lets one label cascade through
 chains of tied regions in a single pass, collapsing graphs like a ring
@@ -20,11 +20,13 @@ of cliques into a monster community; a decorrelated fixed order keeps
 strict runs deterministic without that artifact.
 
 Which code runs.  Compiled (numba), every mode runs the per-vertex
-kernels below.  Interpreted, strict RAK runs level by level with numpy,
-for any ``workers`` (the interpreted parallel kernel visits in the same
-sequential order).  A vertex's level is 1 + the highest level among its
-neighbors that come earlier in the visit order (Jones-Plassmann with the
-visit permutation as the priority), so each level is an independent set.
+kernel `_rak` on ``workers`` threads; ``workers=1`` is one thread of the
+same kernel.  Interpreted, strict RAK runs level by level with numpy,
+for any ``workers`` (the interpreted kernel has one worker, which visits
+in the sequential order).  A vertex's level is 1 + the highest level
+among its neighbors that come earlier in the visit order
+(Jones-Plassmann with the visit permutation as the priority), so each
+level is an independent set.
 Updating a level as a batch, every vertex reads the new labels of its
 earlier neighbors (lower levels, already done) and the old labels of its
 later ones (higher levels, not done yet): exactly what the sequential
@@ -45,16 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import (
-    JIT_ENABLED, PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool,
-)
+from ._backend import CHUNK, JIT_ENABLED, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, arc_rows, check_symmetric
-from .prng import XorShift32, draw_bounded, shuffled_indices, worker_states
+from .prng import XorShift32, draw_bounded, shuffled_indices, worker_tallies
 from .quality import modularity
 from .result import DetectionResult
-
-# Vertices per parallel work unit; chunks are handed to the pool's threads.
-CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -104,43 +101,12 @@ def _pick_from_tally(touched, tally, count, strict, states, slot):
     return best
 
 
-@njit(cache=True)
-def _rak_seq(
-    offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, states, tally,
-    touched
-):
-    n = len(labels)
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        changed = 0
-        for i in range(n):
-            v = order[i]
-            count = 0
-            for e in range(offsets[v], offsets[v + 1]):
-                lab = labels[neighbors[e]]
-                if tally[lab] == 0.0:
-                    touched[count] = lab
-                    count += 1
-                tally[lab] += weights[e]
-            if count == 0:
-                continue  # no incident arcs at all: label cannot move
-            best = _pick_from_tally(touched, tally, count, strict, states, 0)
-            for i in range(count):
-                tally[touched[i]] = 0.0
-            if best != labels[v]:
-                labels[v] = best
-                changed += 1
-        if changed <= tolerance * n:
-            break
-    return iterations
-
-
 @njit(cache=True, parallel=True)
-def _rak_par(
+def _rak(
     offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, states, tallies,
     touches, chunk
 ):
+    # worker tid draws from states[tid] and tallies in its own rows
     n = len(labels)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
@@ -165,7 +131,7 @@ def _rak_par(
                         count += 1
                     tally[lab] += weights[e]
                 if count == 0:
-                    continue
+                    continue  # no incident arcs at all: label cannot move
                 best = _pick_from_tally(touched, tally, count, strict, states, tid)
                 for i in range(count):
                     tally[touched[i]] = 0.0
@@ -274,7 +240,7 @@ def _update_level(lv: _Level, labels: np.ndarray) -> int:
 
 
 def _rak_levels(plan: list[_Level], labels: np.ndarray, tolerance: float, max_iterations: int) -> int:
-    """Strict RAK, level by level; same labels and iterations as `_rak_seq`."""
+    """Strict RAK, level by level; same labels and iterations as `_rak`."""
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -300,27 +266,13 @@ def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult
         iterations = _rak_levels(
             _level_plan(graph, order), labels, params.tolerance, params.max_iterations
         )
-    elif params.workers == 1:
-        offsets, neighbors, weights, labels, order, states, tally, touched = kernel_args(
-            graph.offsets, graph.neighbors, graph.weights, labels, order,
-            worker_states(params.seed, 1), np.zeros(n, dtype=np.float64),
-            np.empty(n, dtype=np.int64),
-        )
-        iterations = _rak_seq(
-            offsets, neighbors, weights, labels, order,
-            params.strict, params.tolerance, params.max_iterations,
-            states, tally, touched,
-        )
     else:
-        workers = effective_workers(params.workers)
         offsets, neighbors, weights, labels, order, states, tallies, touches = kernel_args(
             graph.offsets, graph.neighbors, graph.weights, labels, order,
-            worker_states(params.seed, workers),
-            np.zeros((workers, n + PAD), dtype=np.float64),
-            np.empty((workers, n + PAD), dtype=np.int64),
+            *worker_tallies(params.seed, n, params.workers),
         )
-        with thread_pool(workers):
-            iterations = _rak_par(
+        with thread_pool(params.workers):
+            iterations = _rak(
                 offsets, neighbors, weights, labels, order,
                 params.strict, params.tolerance, params.max_iterations,
                 states, tallies, touches, CHUNK,
@@ -330,6 +282,27 @@ def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult
     return DetectionResult(labels, int(iterations), elapsed, modularity(graph, labels))
 
 
+def _dense_tally(labels, weights):
+    """A tally given as parallel (label, weight) arrays in scan order, in
+    the kernels' form: (touched, tally, count), the distinct labels in
+    first-seen order and a dense accumulator indexed by label."""
+    labs = np.asarray(labels, dtype=np.int64)
+    wts = np.asarray(weights, dtype=np.float64)
+    if labs.size == 0:
+        raise ValueError("empty tally")
+    if labs.size != wts.size:
+        raise ValueError("labels and weights must have equal length")
+    tally = np.zeros(int(labs.max()) + 1, dtype=np.float64)
+    touched = np.empty(labs.size, dtype=np.int64)
+    count = 0
+    for lab, w in zip(labs, wts):
+        if tally[lab] == 0.0:
+            touched[count] = lab
+            count += 1
+        tally[lab] += w
+    return touched, tally, count
+
+
 def choose_max_label(labels, weights, strict: bool, rng: XorShift32) -> int:
     """Pick the winning label from a tally given as parallel arrays.
 
@@ -337,18 +310,5 @@ def choose_max_label(labels, weights, strict: bool, rng: XorShift32) -> int:
     returns the first maximum-weight label; non-strict picks uniformly
     among all tied maxima using ``rng``.
     """
-    labs = np.asarray(labels, dtype=np.int64)
-    wts = np.asarray(weights, dtype=np.float64)
-    if labs.size == 0:
-        raise ValueError("empty tally")
-    if labs.size != wts.size:
-        raise ValueError("labels and weights must have equal length")
-    dense = np.zeros(int(labs.max()) + 1, dtype=np.float64)
-    touched = np.empty(labs.size, dtype=np.int64)
-    count = 0
-    for lab, w in zip(labs, wts):
-        if dense[lab] == 0.0:
-            touched[count] = lab
-            count += 1
-        dense[lab] += w
-    return int(_pick_from_tally(touched, dense, count, strict, rng._state, 0))
+    touched, tally, count = _dense_tally(labels, weights)
+    return int(_pick_from_tally(touched, tally, count, strict, rng._state, 0))

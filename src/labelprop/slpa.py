@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, get_thread_id, kernel_args, njit, prange, thread_pool
+from ._backend import CHUNK, get_thread_id, kernel_args, njit, prange, thread_pool
 from .graph import Graph, check_symmetric
-from .prng import draw_bounded, worker_states
+from .prng import draw_bounded, worker_tallies
 from .quality import modularity
 from .rak import _pick_from_tally
 from .result import DetectionResult
-
-CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -91,33 +89,8 @@ def _listen(
     return lab
 
 
-@njit(cache=True)
-def _slpa_seq(
-    offsets, neighbors, weights, slots, filled, prev, memory_size, strict, tolerance, states,
-    tally, touched
-):
-    n = len(filled)
-    iterations = 0
-    for t in range(1, memory_size):
-        iterations += 1
-        repeats = 0
-        for v in range(n):
-            lab = _listen(
-                offsets, neighbors, weights, slots, filled, memory_size, v, strict, states, 0,
-                tally, touched,
-            )
-            slots[v * memory_size + filled[v]] = lab
-            filled[v] += 1  # publish only after the slot is written
-            if lab == prev[v]:
-                repeats += 1
-            prev[v] = lab
-        if t >= 2 and repeats >= (1.0 - tolerance) * n:
-            break
-    return iterations
-
-
 @njit(cache=True, parallel=True)
-def _slpa_par(
+def _slpa(
     offsets, neighbors, weights, slots, filled, prev, memory_size, strict, tolerance, states,
     tallies, touches, chunk
 ):
@@ -141,7 +114,7 @@ def _slpa_par(
                     tid, tally, touched,
                 )
                 slots[v * memory_size + filled[v]] = lab
-                filled[v] += 1
+                filled[v] += 1  # publish only after the slot is written
                 if lab == prev[v]:
                     local += 1
                 prev[v] = lab
@@ -168,35 +141,18 @@ def _detect_full(graph: Graph, params: SlpaParams):
     slots = np.zeros(n * M, dtype=np.int64)
     slots[::M] = np.arange(n)
     start = time.perf_counter()
-    if params.workers == 1:
-        offsets, neighbors, weights, slots, filled, prev, labels, states, tally, touched = (
-            kernel_args(
-                graph.offsets, graph.neighbors, graph.weights, slots,
-                np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
-                np.empty(n, dtype=np.int64), worker_states(params.seed, 1),
-                np.zeros(n, dtype=np.float64), np.empty(n, dtype=np.int64),
-            )
+    offsets, neighbors, weights, slots, filled, prev, labels, states, tallies, touches = (
+        kernel_args(
+            graph.offsets, graph.neighbors, graph.weights, slots,
+            np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
+            np.empty(n, dtype=np.int64), *worker_tallies(params.seed, n, params.workers),
         )
-        iterations = _slpa_seq(
+    )
+    with thread_pool(params.workers):
+        iterations = _slpa(
             offsets, neighbors, weights, slots, filled, prev, M,
-            params.strict, params.tolerance, states, tally, touched,
+            params.strict, params.tolerance, states, tallies, touches, CHUNK,
         )
-    else:
-        workers = effective_workers(params.workers)
-        offsets, neighbors, weights, slots, filled, prev, labels, states, tallies, touches = (
-            kernel_args(
-                graph.offsets, graph.neighbors, graph.weights, slots,
-                np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
-                np.empty(n, dtype=np.int64), worker_states(params.seed, workers),
-                np.zeros((workers, n + PAD), dtype=np.float64),
-                np.empty((workers, n + PAD), dtype=np.int64),
-            )
-        )
-        with thread_pool(workers):
-            iterations = _slpa_par(
-                offsets, neighbors, weights, slots, filled, prev, M,
-                params.strict, params.tolerance, states, tallies, touches, CHUNK,
-            )
     _project(slots, filled, M, labels)
     labels = np.asarray(labels, dtype=np.int64)
     slots = np.asarray(slots, dtype=np.int64).reshape(n, M)

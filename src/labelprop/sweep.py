@@ -4,17 +4,17 @@ A sweep crosses, per graph, the grids that apply to the chosen algorithm:
 
 * ``rak``:   tolerance x mode x workers x repetitions
 * ``copra``: tolerance x max_labels x workers x repetitions
-* ``slpa``:  memory_size x mode x workers x repetitions (tolerance fixed)
+* ``slpa``:  memory_size x mode x workers x repetitions
 
-Repetition r runs with seed ``seed + r`` so non-strict runs differ.
-Records stream out as runs finish; grid fields that do not apply to an
-algorithm are left empty in the CSV.
+Parameters outside an algorithm's grids keep their ``*Params`` defaults
+(SLPA's tolerance is ``SlpaParams.tolerance``).  Repetition r runs with
+seed ``seed + r`` so non-strict runs differ.  Records stream out as runs
+finish; grid fields that do not apply to an algorithm are left empty in
+the CSV.
 """
 
 from __future__ import annotations
 
-import sys
-import time
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -30,6 +30,9 @@ DEFAULT_MAX_LABELS = (1, 2, 4, 8, 16, 32)
 DEFAULT_MEMORY_SIZES = (4, 8, 16, 32)
 MODES = ("strict", "non-strict")
 
+# Each algorithm's parameter dataclass, where its defaults are written.
+PARAMS = {"rak": RakParams, "copra": CopraParams, "slpa": SlpaParams}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -42,10 +45,9 @@ class SweepSpec:
     workers: tuple = (1,)
     repetitions: int = 1
     seed: int = 1
-    slpa_tolerance: float = 0.05
 
     def __post_init__(self):
-        if self.algorithm not in ("rak", "copra", "slpa"):
+        if self.algorithm not in PARAMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         for grid, name in (
             (self.tolerances, "tolerances"),
@@ -98,80 +100,63 @@ class RunRecord:
         )
 
 
-def run_one(
-    algorithm: str,
-    graph: Graph,
-    *,
-    mode: str = "non-strict",
-    tolerance: Optional[float] = None,
-    max_labels: Optional[int] = None,
-    memory_size: Optional[int] = None,
-    workers: int = 1,
-    seed: int = 1,
-    max_iterations: int = 100,
-):
-    """Dispatch one detection run; returns a DetectionResult."""
+def run_one(algorithm: str, graph: Graph, *, mode: str = "non-strict", **options):
+    """Dispatch one detection run; returns a DetectionResult.
+
+    ``options`` are fields of the algorithm's ``*Params`` (``tolerance``,
+    ``max_labels``, ``workers``, ...); fields not given keep their
+    defaults, and one the algorithm lacks is a TypeError.  ``mode`` sets
+    ``strict`` for RAK and SLPA; COPRA has no tie mode.
+    """
     strict = mode == "strict"
     if algorithm == "rak":
-        return rak_detect(graph, RakParams(
-            tolerance=tolerance if tolerance is not None else 0.05,
-            strict=strict, max_iterations=max_iterations, workers=workers, seed=seed,
-        ))
+        return rak_detect(graph, RakParams(strict=strict, **options))
     if algorithm == "copra":
-        return copra_detect(graph, CopraParams(
-            tolerance=tolerance if tolerance is not None else 0.01,
-            max_labels=max_labels if max_labels is not None else 8,
-            max_iterations=max_iterations, workers=workers, seed=seed,
-        ))
+        return copra_detect(graph, CopraParams(**options))
     if algorithm == "slpa":
-        return slpa_detect(graph, SlpaParams(
-            memory_size=memory_size if memory_size is not None else 20,
-            tolerance=tolerance if tolerance is not None else 0.05,
-            strict=strict, workers=workers, seed=seed,
-        ))
+        return slpa_detect(graph, SlpaParams(strict=strict, **options))
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _combos(spec: SweepSpec) -> Iterator[dict]:
+def _combos(spec: SweepSpec) -> Iterator[tuple[str, dict]]:
+    """(mode, grid options) of every cell; COPRA's mode is empty."""
     if spec.algorithm == "rak":
         for tol in spec.tolerances:
             for mode in spec.modes:
-                yield {"mode": mode, "tolerance": tol, "max_labels": None, "memory_size": None}
+                yield mode, {"tolerance": tol}
     elif spec.algorithm == "copra":
         for tol in spec.tolerances:
             for ml in spec.max_labels:
-                yield {"mode": "", "tolerance": tol, "max_labels": ml, "memory_size": None}
+                yield "", {"tolerance": tol, "max_labels": ml}
     else:
         for ms in spec.memory_sizes:
             for mode in spec.modes:
-                yield {"mode": mode, "tolerance": spec.slpa_tolerance, "max_labels": None, "memory_size": ms}
+                yield mode, {"memory_size": ms}
 
 
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
     """Yield one RunRecord per (graph x combo x workers x repetition)."""
+    params = PARAMS[spec.algorithm]
     for name, graph in graphs:
-        for combo in _combos(spec):
+        for mode, options in _combos(spec):
+            # the value each run used; empty where the algorithm has no such field
+            used = {f: options.get(f, getattr(params, f, None))
+                    for f in ("tolerance", "max_labels", "memory_size")}
             for workers in spec.workers:
                 for rep in range(spec.repetitions):
                     seed = spec.seed + rep
                     result = run_one(
-                        spec.algorithm, graph,
-                        mode=combo["mode"] or "non-strict",
-                        tolerance=combo["tolerance"],
-                        max_labels=combo["max_labels"],
-                        memory_size=combo["memory_size"],
-                        workers=workers, seed=seed,
+                        spec.algorithm, graph, mode=mode or "non-strict",
+                        workers=workers, seed=seed, **options,
                     )
                     yield RunRecord(
                         graph=name,
                         algorithm=spec.algorithm,
-                        mode=combo["mode"],
-                        tolerance=combo["tolerance"],
-                        max_labels=combo["max_labels"],
-                        memory_size=combo["memory_size"],
+                        mode=mode,
                         workers=workers,
                         seed=seed,
                         iterations=result.iterations,
                         elapsed_ms=result.elapsed * 1000.0,
                         modularity=result.modularity,
+                        **used,
                     )

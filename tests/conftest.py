@@ -4,10 +4,19 @@ import os
 # parallel-worker tests exercise real threads even on small CI boxes.
 os.environ.setdefault("NUMBA_NUM_THREADS", "8")
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import labelprop as lp
+from labelprop.copra import _detect_full as copra_full
+
+# Tests that start `python -m labelprop` need the package under test on the
+# child's path as well; pyproject's pytest `pythonpath` reaches this process only.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (os.path.dirname(os.path.dirname(lp.__file__)), os.environ.get("PYTHONPATH")))
+)
 
 requires_jit = pytest.mark.skipif(
     not lp.JIT_ENABLED,
@@ -20,6 +29,26 @@ def partition_matches(assignment, cliques: int, size: int) -> bool:
     want = np.repeat(np.arange(cliques), size)
     pairs = set(zip(assignment.tolist(), want.tolist()))
     return len(pairs) == cliques and len(set(assignment.tolist())) == cliques
+
+
+def copra_row_bounds(graph, params):
+    """(worst |sum(belongings) - 1|, smallest size, largest size) over every
+    label row a COPRA run writes, and the final sizes of the run.
+
+    The run is repeated with ``max_iterations`` = 1..K, K its iteration
+    count, and the live part of every final row is checked.  Every vertex
+    is rewritten in every iteration, and a capped run is a prefix of the
+    full one, so these final rows are all the rows the full run wrote.
+    """
+    _, iterations, _, _, _, sizes = copra_full(graph, params)
+    err, smallest, largest = 0.0, np.inf, -np.inf
+    for cap in range(1, iterations + 1):
+        _, _, _, _, bels, capped = copra_full(graph, replace(params, max_iterations=cap))
+        live = np.arange(params.max_labels) < capped[:, None]
+        err = max(err, float(np.abs(np.where(live, bels, 0.0).sum(axis=1) - 1.0).max()))
+        smallest = min(smallest, int(capped.min()))
+        largest = max(largest, int(capped.max()))
+    return err, smallest, largest, sizes
 
 
 @pytest.fixture(scope="session")

@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.copra import _detect_full as copra_full
 from labelprop.slpa import _detect_full as slpa_full
 from labelprop.prng import xs32_next
-from conftest import partition_matches, requires_jit
+from conftest import copra_row_bounds, partition_matches, requires_jit
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -156,14 +155,14 @@ def test_c08_copra_belonging_invariants(warm_kernels):
     ok = True
     details = []
     for max_labels in (1, 8):
-        _, _, _, stats, _, _, sizes = copra_full(
-            g, lp.CopraParams(max_labels=max_labels, seed=4), check_invariants=True
+        err, smallest, largest, sizes = copra_row_bounds(
+            g, lp.CopraParams(max_labels=max_labels, seed=4)
         )
-        good = stats[0] <= 1e-9 and stats[1] >= 1 and stats[2] <= max_labels
+        good = err <= 1e-9 and smallest >= 1 and largest <= max_labels
         if max_labels == 1:
-            good &= stats[2] == 1 and (sizes == 1).all()
+            good &= largest == 1 and (sizes == 1).all()
         ok &= good
-        details.append(f"ml{max_labels}: err={stats[0]:.1e} size=[{stats[1]:.0f},{stats[2]:.0f}]")
+        details.append(f"ml{max_labels}: err={err:.1e} size=[{smallest},{largest}]")
     report(8, "copra invariants", ok, "; ".join(details))
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from labelprop.cli import main
+from labelprop.slpa import SlpaParams
 from labelprop.sweep import SweepSpec
 
 TRI2_MTX = """%%MatrixMarket matrix coordinate pattern symmetric
@@ -87,6 +88,28 @@ class TestDetect:
         assert f"argument {option}: expected" in err.splitlines()[-1]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("algorithm, option, value", [
+        ("slpa", "--max-iterations", "1"),
+        ("rak", "--max-labels", "3"),
+        ("rak", "--memory-size", "4"),
+        ("copra", "--memory-size", "4"),
+    ])
+    def test_option_of_another_algorithm_is_a_usage_error(
+        self, tri2, capsys, algorithm, option, value
+    ):
+        assert main(["detect", "--algorithm", algorithm, "--input", str(tri2), option, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"labelprop detect: error: {option} does not apply to --algorithm {algorithm}"
+        ]
+
+    @pytest.mark.parametrize("algorithm", ["rak", "copra"])
+    def test_max_iterations_reaches_the_run(self, tri2, capsys, algorithm):
+        argv = ["detect", "--algorithm", algorithm, "--input", str(tri2), "--tolerance", "0.0001"]
+        assert main(argv + ["--max-iterations", "1"]) == 0
+        assert "iterations=1 " in capsys.readouterr().err
+
     def test_unreadable_file_exits_nonzero(self):
         proc = run_cli("detect", "--algorithm", "rak", "--input", "no_such_file.mtx")
         assert proc.returncode == 1
@@ -130,6 +153,17 @@ class TestScore:
         assert main(["score", "--input", str(tri2), "--assignment", str(tsv)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["labelprop: line 1: not valid UTF-8 (byte 0xff)"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\t0\n1\tx\n", "line 2: non-integer token in assignment file"),
+        ("0\t0\ny\t0\n", "line 2: non-integer token in assignment file"),
+        ("0\t0\n\n1\t99999999999999999999\n", "line 3: community id 99999999999999999999 outside int64"),
+    ], ids=["community", "vertex", "beyond-int64"])
+    def test_bad_integer_names_the_line(self, tri2, tmp_path, capsys, text, message):
+        tsv = tmp_path / "bad.tsv"
+        tsv.write_text(text)
+        assert main(["score", "--input", str(tri2), "--assignment", str(tsv)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"labelprop: {message}"]
 
     def test_community_id_minus_one_is_an_ordinary_label(self, tmp_path, capsys):
         graph = tmp_path / "path.txt"
@@ -238,6 +272,7 @@ class TestSweep:
         rows = proc.stdout.strip().splitlines()[1:]
         assert len(rows) == 4
         assert {r.split(",")[5] for r in rows} == {"4", "8"}
+        assert {r.split(",")[3] for r in rows} == {str(SlpaParams.tolerance)}
 
 
 class TestInfo:

@@ -56,7 +56,7 @@ def full_state(algorithm, graph, **kw):
             graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
         )
         return it, digest(labels, slots, filled)
-    best, it, _, _, labs, bels, sizes = copra_full(graph, lp.CopraParams(seed=3, **kw))
+    best, it, _, labs, bels, sizes = copra_full(graph, lp.CopraParams(seed=3, **kw))
     return it, digest(best, labs, bels, sizes)
 
 
@@ -65,11 +65,13 @@ GOLDEN = {
     ("ring", "rak", 1): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
     ("ring", "rak", 2): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
     ("ring", "slpa", 1): (9, "ad880f67c9dd651e94d3732a0c901a3cfa9717bb64516bec1363c3129ae2db94"),
+    ("ring", "slpa", 2): (9, "ad880f67c9dd651e94d3732a0c901a3cfa9717bb64516bec1363c3129ae2db94"),
     ("ring", "copra-ml1", 1): (3, "35d2e2e01983f03e209034474dd575347e683337ca81cd0d27ba26b26a0d9df4"),
     ("ring", "copra-ml8", 1): (3, "3da72581efbf7ccd96673d9e2c7bd93ca1f2d29d17d162d19045e76968da9552"),
     ("weighted", "rak", 1): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
     ("weighted", "rak", 2): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
     ("weighted", "slpa", 1): (9, "300b2863bfd782238cdec01b84b38f022fa487751a8662e11484e2287430920e"),
+    ("weighted", "slpa", 2): (9, "300b2863bfd782238cdec01b84b38f022fa487751a8662e11484e2287430920e"),
     ("weighted", "copra-ml1", 1): (5, "56e607f5f201f2a040d46b65ad2f979ab56c4c3f03887f6e9c52502ac977d06b"),
     ("weighted", "copra-ml8", 1): (5, "d0cf6619e42f20d7b317dd63161ff8b8e99906222260ed05b8aba201b92d2560"),
     ("gnp", "copra-ml8", 1): (8, "c42889e4f886edae497c294b93970f8d9b5b895c70b88fe5f7dda68e851762d4"),
@@ -119,13 +121,10 @@ def _every_run():
                 )
                 runs[name, "slpa", workers, strict] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
-                best, it, _, stats, labs, bels, sizes = copra_full(
-                    g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers),
-                    check_invariants=workers == 1,
+                best, it, _, labs, bels, sizes = copra_full(
+                    g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
                 )
-                runs[name, "copra", workers, max_labels] = (
-                    it, digest(best, labs, bels, sizes, stats)
-                )
+                runs[name, "copra", workers, max_labels] = (it, digest(best, labs, bels, sizes))
     return runs
 
 

@@ -1,8 +1,8 @@
-"""Property test: strict RAK run level by level equals the sequential kernel.
+"""Property test: strict RAK run level by level equals the per-vertex kernel.
 
-The oracle is `_rak_seq` fed Python lists, the per-vertex source that
-numba compiles; the level path is called directly, so it is checked
-whichever backend `rak_detect` picks.
+The oracle is `_rak` fed Python lists with one worker's scratch rows, the
+per-vertex source that numba compiles; the level path is called directly,
+so it is checked whichever backend `rak_detect` picks.
 """
 
 import numpy as np
@@ -13,16 +13,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import labelprop as lp  # noqa: E402
 from labelprop import rak  # noqa: E402
+from labelprop._backend import CHUNK  # noqa: E402
 
-_seq = getattr(rak._rak_seq, "py_func", rak._rak_seq)
+_kernel = getattr(rak._rak, "py_func", rak._rak)
 
 
 def oracle(graph, order, tolerance, max_iterations):
     n = graph.vertex_count
     labels = list(range(n))
-    iterations = _seq(
+    iterations = _kernel(
         graph.offsets.tolist(), graph.neighbors.tolist(), graph.weights.tolist(), labels,
-        order.tolist(), True, tolerance, max_iterations, [1], [0.0] * n, [0] * n,
+        order.tolist(), True, tolerance, max_iterations, [1], [[0.0] * n], [[0] * n], CHUNK,
     )
     return labels, iterations
 
