@@ -255,10 +255,12 @@ def cmd_score(args) -> int:
                   file=sys.stderr)
             return 1
         if not 0 <= v < n:
-            print(f"labelprop: vertex {v} out of range [0, {n})", file=sys.stderr)
+            print(f"labelprop: line {lineno}: vertex {v} out of range [0, {n})",
+                  file=sys.stderr)
             return 1
         if assigned[v]:
-            print(f"labelprop: duplicate assignment for vertex {v}", file=sys.stderr)
+            print(f"labelprop: line {lineno}: duplicate assignment for vertex {v}",
+                  file=sys.stderr)
             return 1
         if not -2**63 <= c < 2**63:
             print(f"labelprop: line {lineno}: community id {c} outside int64", file=sys.stderr)

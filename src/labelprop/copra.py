@@ -121,65 +121,16 @@ def _best_of_row(labs, bels, row, k):
     return best
 
 
-@njit(cache=True)
-def _copra_seq(
-    offsets, neighbors, weights, labs, bels, sizes, best, tolerance, max_labels,
-    max_iterations, states, tally, touched
-):
-    # In place, for one worker.  labs/bels are flat: vertex v's row starts
-    # at v * max_labels.
-    n = len(sizes)
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        changed = 0
-        for v in range(n):
-            count = 0
-            for e in range(offsets[v], offsets[v + 1]):
-                u = neighbors[e]
-                if u == v:
-                    continue  # own labels never feed the accumulator
-                w = weights[e]
-                ru = u * max_labels
-                for j in range(ru, ru + sizes[u]):
-                    lab = labs[j]
-                    if tally[lab] == 0.0:
-                        touched[count] = lab
-                        count += 1
-                    tally[lab] += bels[j] * w
-            rv = v * max_labels
-            if count == 0:
-                labs[rv] = v
-                bels[rv] = 1.0
-                sizes[v] = 1
-                newbest = v
-            else:
-                k = _select_labels(
-                    touched, tally, count, max_labels, states, 0, labs, bels, rv
-                )
-                sizes[v] = k
-                for i in range(count):
-                    tally[touched[i]] = 0.0
-                newbest = _best_of_row(labs, bels, rv, k)
-            if newbest != best[v]:
-                best[v] = newbest
-                changed += 1
-        if changed <= tolerance * n:
-            break
-    return iterations
-
-
 @njit(cache=True, parallel=True)
-def _copra_par(
-    offsets, neighbors, weights, labs, bels, sizes, cur, best, tolerance, max_labels,
+def _copra(
+    offsets, neighbors, weights, labs, bels, sizes, pub, best, tolerance, max_labels,
     max_iterations, states, tallies, touches, chunk
 ):
-    # labs/bels/sizes carry two buffers per vertex; cur[v] names the
-    # published one.  A writer fills the spare buffer completely, then
-    # flips cur[v], so concurrent readers always see a whole snapshot.
-    # All three are flat: buffer b of vertex v is sizes[b * n + v], and its
-    # label row starts at labs[(b * n + v) * max_labels].
-    n = len(cur)
+    # Vertex v owns label rows 2v and 2v + 1 of the flat labs/bels (row r
+    # starts at r * max_labels and holds sizes[r] live entries); pub[v]
+    # names the published one.  A writer fills the other row completely,
+    # then stores pub[v], so concurrent readers always see a whole row.
+    n = len(best)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
     while iterations < max_iterations:
@@ -200,31 +151,38 @@ def _copra_par(
                     if u == v:
                         continue
                     w = weights[e]
-                    su = cur[u] * n + u
-                    ru = su * max_labels
-                    for j in range(ru, ru + sizes[su]):
+                    r = pub[u]
+                    ru = r * max_labels
+                    for j in range(ru, ru + sizes[r]):
                         lab = labs[j]
                         if tally[lab] == 0.0:
                             touched[count] = lab
                             count += 1
                         tally[lab] += bels[j] * w
-                nb = 1 - cur[v]
-                sv = nb * n + v
+                r = pub[v]
+                sv = r ^ 1
                 rv = sv * max_labels
                 if count == 0:
                     labs[rv] = v
                     bels[rv] = 1.0
-                    sizes[sv] = 1
+                    k = 1
                     newbest = v
                 else:
                     k = _select_labels(
                         touched, tally, count, max_labels, states, tid, labs, bels, rv
                     )
-                    sizes[sv] = k
                     for i in range(count):
                         tally[touched[i]] = 0.0
                     newbest = _best_of_row(labs, bels, rv, k)
-                cur[v] = nb
+                # The other row last held this vertex's row from two updates
+                # ago; copying the published row's entries past k makes every
+                # row, dead entries too, the row an in-place sweep would hold.
+                d = r * max_labels - rv
+                for j in range(rv + k, rv + sizes[r]):
+                    labs[j] = labs[j + d]
+                    bels[j] = bels[j + d]
+                sizes[sv] = k
+                pub[v] = sv
                 if newbest != best[v]:
                     best[v] = newbest
                     local += 1
@@ -232,15 +190,6 @@ def _copra_par(
         if changed <= tolerance * n:
             break
     return iterations
-
-
-def _own_label_rows(n: int, max_labels: int, buffers: int):
-    """Flat (labs, bels) with every row holding only its vertex's own id."""
-    labs = np.zeros(buffers * n * max_labels, dtype=np.int64)
-    bels = np.zeros(buffers * n * max_labels, dtype=np.float64)
-    labs[::max_labels] = np.tile(np.arange(n), buffers)
-    bels[::max_labels] = 1.0
-    return labs, bels
 
 
 def _detect_full(graph: Graph, params: CopraParams):
@@ -253,32 +202,27 @@ def _detect_full(graph: Graph, params: CopraParams):
     if n == 0:
         empty = np.zeros((0, L))
         return np.zeros(0, dtype=np.int64), 0, 0.0, empty.astype(np.int64), empty, np.zeros(0, dtype=np.int64)
-    # one worker updates in place; more flip between two buffers per vertex
-    buffers = 1 if params.workers == 1 else 2
     start = time.perf_counter()
-    labs, bels = _own_label_rows(n, L, buffers)
-    offsets, neighbors, weights, labs, bels, sizes, cur, best, states, tallies, touches = (
-        kernel_args(
-            graph.offsets, graph.neighbors, graph.weights, labs, bels,
-            np.ones(buffers * n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-            np.arange(n, dtype=np.int64), *worker_tallies(params.seed, n, params.workers),
-        )
+    # both rows of every vertex start as its own label with belonging 1
+    labs = np.zeros(2 * n * L, dtype=np.int64)
+    bels = np.zeros(2 * n * L, dtype=np.float64)
+    labs[::L] = np.repeat(np.arange(n), 2)
+    bels[::L] = 1.0
+    offsets, neighbors, weights, labs, bels, sizes, pub, best, states, tallies, touches = kernel_args(
+        graph.offsets, graph.neighbors, graph.weights, labs, bels,
+        np.ones(2 * n, dtype=np.int64), np.arange(0, 2 * n, 2, dtype=np.int64),
+        np.arange(n, dtype=np.int64),
+        *worker_tallies(params.seed, n, params.workers),
     )
-    if buffers == 1:
-        iterations = _copra_seq(
-            offsets, neighbors, weights, labs, bels, sizes, best,
-            params.tolerance, L, params.max_iterations, states, tallies[0], touches[0],
+    with thread_pool(params.workers):
+        iterations = _copra(
+            offsets, neighbors, weights, labs, bels, sizes, pub, best,
+            params.tolerance, L, params.max_iterations, states, tallies, touches, CHUNK,
         )
-    else:
-        with thread_pool(params.workers):
-            iterations = _copra_par(
-                offsets, neighbors, weights, labs, bels, sizes, cur, best,
-                params.tolerance, L, params.max_iterations, states, tallies, touches, CHUNK,
-            )
-    published = (np.asarray(cur, dtype=np.int64), np.arange(n))
-    labs = np.asarray(labs, dtype=np.int64).reshape(buffers, n, L)[published]
-    bels = np.asarray(bels, dtype=np.float64).reshape(buffers, n, L)[published]
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(buffers, n)[published]
+    pub = np.asarray(pub, dtype=np.int64)
+    labs = np.asarray(labs, dtype=np.int64).reshape(2 * n, L)[pub]
+    bels = np.asarray(bels, dtype=np.float64).reshape(2 * n, L)[pub]
+    sizes = np.asarray(sizes, dtype=np.int64)[pub]
     best = np.asarray(best, dtype=np.int64)
     elapsed = time.perf_counter() - start
     return best, int(iterations), elapsed, labs, bels, sizes

@@ -104,10 +104,13 @@ def run_one(algorithm: str, graph: Graph, *, mode: str = "non-strict", **options
     """Dispatch one detection run; returns a DetectionResult.
 
     ``options`` are fields of the algorithm's ``*Params`` (``tolerance``,
-    ``max_labels``, ``workers``, ...); fields not given keep their
-    defaults, and one the algorithm lacks is a TypeError.  ``mode`` sets
-    ``strict`` for RAK and SLPA; COPRA has no tie mode.
+    ``max_labels``, ``workers``, ...); a field not given, or given as
+    None, keeps its default.  A non-None option the algorithm lacks (say
+    ``max_labels`` for RAK, or ``max_iterations`` for SLPA) is a
+    TypeError.  ``mode`` sets ``strict`` for RAK and SLPA; COPRA has no
+    tie mode.
     """
+    options = {k: v for k, v in options.items() if v is not None}
     strict = mode == "strict"
     if algorithm == "rak":
         return rak_detect(graph, RakParams(strict=strict, **options))

@@ -6,7 +6,8 @@ import pytest
 
 from labelprop.cli import main
 from labelprop.slpa import SlpaParams
-from labelprop.sweep import SweepSpec
+from labelprop.sweep import SweepSpec, run_one
+from labelprop.synth import ring_of_cliques
 
 TRI2_MTX = """%%MatrixMarket matrix coordinate pattern symmetric
 6 6 6
@@ -158,7 +159,9 @@ class TestScore:
         ("0\t0\n1\tx\n", "line 2: non-integer token in assignment file"),
         ("0\t0\ny\t0\n", "line 2: non-integer token in assignment file"),
         ("0\t0\n\n1\t99999999999999999999\n", "line 3: community id 99999999999999999999 outside int64"),
-    ], ids=["community", "vertex", "beyond-int64"])
+        ("0\t0\n9\t0\n", "line 2: vertex 9 out of range [0, 6)"),
+        ("0\t0\n1\t0\n0\t1\n", "line 3: duplicate assignment for vertex 0"),
+    ], ids=["community", "vertex", "beyond-int64", "out-of-range", "duplicate"])
     def test_bad_integer_names_the_line(self, tri2, tmp_path, capsys, text, message):
         tsv = tmp_path / "bad.tsv"
         tsv.write_text(text)
@@ -273,6 +276,22 @@ class TestSweep:
         assert len(rows) == 4
         assert {r.split(",")[5] for r in rows} == {"4", "8"}
         assert {r.split(",")[3] for r in rows} == {str(SlpaParams.tolerance)}
+
+    @pytest.mark.parametrize("algorithm", ["rak", "copra", "slpa"])
+    def test_run_one_treats_none_as_the_default(self, algorithm):
+        graph = ring_of_cliques(4, 5)
+        unset = run_one(algorithm, graph, seed=3)
+        nones = run_one(algorithm, graph, seed=3, tolerance=None, max_labels=None,
+                        memory_size=None, max_iterations=None)
+        assert unset.iterations == nones.iterations
+        assert unset.assignment.tolist() == nones.assignment.tolist()
+
+    @pytest.mark.parametrize("algorithm, option", [
+        ("rak", "max_labels"), ("copra", "memory_size"), ("slpa", "max_iterations"),
+    ])
+    def test_run_one_rejects_an_option_of_another_algorithm(self, algorithm, option):
+        with pytest.raises(TypeError):
+            run_one(algorithm, ring_of_cliques(4, 5), **{option: 3})
 
 
 class TestInfo:
