@@ -26,10 +26,8 @@ from .rak import RakParams, choose_max_label, rak_detect
 from .result import DetectionResult
 from .slpa import SlpaParams, most_popular_label, slpa_detect
 from .synth import (
-    SyntheticGraphSpec,
     brute_modularity,
     disjoint_cliques,
-    gen_graph,
     gnp,
     path,
     ring_of_cliques,
@@ -47,7 +45,6 @@ __all__ = [
     "RakParams",
     "CopraParams",
     "SlpaParams",
-    "SyntheticGraphSpec",
     "SweepSpec",
     "RunRecord",
     "XorShift32",
@@ -66,7 +63,6 @@ __all__ = [
     "best_label",
     "slpa_detect",
     "most_popular_label",
-    "gen_graph",
     "brute_modularity",
     "disjoint_cliques",
     "ring_of_cliques",

@@ -7,10 +7,10 @@ and the loops run compiled on numpy arrays, the chunked kernels on
 numba's thread pool (``workers=1`` is a pool of one thread).  When numba
 is not importable, or ``LABELPROP_DISABLE_NUMBA=1`` is set before import,
 the decorator is a no-op and the identical source runs through the
-interpreter instead.  The drivers then pass the kernels Python lists
-(:func:`kernel_args`), because reading a list element is far cheaper than
-building a numpy scalar; the results are bit-identical to the array-fed
-kernels.  (Strict RAK is the exception: interpreted, it runs level by
+interpreter instead.  The one kernel launch (`labelprop.result.launch`)
+then hands the kernels Python lists (:func:`kernel_args`), because
+reading a list element is far cheaper than building a numpy scalar; the
+results are bit-identical to the array-fed kernels.  (Strict RAK is the exception: interpreted, it runs level by
 level with numpy, with the same results; see `labelprop.rak`.)  On a
 2-vCPU x86-64 VM without numba, lists rather than arrays cut the wall
 time of the ``perfbench`` ``sweep-planted-rak`` workload from 6.60 s to
@@ -22,7 +22,6 @@ has not been measured since; running ``perfbench`` with and without
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -69,25 +68,6 @@ PAD = 8
 # Vertices per work unit of the chunked kernels; chunks are handed to the
 # pool's threads.
 CHUNK = 1024
-
-
-def effective_workers(requested: int) -> int:
-    """Clamp a requested worker count to what the thread pool can run."""
-    return max(1, min(int(requested), MAX_THREADS))
-
-
-@contextmanager
-def thread_pool(workers: int):
-    """Temporarily size the kernel thread pool to ``workers`` threads."""
-    if not JIT_ENABLED:
-        yield
-        return
-    previous = get_num_threads()
-    set_num_threads(effective_workers(workers))
-    try:
-        yield
-    finally:
-        set_num_threads(previous)
 
 
 def kernel_args(*arrays):

@@ -9,7 +9,6 @@ parameter grids.  ``score`` recomputes modularity for a saved assignment.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -30,14 +29,7 @@ from .sweep import (
 ALGORITHMS = ("rak", "copra", "slpa")
 
 # detect options that set a field of the algorithm's *Params; None = not given
-TUNING = ("tolerance", "max_labels", "memory_size", "max_iterations")
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("LABELPROP_THREADS", "1")))
-    except ValueError:
-        return 1
+TUNING = ("tolerance", "max_labels", "memory_size", "max_iterations", "strict")
 
 
 def _add_graph_options(p: argparse.ArgumentParser, **input_spec) -> None:
@@ -55,7 +47,7 @@ def _add_mode_options(p: argparse.ArgumentParser) -> None:
                       help="break weight ties by first label in scan order")
     mode.add_argument("--non-strict", dest="strict", action="store_false",
                       help="break weight ties uniformly at random (default)")
-    p.set_defaults(strict=False)
+    p.set_defaults(strict=None)
 
 
 def _load(args, path: str) -> Graph:
@@ -121,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"memory capacity {_defaults('memory_size')}")
     p_detect.add_argument("--max-iterations", type=_positive_int,
                           help=f"iteration cap {_defaults('max_iterations')}")
-    p_detect.add_argument("--threads", type=_positive_int, default=_default_threads(),
-                          help="worker count; 1 = sequential (env LABELPROP_THREADS)")
+    p_detect.add_argument("--threads", type=_positive_int, default=1,
+                          help="worker count (default: 1)")
     p_detect.add_argument("--seed", type=int, default=1)
     p_detect.add_argument("--output", default="-", help="TSV path, '-' for stdout")
     _add_mode_options(p_detect)
@@ -159,9 +151,11 @@ def cmd_detect(args) -> int:
     options = {k: getattr(args, k) for k in TUNING if getattr(args, k) is not None}
     for name in options:
         if not hasattr(PARAMS[args.algorithm], name):
-            print(f"labelprop detect: error: --{name.replace('_', '-')} does not apply to "
+            flag = "--" + ("non-strict" if options[name] is False else name.replace("_", "-"))
+            print(f"labelprop detect: error: {flag} does not apply to "
                   f"--algorithm {args.algorithm}", file=sys.stderr)
             return 2
+    strict = options.pop("strict", False)
     try:
         graph = _load(args, args.input)
     except (OSError, GraphParseError) as exc:
@@ -170,7 +164,7 @@ def cmd_detect(args) -> int:
     result = run_one(
         args.algorithm,
         graph,
-        mode="strict" if args.strict else "non-strict",
+        mode="strict" if strict else "non-strict",
         workers=args.threads,
         seed=args.seed,
         **options,
@@ -179,8 +173,12 @@ def cmd_detect(args) -> int:
     if args.output == "-":
         sys.stdout.write(lines)
     else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(lines)
+        except OSError as exc:
+            print(f"labelprop: {exc}", file=sys.stderr)
+            return 1
     print(
         f"vertices={graph.vertex_count} iterations={result.iterations} "
         f"elapsed_ms={result.elapsed * 1000.0:.3f} modularity={result.modularity:.12f}",
@@ -205,7 +203,11 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"labelprop sweep: error: {exc}", file=sys.stderr)
         return 2
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        print(f"labelprop: {exc}", file=sys.stderr)
+        return 1
     try:
         print(CSV_HEADER, file=out, flush=True)
 

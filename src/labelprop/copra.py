@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import CHUNK, get_thread_id, kernel_args, njit, prange, thread_pool
+from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
-from .prng import XorShift32, draw_bounded, worker_tallies
+from .prng import XorShift32, draw_bounded
 from .quality import modularity
 from .rak import _dense_tally
-from .result import DetectionResult
+from .result import DetectionResult, launch
 
 
 @dataclass(frozen=True)
@@ -192,47 +192,33 @@ def _copra(
     return iterations
 
 
-def _detect_full(graph: Graph, params: CopraParams):
-    """Run COPRA and return (best, iterations, elapsed, labs, bels, sizes),
-    the final label rows included (used by tests)."""
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    n = graph.vertex_count
-    L = params.max_labels
-    if n == 0:
-        empty = np.zeros((0, L))
-        return np.zeros(0, dtype=np.int64), 0, 0.0, empty.astype(np.int64), empty, np.zeros(0, dtype=np.int64)
-    start = time.perf_counter()
+def _run(graph: Graph, params: CopraParams):
+    """(best labels, iterations, (labs, bels, sizes)) of one COPRA run; the
+    state is each vertex's published label row, belongings and live count."""
+    n, L = graph.vertex_count, params.max_labels
     # both rows of every vertex start as its own label with belonging 1
     labs = np.zeros(2 * n * L, dtype=np.int64)
     bels = np.zeros(2 * n * L, dtype=np.float64)
     labs[::L] = np.repeat(np.arange(n), 2)
     bels[::L] = 1.0
-    offsets, neighbors, weights, labs, bels, sizes, pub, best, states, tallies, touches = kernel_args(
-        graph.offsets, graph.neighbors, graph.weights, labs, bels,
-        np.ones(2 * n, dtype=np.int64), np.arange(0, 2 * n, 2, dtype=np.int64),
-        np.arange(n, dtype=np.int64),
-        *worker_tallies(params.seed, n, params.workers),
+    sizes = np.ones(2 * n, dtype=np.int64)
+    pub = np.arange(0, 2 * n, 2, dtype=np.int64)
+    iterations, (labs, bels, sizes, pub, best) = launch(
+        _copra, graph, params, (labs, bels, sizes, pub, np.arange(n, dtype=np.int64)),
+        (params.tolerance, L, params.max_iterations),
     )
-    with thread_pool(params.workers):
-        iterations = _copra(
-            offsets, neighbors, weights, labs, bels, sizes, pub, best,
-            params.tolerance, L, params.max_iterations, states, tallies, touches, CHUNK,
-        )
-    pub = np.asarray(pub, dtype=np.int64)
-    labs = np.asarray(labs, dtype=np.int64).reshape(2 * n, L)[pub]
-    bels = np.asarray(bels, dtype=np.float64).reshape(2 * n, L)[pub]
-    sizes = np.asarray(sizes, dtype=np.int64)[pub]
-    best = np.asarray(best, dtype=np.int64)
-    elapsed = time.perf_counter() - start
-    return best, int(iterations), elapsed, labs, bels, sizes
+    return best, iterations, (labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub])
 
 
 def copra_detect(graph: Graph, params: CopraParams | None = None) -> DetectionResult:
     """Run COPRA on a preprocessed graph; the assignment is each best label."""
     if params is None:
         params = CopraParams()
-    best, iterations, elapsed, _, _, _ = _detect_full(graph, params)
+    if __debug__ and not graph.symmetric:
+        check_symmetric(graph)
+    start = time.perf_counter()
+    best, iterations, _ = _run(graph, params)
+    elapsed = time.perf_counter() - start
     return DetectionResult(best, iterations, elapsed, modularity(graph, best))
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._backend import PAD, effective_workers, kernel_args, njit
+from ._backend import kernel_args, njit
 
 _MASK = 0xFFFFFFFF
 
@@ -73,20 +73,6 @@ def worker_states(seed: int, workers: int) -> np.ndarray:
     for k in range(workers):
         states[k] = mix_seed(int(seed) & _MASK, k)
     return states
-
-
-def worker_tallies(seed: int, n: int, workers: int):
-    """(states, tallies, touches) for a kernel run by ``workers`` threads.
-
-    The count is clamped to the pool.  Each worker gets its RNG state and
-    a dense tally row with its touched-label row, both padded by ``PAD``.
-    """
-    workers = effective_workers(workers)
-    return (
-        worker_states(seed, workers),
-        np.zeros((workers, n + PAD), dtype=np.float64),
-        np.empty((workers, n + PAD), dtype=np.int64),
-    )
 
 
 # Stream index for visit-order shuffles; far above any real worker index so

@@ -47,11 +47,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._backend import CHUNK, JIT_ENABLED, get_thread_id, kernel_args, njit, prange, thread_pool
+from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
-from .prng import XorShift32, draw_bounded, shuffled_indices, worker_tallies
+from .prng import XorShift32, draw_bounded, shuffled_indices
 from .quality import modularity
-from .result import DetectionResult
+from .result import DetectionResult, launch
 
 
 @dataclass(frozen=True)
@@ -250,36 +250,33 @@ def _rak_levels(plan: list[_Level], labels: np.ndarray, tolerance: float, max_it
     return iterations
 
 
+def _run(graph: Graph, params: RakParams, order: np.ndarray):
+    """(labels, iterations, (labels,)) of one RAK run visiting in ``order``."""
+    labels = np.arange(graph.vertex_count, dtype=np.int64)
+    # an empty graph goes to the launch, which runs no kernel on it
+    if params.strict and not JIT_ENABLED and labels.size:
+        iterations = _rak_levels(
+            _level_plan(graph, order), labels, params.tolerance, params.max_iterations
+        )
+    else:
+        iterations, (labels, _) = launch(
+            _rak, graph, params, (labels, order),
+            (params.strict, params.tolerance, params.max_iterations),
+        )
+    return labels, iterations, (labels,)
+
+
 def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult:
     """Run RAK on a preprocessed graph."""
     if params is None:
         params = RakParams()
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
-    n = graph.vertex_count
-    labels = np.arange(n, dtype=np.int64)
-    if n == 0:
-        return DetectionResult(labels, 0, 0.0, 0.0)
-    order = shuffled_indices(n, params.seed)
+    order = shuffled_indices(graph.vertex_count, params.seed)
     start = time.perf_counter()
-    if params.strict and not JIT_ENABLED:
-        iterations = _rak_levels(
-            _level_plan(graph, order), labels, params.tolerance, params.max_iterations
-        )
-    else:
-        offsets, neighbors, weights, labels, order, states, tallies, touches = kernel_args(
-            graph.offsets, graph.neighbors, graph.weights, labels, order,
-            *worker_tallies(params.seed, n, params.workers),
-        )
-        with thread_pool(params.workers):
-            iterations = _rak(
-                offsets, neighbors, weights, labels, order,
-                params.strict, params.tolerance, params.max_iterations,
-                states, tallies, touches, CHUNK,
-            )
-    labels = np.asarray(labels, dtype=np.int64)
+    labels, iterations, _ = _run(graph, params, order)
     elapsed = time.perf_counter() - start
-    return DetectionResult(labels, int(iterations), elapsed, modularity(graph, labels))
+    return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
 
 
 def _dense_tally(labels, weights):

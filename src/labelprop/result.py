@@ -1,4 +1,4 @@
-"""Shared result type for the three detectors."""
+"""Shared result type and kernel launch for the three detectors."""
 
 from __future__ import annotations
 
@@ -6,16 +6,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._backend import CHUNK, MAX_THREADS, PAD, get_num_threads, kernel_args, set_num_threads
+from .prng import worker_states
+
 
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of one detection run.
 
-    ``elapsed`` covers the detection loop only (graph loading and scoring
-    excluded); ``modularity`` is computed on the final assignment.
+    ``elapsed`` covers setting up the detector's state, the kernel and
+    reading the state back; it excludes the symmetry check, RAK's
+    visit-order shuffle and scoring.  ``modularity`` is computed on the
+    final assignment.  A graph without vertices runs no kernel: its
+    assignment is empty and ``iterations`` and ``modularity`` are 0.
     """
 
     assignment: np.ndarray
     iterations: int
     elapsed: float
     modularity: float
+
+
+def launch(kernel, graph, params, state, scalars):
+    """Run a chunked kernel on ``params.workers`` threads (clamped to the pool).
+
+    The kernel is called as ``kernel(offsets, neighbors, weights, *state,
+    *scalars, states, tallies, touches, CHUNK)`` and updates ``state`` in
+    place.  Worker k draws from its own RNG state, ``mix_seed(seed, k)``,
+    and tallies in its own dense row with a touched-label row, both
+    padded by ``PAD``.  Returns the iteration count and the final state
+    as numpy arrays of the input dtypes; on an empty graph the kernel is
+    not run and the count is 0.
+    """
+    n = graph.vertex_count
+    if n == 0:
+        return 0, tuple(state)
+    workers = min(params.workers, MAX_THREADS)
+    args = kernel_args(
+        graph.offsets, graph.neighbors, graph.weights, *state,
+        worker_states(params.seed, workers),
+        np.zeros((workers, n + PAD), dtype=np.float64),
+        np.empty((workers, n + PAD), dtype=np.int64),
+    )
+    end = 3 + len(state)
+    previous = get_num_threads()
+    set_num_threads(workers)
+    try:
+        iterations = kernel(*args[:end], *scalars, *args[end:], CHUNK)
+    finally:
+        set_num_threads(previous)
+    return int(iterations), tuple(np.asarray(a, dtype=s.dtype) for a, s in zip(args[3:end], state))

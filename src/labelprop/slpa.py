@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import CHUNK, get_thread_id, kernel_args, njit, prange, thread_pool
+from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
-from .prng import draw_bounded, worker_tallies
+from .prng import draw_bounded
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult
+from .result import DetectionResult, launch
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,10 @@ def _listen(
 
 @njit(cache=True, parallel=True)
 def _slpa(
-    offsets, neighbors, weights, slots, filled, prev, memory_size, strict, tolerance, states,
-    tallies, touches, chunk
+    offsets, neighbors, weights, slots, filled, prev, labels, memory_size, strict, tolerance,
+    states, tallies, touches, chunk
 ):
+    # ends by writing each memory's modal label to labels[v]
     n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
@@ -121,51 +122,35 @@ def _slpa(
             repeats += local
         if t >= 2 and repeats >= (1.0 - tolerance) * n:
             break
+    for v in range(n):
+        labels[v] = _modal_label(slots, v * memory_size, filled[v])
     return iterations
 
 
-@njit(cache=True)
-def _project(slots, filled, memory_size, labels):
-    for v in range(len(labels)):
-        labels[v] = _modal_label(slots, v * memory_size, filled[v])
-
-
-def _detect_full(graph: Graph, params: SlpaParams):
-    """Run SLPA and return (labels, iterations, elapsed, slots, filled)."""
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    n = graph.vertex_count
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0, 0.0, np.zeros((0, params.memory_size), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    M = params.memory_size
+def _run(graph: Graph, params: SlpaParams):
+    """(labels, iterations, (slots, filled)) of one SLPA run; the state is
+    every memory, one row per vertex, and its fill count."""
+    n, M = graph.vertex_count, params.memory_size
     slots = np.zeros(n * M, dtype=np.int64)
     slots[::M] = np.arange(n)
-    start = time.perf_counter()
-    offsets, neighbors, weights, slots, filled, prev, labels, states, tallies, touches = (
-        kernel_args(
-            graph.offsets, graph.neighbors, graph.weights, slots,
-            np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64),
-            np.empty(n, dtype=np.int64), *worker_tallies(params.seed, n, params.workers),
-        )
+    filled = np.ones(n, dtype=np.int64)
+    prev = np.full(n, -1, dtype=np.int64)
+    iterations, (slots, filled, _, labels) = launch(
+        _slpa, graph, params, (slots, filled, prev, np.empty(n, dtype=np.int64)),
+        (M, params.strict, params.tolerance),
     )
-    with thread_pool(params.workers):
-        iterations = _slpa(
-            offsets, neighbors, weights, slots, filled, prev, M,
-            params.strict, params.tolerance, states, tallies, touches, CHUNK,
-        )
-    _project(slots, filled, M, labels)
-    labels = np.asarray(labels, dtype=np.int64)
-    slots = np.asarray(slots, dtype=np.int64).reshape(n, M)
-    filled = np.asarray(filled, dtype=np.int64)
-    elapsed = time.perf_counter() - start
-    return labels, int(iterations), elapsed, slots, filled
+    return labels, iterations, (slots.reshape(n, M), filled)
 
 
 def slpa_detect(graph: Graph, params: SlpaParams | None = None) -> DetectionResult:
     """Run SLPA on a preprocessed graph; the assignment is each modal label."""
     if params is None:
         params = SlpaParams()
-    labels, iterations, elapsed, _, _ = _detect_full(graph, params)
+    if __debug__ and not graph.symmetric:
+        check_symmetric(graph)
+    start = time.perf_counter()
+    labels, iterations, _ = _run(graph, params)
+    elapsed = time.perf_counter() - start
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
 
 

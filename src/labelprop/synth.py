@@ -7,28 +7,9 @@ deliberately independent of the CSR single-pass implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph, from_arcs, preprocess
-
-
-@dataclass(frozen=True)
-class SyntheticGraphSpec:
-    """Recipe for a generated test graph.
-
-    ``kind`` is one of ``disjoint-cliques``, ``ring-of-cliques``,
-    ``random-gnp``, ``star``, ``path``.  ``n``/``p`` configure gnp, star
-    and path; ``cliques``/``clique_size`` configure the clique kinds.
-    """
-
-    kind: str
-    n: int = 0
-    p: float = 0.0
-    cliques: int = 0
-    clique_size: int = 0
-    seed: int = 1
 
 
 def _clique_arcs(first: int, size: int):
@@ -113,21 +94,6 @@ def _undirected(n, us, vs, unit_weights=True, self_loops=True) -> Graph:
     v = np.concatenate([np.asarray(a, dtype=np.int64) for a in vs]) if vs else np.zeros(0, dtype=np.int64)
     raw = from_arcs(n, u, v, np.ones(u.size))
     return preprocess(raw, unit_weights=unit_weights, self_loops=self_loops)
-
-
-def gen_graph(spec: SyntheticGraphSpec) -> Graph:
-    """Build the preprocessed graph described by ``spec`` (deterministic)."""
-    if spec.kind == "disjoint-cliques":
-        return disjoint_cliques(spec.cliques, spec.clique_size)
-    if spec.kind == "ring-of-cliques":
-        return ring_of_cliques(spec.cliques, spec.clique_size)
-    if spec.kind == "random-gnp":
-        return gnp(spec.n, spec.p, spec.seed)
-    if spec.kind == "star":
-        return star(spec.n)
-    if spec.kind == "path":
-        return path(spec.n)
-    raise ValueError(f"unknown synthetic graph kind {spec.kind!r}")
 
 
 def brute_modularity(graph: Graph, assignment) -> float:

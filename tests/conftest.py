@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.copra import _detect_full as copra_full
+from labelprop.copra import _run as copra_run
 
 # Tests that start `python -m labelprop` need the package under test on the
 # child's path as well; pyproject's pytest `pythonpath` reaches this process only.
@@ -40,10 +40,10 @@ def copra_row_bounds(graph, params):
     is rewritten in every iteration, and a capped run is a prefix of the
     full one, so these final rows are all the rows the full run wrote.
     """
-    _, iterations, _, _, _, sizes = copra_full(graph, params)
+    _, iterations, (_, _, sizes) = copra_run(graph, params)
     err, smallest, largest = 0.0, np.inf, -np.inf
     for cap in range(1, iterations + 1):
-        _, _, _, _, bels, capped = copra_full(graph, replace(params, max_iterations=cap))
+        _, _, (_, bels, capped) = copra_run(graph, replace(params, max_iterations=cap))
         live = np.arange(params.max_labels) < capped[:, None]
         err = max(err, float(np.abs(np.where(live, bels, 0.0).sum(axis=1) - 1.0).max()))
         smallest = min(smallest, int(capped.min()))

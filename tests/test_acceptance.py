@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.slpa import _detect_full as slpa_full
+from labelprop.slpa import _run as slpa_run
 from labelprop.prng import xs32_next
 from conftest import copra_row_bounds, partition_matches, requires_jit
 
@@ -169,7 +169,7 @@ def test_c08_copra_belonging_invariants(warm_kernels):
 def test_c09_slpa_memory_law(warm_kernels, two_triangles):
     ok = True
     for ms in (2, 5, 20):
-        _, iterations, _, _, filled = slpa_full(
+        _, iterations, (_, filled) = slpa_run(
             two_triangles, lp.SlpaParams(memory_size=ms, tolerance=0.001, seed=1)
         )
         ok &= set((filled - 1).tolist()) == {iterations}

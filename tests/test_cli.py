@@ -94,11 +94,14 @@ class TestDetect:
         ("rak", "--max-labels", "3"),
         ("rak", "--memory-size", "4"),
         ("copra", "--memory-size", "4"),
+        ("copra", "--strict", None),
+        ("copra", "--non-strict", None),
     ])
     def test_option_of_another_algorithm_is_a_usage_error(
         self, tri2, capsys, algorithm, option, value
     ):
-        assert main(["detect", "--algorithm", algorithm, "--input", str(tri2), option, value]) == 2
+        argv = ["detect", "--algorithm", algorithm, "--input", str(tri2), option]
+        assert main(argv + ([value] if value else [])) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [
@@ -340,6 +343,17 @@ class TestBadGraphFile:
         assert len(err) == 1
         assert err[0].startswith("labelprop: ")
         assert message in err[0]
+
+    @pytest.mark.parametrize("command", ["detect", "sweep"])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, tri2, capsys, command):
+        out = tmp_path / "missing-dir" / "out.tsv"
+        argv = [command, "--algorithm", "rak", "--input", str(tri2), "--output", str(out)]
+        if command == "sweep":
+            argv += ["--tolerances", "0.05", "--modes", "strict"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"labelprop: [Errno 2] No such file or directory: '{out}'"
+        ]
 
     def test_sweep_skips_non_utf8_file(self, tmp_path, tri2, capsys):
         bad = tmp_path / "bad.txt"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
+from labelprop.copra import _run
 from conftest import copra_row_bounds, partition_matches
 
 
@@ -15,6 +16,17 @@ class TestDetect:
         result = lp.copra_detect(g, lp.CopraParams(seed=1))
         assert result.assignment.tolist() == [0]
         assert result.iterations == 1
+
+    def test_empty_graph(self):
+        g = lp.preprocess(lp.from_arcs(0, [], [], []))
+        result = lp.copra_detect(g, lp.CopraParams(max_labels=3))
+        assert result.iterations == 0
+        assert result.assignment.size == 0
+        assert result.modularity == 0.0
+        best, iterations, (labs, bels, sizes) = _run(g, lp.CopraParams(max_labels=3))
+        assert iterations == 0 and best.size == 0
+        assert labs.shape == bels.shape == (0, 3)
+        assert sizes.shape == (0,)
 
     def test_clique_recovery_both_label_caps(self, eight_cliques):
         for max_labels in (1, 8):

@@ -1,7 +1,8 @@
 """The kernels give the same results whether fed numpy arrays or lists.
 
-Where numba is missing the drivers hand the interpreted kernels Python
-lists (``kernel_args``); compiled kernels always receive numpy arrays.
+Where numba is missing the kernel launch hands the interpreted kernels
+Python lists (``kernel_args``); compiled kernels always receive numpy
+arrays.
 The golden hashes pin the full detector state on two graphs, and the
 equivalence test runs the same kernels on arrays, which checks the
 flat-row index arithmetic without needing numba.
@@ -13,10 +14,8 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import copra, prng, rak, slpa
+from labelprop import copra, prng, result, slpa
 from labelprop._backend import kernel_args
-from labelprop.copra import _detect_full as copra_full
-from labelprop.slpa import _detect_full as slpa_full
 
 
 def digest(*arrays) -> str:
@@ -52,11 +51,11 @@ def full_state(algorithm, graph, **kw):
         r = lp.rak_detect(graph, lp.RakParams(strict=True, seed=3, **kw))
         return r.iterations, digest(r.assignment)
     if algorithm == "slpa":
-        labels, it, _, slots, filled = slpa_full(
+        labels, it, (slots, filled) = slpa._run(
             graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
         )
         return it, digest(labels, slots, filled)
-    best, it, _, labs, bels, sizes = copra_full(graph, lp.CopraParams(seed=3, **kw))
+    best, it, (labs, bels, sizes) = copra._run(graph, lp.CopraParams(seed=3, **kw))
     return it, digest(best, labs, bels, sizes)
 
 
@@ -119,12 +118,12 @@ def _every_run():
             for strict in (True, False):
                 r = lp.rak_detect(g, lp.RakParams(strict=strict, seed=4, workers=workers))
                 runs[name, "rak", workers, strict] = (r.iterations, digest(r.assignment))
-                labels, it, _, slots, filled = slpa_full(
+                labels, it, (slots, filled) = slpa._run(
                     g, lp.SlpaParams(memory_size=7, strict=strict, seed=4, workers=workers)
                 )
                 runs[name, "slpa", workers, strict] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
-                best, it, _, labs, bels, sizes = copra_full(
+                best, it, (labs, bels, sizes) = copra._run(
                     g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
                 )
                 runs[name, "copra", workers, max_labels] = (it, digest(best, labs, bels, sizes))
@@ -133,7 +132,14 @@ def _every_run():
 
 def test_array_fed_kernels_match_list_fed(monkeypatch):
     fed_by_backend = _every_run()
-    for module in (rak, copra, slpa, prng):
-        monkeypatch.setattr(module, "kernel_args", lambda *arrays: arrays)
+    called = set()
+    # the kernel launch and the shuffle are the only places arrays become lists
+    for module in (result, prng):
+        def arrays_unchanged(*arrays, name=module.__name__):
+            called.add(name)
+            return arrays
+
+        monkeypatch.setattr(module, "kernel_args", arrays_unchanged)
     fed_arrays = _every_run()
+    assert called == {"labelprop.result", "labelprop.prng"}
     assert fed_arrays == fed_by_backend

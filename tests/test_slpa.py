@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.slpa import _detect_full
+from labelprop.slpa import _run
 from conftest import partition_matches, requires_jit
 
 
 class TestDetect:
     def test_isolated_vertices_fall_back_to_own_label(self):
         g = lp.gnp(6, 0.0)
-        labels, iterations, _, slots, filled = _detect_full(
+        labels, iterations, (slots, filled) = _run(
             g, lp.SlpaParams(memory_size=8, seed=3)
         )
         assert np.array_equal(labels, np.arange(6))
@@ -17,8 +17,19 @@ class TestDetect:
         for v in range(6):
             assert set(slots[v, : filled[v]].tolist()) == {v}
 
+    def test_empty_graph(self):
+        g = lp.preprocess(lp.from_arcs(0, [], [], []))
+        result = lp.slpa_detect(g, lp.SlpaParams(memory_size=5))
+        assert result.iterations == 0
+        assert result.assignment.size == 0
+        assert result.modularity == 0.0
+        labels, iterations, (slots, filled) = _run(g, lp.SlpaParams(memory_size=5))
+        assert iterations == 0 and labels.size == 0
+        assert slots.shape == (0, 5)
+        assert filled.shape == (0,)
+
     def test_memory_size_two_forces_single_iteration(self, two_triangles):
-        labels, iterations, _, slots, filled = _detect_full(
+        labels, iterations, (slots, filled) = _run(
             two_triangles, lp.SlpaParams(memory_size=2, seed=1)
         )
         assert iterations == 1
@@ -26,7 +37,7 @@ class TestDetect:
 
     def test_memory_law(self, two_triangles):
         for ms in (2, 5, 20):
-            _, iterations, _, _, filled = _detect_full(
+            _, iterations, (_, filled) = _run(
                 two_triangles, lp.SlpaParams(memory_size=ms, tolerance=0.001, seed=1)
             )
             assert iterations <= ms - 1
@@ -38,7 +49,7 @@ class TestDetect:
 
     def test_appended_labels_were_spoken_or_own(self, two_triangles):
         g = two_triangles
-        labels, iterations, _, slots, filled = _detect_full(
+        labels, iterations, (slots, filled) = _run(
             g, lp.SlpaParams(memory_size=10, tolerance=0.001, seed=4)
         )
         neighbors = [

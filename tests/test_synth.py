@@ -19,12 +19,14 @@ def test_disjoint_cliques_shape():
     # 3 edges per triangle, both directions, plus 6 self-loops
     assert g.edge_count == 2 * 3 * 2 + 6
     assert_canonical(g)
+    assert graphs_equal(g, lp.disjoint_cliques(2, 3))
 
 
 def test_ring_of_cliques_connected():
     g = lp.ring_of_cliques(4, 5)
     assert g.vertex_count == 20
     assert_canonical(g)
+    assert graphs_equal(g, lp.ring_of_cliques(4, 5))
     # breadth-first reachability over the CSR arrays
     seen = np.zeros(20, dtype=bool)
     stack = [0]
@@ -49,6 +51,7 @@ def test_gnp_deterministic_per_seed():
     a = lp.gnp(100, 0.1, seed=3)
     b = lp.gnp(100, 0.1, seed=3)
     c = lp.gnp(100, 0.1, seed=4)
+    assert_canonical(a)
     assert graphs_equal(a, b)
     assert not graphs_equal(a, c)
 
@@ -75,22 +78,8 @@ def test_star_and_path_shapes():
     assert path.edge_count == 3 * 2 + 4
     assert_canonical(star)
     assert_canonical(path)
-
-
-def test_gen_graph_dispatch():
-    cases = [
-        lp.SyntheticGraphSpec(kind="disjoint-cliques", cliques=2, clique_size=3),
-        lp.SyntheticGraphSpec(kind="ring-of-cliques", cliques=4, clique_size=5),
-        lp.SyntheticGraphSpec(kind="random-gnp", n=30, p=0.2, seed=2),
-        lp.SyntheticGraphSpec(kind="star", n=7),
-        lp.SyntheticGraphSpec(kind="path", n=9),
-    ]
-    for spec in cases:
-        g = lp.gen_graph(spec)
-        assert_canonical(g)
-        assert graphs_equal(g, lp.gen_graph(spec))
-    with pytest.raises(ValueError):
-        lp.gen_graph(lp.SyntheticGraphSpec(kind="torus"))
+    assert graphs_equal(star, lp.star(5))
+    assert graphs_equal(path, lp.path(4))
 
 
 def test_brute_modularity_guard():
@@ -100,12 +89,7 @@ def test_brute_modularity_guard():
 
 def test_brute_matches_fast_on_generated_graphs():
     rng = np.random.default_rng(21)
-    for spec in (
-        lp.SyntheticGraphSpec(kind="disjoint-cliques", cliques=3, clique_size=4),
-        lp.SyntheticGraphSpec(kind="star", n=10),
-        lp.SyntheticGraphSpec(kind="random-gnp", n=50, p=0.2, seed=3),
-    ):
-        g = lp.gen_graph(spec)
+    for g in (lp.disjoint_cliques(3, 4), lp.star(10), lp.gnp(50, 0.2, seed=3)):
         labels = rng.integers(0, g.vertex_count, size=g.vertex_count)
         assert lp.brute_modularity(g, labels) == pytest.approx(
             lp.modularity(g, labels), abs=1e-9
