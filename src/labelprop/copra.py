@@ -24,9 +24,9 @@ import numpy as np
 
 from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
-from .prng import XorShift32, draw_bounded
+from .prng import XorShift32
 from .quality import modularity
-from .rak import _dense_tally
+from .rak import _dense_tally, _pick_from_tally
 from .result import DetectionResult, launch
 
 
@@ -70,27 +70,9 @@ def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, 
             kept += w
             k += 1
     if k == 0:
-        best_w = -1.0
-        for i in range(count):
-            w = tally[touched[i]]
-            if w > best_w:
-                best_w = w
-        ties = 0
-        for i in range(count):
-            if tally[touched[i]] == best_w:
-                ties += 1
-        j = 0
-        if ties > 1:
-            j = draw_bounded(states, slot, ties)
-        for i in range(count):
-            lab = touched[i]
-            if tally[lab] == best_w:
-                if j == 0:
-                    out_labels[row] = lab
-                    out_bel[row] = 1.0
-                    return 1
-                j -= 1
-        return 1  # unreachable
+        out_labels[row] = _pick_from_tally(touched, tally, count, False, states, slot)
+        out_bel[row] = 1.0
+        return 1
     inv = 1.0 / kept
     for i in range(row, row + k):
         out_bel[i] *= inv

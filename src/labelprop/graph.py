@@ -1,16 +1,21 @@
 """Undirected weighted graphs in compressed sparse row (CSR) form.
 
-Loaders return the arcs as stored in the file (plus symmetric expansion for
-MatrixMarket ``symmetric`` storage and duplicate-arc merging).  `preprocess`
-turns any loaded graph into the canonical form the detectors expect:
-symmetric, unit arc weights by default, and exactly one weight-1 self-loop
-per vertex.
+`load_graph` is the one loader.  It returns the arcs as stored in the file
+(plus symmetric expansion for MatrixMarket ``symmetric`` storage and
+duplicate-arc merging) and picks the format by one rule for paths and
+streams: a ``.mtx``/``.mm`` name or ``%%MatrixMarket`` at the very start
+of the text means MatrixMarket, anything else is an edge list.
+`preprocess` turns any loaded graph into the canonical form the detectors
+expect: symmetric, unit arc weights by default, and exactly one weight-1
+self-loop per vertex.
 
-Files are UTF-8 text.  A file whose data rows are plain numbers of one
-width is parsed by numpy in one pass; anything else (comment lines, mixed
-widths, a value that fails a check) goes through a line-by-line loop that
-accepts the same inputs and names the line of the first error.  Vertex
-counts are bounded by `MAX_VERTICES`.
+Files are UTF-8 text; one leading byte-order mark is dropped.  Both formats
+read their entry lines through `_entries`, so each rule (field count,
+numeric tokens, id range, finite positive weight) has one message.  A body
+whose rows are plain numbers of one width is parsed by numpy in one pass;
+anything else (comment lines, mixed widths, a value that fails a check)
+goes through a line-by-line loop that accepts the same inputs and names
+the line of the first error.  Vertex counts are bounded by `MAX_VERTICES`.
 
 Weight conventions, fixed once here and relied on everywhere else:
 
@@ -129,27 +134,29 @@ def arc_rows(graph: Graph) -> np.ndarray:
 
 
 def read_text(source: Source) -> str:
-    """The whole input as text, with newlines translated as text-mode reads do.
+    """The whole input as text, with newlines translated as text-mode reads do
+    and one leading byte-order mark (U+FEFF) dropped.
 
     Bytes that are not UTF-8 raise `GraphParseError` naming the line.
     """
     if hasattr(source, "read"):
         try:
-            return source.read()
+            text = source.read()
         except UnicodeDecodeError as exc:
             raise GraphParseError(f"input is not valid UTF-8 ({exc.reason})") from None
-    with open(source, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise GraphParseError(
-            f"line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
-        ) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise GraphParseError(
+                f"line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+            ) from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
 
 
 _ROW_DTYPES = {
@@ -180,22 +187,76 @@ def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
     return bool(a.size == 0 or (lo <= a.min() and a.max() <= hi))
 
 
-def _valid_weights(w: np.ndarray) -> bool:
-    return bool(((w > 0) & (w < np.inf)).all())
+def _entries(
+    stream: io.StringIO, lineno: int, comment: str, widths: tuple, lo: int, hi: tuple,
+    count: int | None = None,
+):
+    """The entry lines left in ``stream`` as ``(u, v, w)`` arrays of 0-based arcs.
 
+    An entry is ``u v`` or ``u v w`` (its width in ``widths``; a missing
+    weight is 1) with ``lo <= u <= hi[0]``, ``lo <= v <= hi[1]`` and a
+    finite positive ``w``; ids are shifted down by ``lo``.  Blank lines and
+    lines that start with ``comment`` are skipped, and ``count``, when
+    given, is the number of entries the file declares.  ``lineno`` is the
+    number of lines before the stream's position.
 
-def load_matrix_market(source: Source) -> Graph:
-    """Parse a MatrixMarket coordinate file into a raw (unpreprocessed) graph.
-
-    Supported header: ``%%MatrixMarket matrix coordinate
-    (pattern|real|integer) (general|symmetric)``.  Indices are 1-based in
-    the file and shifted to 0-based.  ``pattern`` entries get weight 1;
-    ``symmetric`` storage is expanded to both arc directions (diagonal
-    entries are kept single); duplicate arcs are merged by weight sum.
-    Weights must be finite and positive, and neither declared size may
-    exceed `MAX_VERTICES`.
+    A body of plain numbers whose first line has a width in ``widths`` is
+    parsed by numpy in one pass and kept if every value passes the checks.
+    Otherwise `_entry_loop` reads it again; it accepts the same inputs and
+    names the line of the first error.
     """
-    return _matrix_market(io.StringIO(read_text(source)))
+    start = stream.tell()
+    fields = len(next((line for line in stream if line.strip()), "").split())
+    stream.seek(start)
+    parsed = _numeric_rows(stream, fields) if fields in widths else None
+    if (
+        parsed is not None
+        and (count is None or parsed[0].size == count)
+        and _in_range(parsed[0], lo, hi[0])
+        and _in_range(parsed[1], lo, hi[1])
+        and bool(((parsed[2] > 0) & (parsed[2] < np.inf)).all())
+    ):
+        u, v, w = parsed
+    else:
+        stream.seek(start)
+        u, v, w = _entry_loop(stream, lineno, comment, widths, lo, hi, count)
+    u -= lo
+    v -= lo
+    return u, v, w
+
+
+def _entry_loop(lines, lineno, comment, widths, lo, hi, count):
+    """`_entries` one line at a time, naming the line of the first error."""
+    us, vs, ws = [], [], []
+    for raw in lines:
+        lineno += 1
+        line = raw.strip()
+        if not line or line.startswith(comment):
+            continue
+        if len(us) == count:
+            raise GraphParseError(f"line {lineno}: more entries than the {count} declared")
+        toks = line.split()
+        if len(toks) not in widths:
+            expected = " or ".join(map(str, widths))
+            raise GraphParseError(f"line {lineno}: expected {expected} fields, got {line!r}")
+        try:
+            ids = int(toks[0]), int(toks[1])
+            weight = float(toks[2]) if len(toks) == 3 else 1.0
+        except ValueError:
+            raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
+        for x, top in zip(ids, hi):
+            if x < lo:
+                raise GraphParseError(f"line {lineno}: vertex index {x} below {lo} in {line!r}")
+            if x > top:
+                raise GraphParseError(f"line {lineno}: vertex index {x} exceeds {top}")
+        if not 0 < weight < math.inf:
+            raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
+        us.append(ids[0])
+        vs.append(ids[1])
+        ws.append(weight)
+    if count is not None and len(us) != count:
+        raise GraphParseError(f"line {lineno}: file ended after {len(us)} of {count} entries")
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
 
 
 def _matrix_market(stream: io.StringIO) -> Graph:
@@ -238,21 +299,8 @@ def _matrix_market(stream: io.StringIO) -> Graph:
     if rows < 0:
         raise GraphParseError(f"line {lineno}: missing size line")
 
-    want_weight = field != "pattern"
-    body_start = stream.tell()
-    parsed = _numeric_rows(stream, 3 if want_weight else 2)
-    if (
-        parsed is not None
-        and parsed[0].size == count
-        and _in_range(parsed[0], 1, rows)
-        and _in_range(parsed[1], 1, cols)
-        and _valid_weights(parsed[2])
-    ):
-        us, vs, ws = parsed[0] - 1, parsed[1] - 1, parsed[2]
-    else:
-        stream.seek(body_start)
-        us, vs, ws = _matrix_market_loop(stream, lineno, rows, cols, count, want_weight)
-
+    width = 2 if field == "pattern" else 3
+    us, vs, ws = _entries(stream, lineno, "%", (width,), 1, (rows, cols), count)
     if symmetry == "symmetric":
         off = us != vs
         us, vs, ws = (
@@ -263,127 +311,43 @@ def _matrix_market(stream: io.StringIO) -> Graph:
     return from_arcs(max(rows, cols), us, vs, ws)
 
 
-def _matrix_market_loop(lines, lineno: int, rows: int, cols: int, count: int, want_weight: bool):
-    """Parse MatrixMarket entries one line at a time, naming the line of any error."""
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    for raw in lines:
-        lineno += 1
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if len(us) >= count:
-            raise GraphParseError(f"line {lineno}: more entries than the {count} declared")
-        toks = line.split()
-        if len(toks) != (3 if want_weight else 2):
-            raise GraphParseError(f"line {lineno}: malformed entry {line!r}")
-        try:
-            i = int(toks[0])
-            j = int(toks[1])
-            weight = float(toks[2]) if want_weight else 1.0
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
-        if not (1 <= i <= rows) or not (1 <= j <= cols):
-            raise GraphParseError(
-                f"line {lineno}: index ({i}, {j}) outside declared {rows} x {cols} bounds"
-            )
-        if not 0 < weight < math.inf:
-            raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
-        us.append(i - 1)
-        vs.append(j - 1)
-        ws.append(weight)
-    if len(us) != count:
-        raise GraphParseError(f"line {lineno}: file ended after {len(us)} of {count} entries")
-    return _arrays(us, vs, ws)
+def load_graph(path: Source, fmt: str = "auto") -> Graph:
+    """Parse a graph file (path or text stream) into a raw, unpreprocessed graph.
+
+    ``fmt`` is ``"mtx"``, ``"edgelist"`` or ``"auto"``, which picks
+    MatrixMarket for a path named ``*.mtx``/``*.mm`` or a text that starts
+    with ``%%MatrixMarket`` (in any case), and an edge list otherwise.
+
+    MatrixMarket: header ``%%MatrixMarket matrix coordinate
+    (pattern|real|integer) (general|symmetric)``, a ``rows cols entries``
+    line, 1-based indices; ``pattern`` entries get weight 1 and
+    ``symmetric`` storage is expanded to both arc directions (diagonal
+    entries kept single).  Edge list: ``u v [w]`` lines, 0-based, ``#``
+    comments, weight 1 by default; the vertex count is the largest id plus
+    one.  In both, vertex counts are at most `MAX_VERTICES`, weights must
+    be finite and positive, and duplicate arcs merge by weight sum.
+    """
+    if fmt not in ("auto", "mtx", "edgelist"):
+        raise ValueError(f"unknown graph format {fmt!r}")
+    text = read_text(path)
+    if fmt == "auto":
+        named = not hasattr(path, "read") and str(path).endswith((".mtx", ".mm"))
+        fmt = "mtx" if named or text[:64].lower().startswith("%%matrixmarket") else "edgelist"
+    stream = io.StringIO(text)
+    if fmt == "mtx":
+        return _matrix_market(stream)
+    us, vs, ws = _entries(stream, 0, "#", (2, 3), 0, (MAX_VERTICES - 1,) * 2)
+    return from_arcs(1 + max(us.max(initial=-1), vs.max(initial=-1)), us, vs, ws)
 
 
-def _arrays(us: list, vs: list, ws: list):
-    return (
-        np.array(us, dtype=np.int64),
-        np.array(vs, dtype=np.int64),
-        np.array(ws, dtype=np.float64),
-    )
+def load_matrix_market(source: Source) -> Graph:
+    """`load_graph` for a MatrixMarket coordinate file, whatever its name."""
+    return load_graph(source, "mtx")
 
 
 def load_edge_list(source: Source) -> Graph:
-    """Parse a whitespace edge list (``u v [w]``, 0-based, ``#`` comments).
-
-    A missing weight defaults to 1.  The vertex count is the largest index
-    seen plus one, at most `MAX_VERTICES`.  Weights must be finite and
-    positive.  Duplicate arcs are merged by weight sum.
-    """
-    return _edge_list(io.StringIO(read_text(source)))
-
-
-def _edge_list(stream: io.StringIO) -> Graph:
-    first = next((line for line in stream if line.strip()), "")
-    fields = len(first.split())
-    stream.seek(0)
-    parsed = _numeric_rows(stream, fields) if fields in (2, 3) else None
-    if (
-        parsed is not None
-        and _in_range(parsed[0], 0, MAX_VERTICES - 1)
-        and _in_range(parsed[1], 0, MAX_VERTICES - 1)
-        and _valid_weights(parsed[2])
-    ):
-        us, vs, ws = parsed
-    else:
-        stream.seek(0)
-        us, vs, ws = _edge_list_loop(stream)
-    n = 1 + max(us.max(initial=-1), vs.max(initial=-1))
-    return from_arcs(n, us, vs, ws)
-
-
-def _edge_list_loop(lines):
-    """Parse edge-list lines one at a time, naming the line of any error."""
-    us: list[int] = []
-    vs: list[int] = []
-    ws: list[float] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if len(toks) not in (2, 3):
-            raise GraphParseError(f"line {lineno}: expected 'u v [w]', got {line!r}")
-        try:
-            u = int(toks[0])
-            v = int(toks[1])
-            weight = float(toks[2]) if len(toks) == 3 else 1.0
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
-        if u < 0 or v < 0:
-            raise GraphParseError(f"line {lineno}: negative vertex index in {line!r}")
-        if max(u, v) >= MAX_VERTICES:
-            raise GraphParseError(
-                f"line {lineno}: vertex index {max(u, v)} exceeds the supported maximum "
-                f"{MAX_VERTICES - 1}"
-            )
-        if not 0 < weight < math.inf:
-            raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
-        us.append(u)
-        vs.append(v)
-        ws.append(weight)
-    return _arrays(us, vs, ws)
-
-
-def load_graph(path: Source, fmt: str = "auto") -> Graph:
-    """Load by format name, or sniff from the file extension / first bytes."""
-    if fmt == "mtx":
-        return load_matrix_market(path)
-    if fmt == "edgelist":
-        return load_edge_list(path)
-    if fmt != "auto":
-        raise ValueError(f"unknown graph format {fmt!r}")
-    is_stream = hasattr(path, "read")
-    if not is_stream and str(path).endswith((".mtx", ".mm")):
-        return load_matrix_market(path)
-    text = read_text(path)
-    head = text.lstrip() if is_stream else text
-    if head[:64].lower().startswith("%%matrixmarket"):
-        return _matrix_market(io.StringIO(text))
-    return _edge_list(io.StringIO(text))
+    """`load_graph` for a whitespace edge list, whatever its name."""
+    return load_graph(source, "edgelist")
 
 
 def preprocess(

@@ -366,3 +366,30 @@ class TestBadGraphFile:
         out, err = capsys.readouterr()
         assert err.strip().splitlines() == [f"labelprop: skipping {bad}: line 1: not valid UTF-8 (byte 0xff)"]
         assert len(out.strip().splitlines()) == 2  # header + the tri2 row
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark on a graph or assignment file changes no output."""
+
+    @pytest.mark.parametrize("name, content", [
+        ("g.txt", "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"),
+        ("g.mtx", TRI2_MTX),
+        ("g.dat", TRI2_MTX),  # MatrixMarket by its header, not its name
+    ], ids=["edge-list", "mtx-name", "mtx-header"])
+    @pytest.mark.parametrize("command", ["info", "detect", "score"])
+    def test_same_output_as_without_mark(self, tmp_path, capsys, command, name, content):
+        graph = tmp_path / name
+        tsv = tmp_path / "a.tsv"
+        argv = {
+            "info": ["info", str(graph)],
+            "detect": ["detect", "--algorithm", "rak", "--strict", "--seed", "1",
+                       "--input", str(graph)],
+            "score": ["score", "--input", str(graph), "--assignment", str(tsv)],
+        }[command]
+        outputs = []
+        for mark in ("", "\ufeff"):
+            graph.write_text(mark + content, encoding="utf-8")
+            tsv.write_text(mark + "".join(f"{v}\t{v // 3}\n" for v in range(6)), encoding="utf-8")
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

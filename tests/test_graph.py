@@ -97,7 +97,7 @@ class TestEdgeList:
             el("0 x\n")
 
     def test_negative_index(self):
-        with pytest.raises(lp.GraphParseError, match="negative"):
+        with pytest.raises(lp.GraphParseError, match="line 1: vertex index -1 below 0"):
             el("0 -1\n")
 
     def test_non_positive_weight(self):
@@ -151,6 +151,55 @@ def test_from_arcs_rejects_endpoints_outside_the_vertex_range(u, v):
         lp.from_arcs(3, u, v, [1.0])
 
 
+@pytest.mark.parametrize("comment", [False, True], ids=["clean", "after-comment"])
+@pytest.mark.parametrize("mtx, edge", [
+    (("1 2 3 4", "expected 3 fields, got '1 2 3 4'"),
+     ("0 1 2 3", "expected 2 or 3 fields, got '0 1 2 3'")),
+    (("1 x 1.0", "non-numeric token in '1 x 1.0'"),
+     ("0 x 1.0", "non-numeric token in '0 x 1.0'")),
+    (("0 2 1.0", "vertex index 0 below 1 in '0 2 1.0'"),
+     ("-1 2 1.0", "vertex index -1 below 0 in '-1 2 1.0'")),
+    (("1 4 1.0", "vertex index 4 exceeds 3"),
+     (f"0 {MAX_VERTICES} 1.0", f"vertex index {MAX_VERTICES} exceeds {MAX_VERTICES - 1}")),
+    (("1 2 -1", "non-positive or non-finite weight -1.0"),
+     ("0 1 -1", "non-positive or non-finite weight -1.0")),
+], ids=["field-count", "non-numeric", "below-range", "above-range", "weight"])
+def test_both_formats_share_one_message_per_rule(mtx, edge, comment):
+    # a clean file tries the numpy parse first, a comment line goes straight to the loop
+    for load, head, marker, good, (entry, message), line in (
+        (mm, "%%MatrixMarket matrix coordinate real general\n3 3 2\n", "%", "1 2 1.0", mtx, 4),
+        (el, "", "#", "0 1 1.0", edge, 2),
+    ):
+        note = f"{marker} note\n" if comment else ""
+        with pytest.raises(lp.GraphParseError) as err:
+            load(f"{head}{note}{good}\n{entry}\n")
+        assert str(err.value) == f"line {line + comment}: {message}"
+
+
+class TestSniff:
+    """``load_graph`` picks the format by one rule for paths and streams."""
+
+    TRIANGLE = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n2 1\n3 1\n3 2\n"
+
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    @pytest.mark.parametrize(
+        "text", [TRIANGLE, TRIANGLE.lower(), "0 1\n1 2\n"], ids=["mtx", "mtx-lower", "edge-list"]
+    )
+    def test_paths_and_streams_read_alike(self, tmp_path, text, mark):
+        path = tmp_path / "g.txt"
+        path.write_text(mark + text, encoding="utf-8")
+        want = el(text) if text[0].isdigit() else mm(text)
+        for source in (path, io.StringIO(mark + text)):
+            assert graphs_equal(lp.load_graph(source), want)
+
+    def test_header_after_whitespace_is_not_sniffed(self, tmp_path):
+        path = tmp_path / "triangle.txt"
+        path.write_text(" " + self.TRIANGLE)
+        for source in (path, io.StringIO(" " + self.TRIANGLE)):
+            with pytest.raises(lp.GraphParseError, match="line 1: expected 2 or 3 fields"):
+                lp.load_graph(source)
+
+
 class TestNumericPath:
     """Clean files take the one-pass numpy parse; the line loop is not entered."""
 
@@ -159,8 +208,7 @@ class TestNumericPath:
         def fail(*args, **kwargs):
             raise AssertionError("line loop entered on a clean file")
 
-        monkeypatch.setattr(graph_module, "_edge_list_loop", fail)
-        monkeypatch.setattr(graph_module, "_matrix_market_loop", fail)
+        monkeypatch.setattr(graph_module, "_entry_loop", fail)
 
     def test_edge_list(self, no_loop):
         g = el("0 1\n\n1 2\n  2 0  \n0 1\n")
