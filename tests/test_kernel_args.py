@@ -100,6 +100,42 @@ def test_golden_state(key):
     assert full_state(algorithm, GRAPHS[graph_name](), **kw) == GOLDEN[key]
 
 
+
+# Non-strict runs draw from the RNG at every tie (and SLPA at every speaking
+# arc), so these pin the order in which each run consumes its stream.
+GOLDEN_NON_STRICT = {
+    ("ring", "rak"): (2, "5b30818a502c01acb4a1f33d6758cf042b3b309db82aa756e1638b648b85c853"),
+    ("ring", "slpa"): (9, "f843c7205ddde53a6e92ea9037c8ee3774507ed653776e1e655a687f30bd4af0"),
+    ("weighted", "rak"): (6, "ac72c6f27418e211e92c47905fa8b27cef0c8f365c4ef7235c0934cb8c6cb2ab"),
+    ("weighted", "slpa"): (9, "9bc5709ae8abb4653917d71d9b00bdac8c2f5fda0bb2ecb25aaf79b73d0f4966"),
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_NON_STRICT), ids="-".join)
+def test_golden_non_strict_state(key):
+    graph_name, algorithm = key
+    graph = GRAPHS[graph_name]()
+    if algorithm == "rak":
+        r = lp.rak_detect(graph, lp.RakParams(strict=False, seed=3))
+        got = r.iterations, digest(r.assignment)
+    else:
+        labels, it, (slots, filled) = slpa._run(
+            graph, lp.SlpaParams(memory_size=10, strict=False, seed=3)
+        )
+        got = it, digest(labels, slots, filled)
+    assert got == GOLDEN_NON_STRICT[key]
+
+
+GOLDEN_SHUFFLE = {
+    (1000, 9): "d414bb15358069e09fd389c6a8a15313d0297b44389db244f9375aa18269ca93",
+    (100_000, 7): "a8f375b509df2c639fcb8ad9d0f9ea56ce431299b1f3559dbcf63c2b64905d47",
+}
+
+
+@pytest.mark.parametrize("n, seed", list(GOLDEN_SHUFFLE))
+def test_golden_shuffle(n, seed):
+    assert digest(prng.shuffled_indices(n, seed)) == GOLDEN_SHUFFLE[n, seed]
+
 def test_kernel_args_follow_the_backend():
     a = np.arange(3)
     (out,) = kernel_args(a)
