@@ -50,7 +50,9 @@ class CopraParams:
 
 
 @njit(cache=True)
-def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, out_bel, row):
+def _select_labels(
+    touched, tally, count, max_labels, stream, cursors, slot, out_labels, out_bel, row
+):
     # Keep labels whose normalized share reaches 1/max_labels (compared as
     # tally * max_labels >= total to avoid per-label division), renormalize
     # the kept ones, and store them sorted by label id in the row starting
@@ -70,7 +72,7 @@ def _select_labels(touched, tally, count, max_labels, states, slot, out_labels, 
             kept += w
             k += 1
     if k == 0:
-        out_labels[row] = _pick_from_tally(touched, tally, count, False, states, slot)
+        out_labels[row] = _pick_from_tally(touched, tally, count, False, stream, cursors, slot)
         out_bel[row] = 1.0
         return 1
     inv = 1.0 / kept
@@ -106,7 +108,7 @@ def _best_of_row(labs, bels, row, k):
 @njit(cache=True, parallel=True)
 def _copra(
     offsets, neighbors, weights, labs, bels, sizes, pub, best, tolerance, max_labels,
-    max_iterations, states, tallies, touches, chunk
+    max_iterations, streams, cursors, tallies, touches, chunk
 ):
     # Vertex v owns label rows 2v and 2v + 1 of the flat labs/bels (row r
     # starts at r * max_labels and holds sizes[r] live entries); pub[v]
@@ -120,6 +122,7 @@ def _copra(
         changed = 0
         for c in prange(n_chunks):
             tid = get_thread_id()
+            stream = streams[tid]
             tally = tallies[tid]
             touched = touches[tid]
             local = 0
@@ -151,7 +154,7 @@ def _copra(
                     newbest = v
                 else:
                     k = _select_labels(
-                        touched, tally, count, max_labels, states, tid, labs, bels, rv
+                        touched, tally, count, max_labels, stream, cursors, tid, labs, bels, rv
                     )
                     for i in range(count):
                         tally[touched[i]] = 0.0
@@ -187,7 +190,7 @@ def _run(graph: Graph, params: CopraParams):
     pub = np.arange(0, 2 * n, 2, dtype=np.int64)
     iterations, (labs, bels, sizes, pub, best) = launch(
         _copra, graph, params, (labs, bels, sizes, pub, np.arange(n, dtype=np.int64)),
-        (params.tolerance, L, params.max_iterations),
+        (params.tolerance, L, params.max_iterations), n,
     )
     return best, iterations, (labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub])
 
@@ -216,7 +219,9 @@ def collect_and_threshold(labels, weights, max_labels: int, rng: XorShift32):
     touched, tally, count = _dense_tally(labels, weights)
     out_l = np.zeros(max_labels, dtype=np.int64)
     out_b = np.zeros(max_labels, dtype=np.float64)
-    k = _select_labels(touched, tally, count, max_labels, rng._state, 0, out_l, out_b, 0)
+    k = _select_labels(
+        touched, tally, count, max_labels, rng._row, rng._cursors, 0, out_l, out_b, 0
+    )
     return out_l[:k].copy(), out_b[:k].copy()
 
 

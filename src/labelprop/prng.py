@@ -1,24 +1,39 @@
 """Deterministic xorshift32 random numbers.
 
 Every randomized code path (non-strict tie breaking, random best-label
-fallbacks, speaker draws) pulls from this generator, so a run is fully
-reproducible from one 32-bit seed.  The step is Marsaglia's classic
-triple shift (13, 17, 5 on 32 bits, wrapping); the advanced state is the
-output.  Bounded draws use plain modulo reduction -- the bias is at most
-``n / 2**32``, negligible for the bounds used here, and fixing a single
-reduction rule keeps sequences comparable across implementations.
+fallbacks, speaker draws, the visit-order shuffle) pulls from this
+generator, so a run is fully reproducible from one 32-bit seed.  The
+step is Marsaglia's classic triple shift (13, 17, 5 on 32 bits,
+wrapping); the advanced state is the output.  Bounded draws use plain
+modulo reduction -- the bias is at most ``n / 2**32``, negligible for the
+bounds used here, and fixing a single reduction rule keeps sequences
+comparable across implementations.
 
-States are carried in int64 arrays (one slot per worker), or in lists of
-Python ints when the kernels run interpreted, so the same functions work
-inside compiled kernels and in plain Python; all arithmetic is masked
-back to 32 bits explicitly.
+Draws read precomputed streams.  A stream row holds upcoming outputs of
+one worker's sequence, and a cursor indexes the next unread one; a draw
+in ``[0, n)`` is ``row[k] % n`` with the cursor then moved past ``k``.
+`refill` drops the values already read and appends as many fresh ones,
+continuing from the row's last value, since the last output is the
+state.  A run therefore consumes exactly the outputs that one sequential
+generator per worker gives, in the same order, wherever the refills
+fall.  Interpreted, the fresh values come from `xs32_stream`, which
+steps many jump-ahead lanes together in numpy; compiled, `refill` is a
+plain loop.  The visit-order shuffle reads one stream of ``n - 1``
+values.
+
+Rows are int64 arrays (one per worker), or lists of Python ints when the
+kernels run interpreted, so the same functions work inside compiled
+kernels and in plain Python; all arithmetic is masked back to 32 bits
+explicitly.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ._backend import kernel_args, njit
+from ._backend import JIT_ENABLED, kernel_args, njit
 
 _MASK = 0xFFFFFFFF
 
@@ -37,12 +52,59 @@ def xs32_next(state):
     return x
 
 
-@njit(cache=True)
-def draw_bounded(states, slot, n):
-    """Draw an integer in [0, n) from states[slot], advancing it in place."""
-    x = xs32_next(states[slot])
-    states[slot] = x
-    return x % n
+_BITS = np.arange(32, dtype=np.uint32)
+
+
+def _step(x):
+    """xs32_next on a uint32 array (the shifts wrap at 32 bits)."""
+    x ^= x << np.uint32(13)
+    x ^= x >> np.uint32(17)
+    x ^= x << np.uint32(5)
+    return x
+
+
+def _apply(columns, x):
+    """The GF(2) matrix with these 32 columns times every state in ``x``."""
+    bits = ((x[:, None] >> _BITS) & np.uint32(1)).astype(bool)
+    return np.bitwise_xor.reduce(np.where(bits, columns, np.uint32(0)), axis=1)
+
+
+@functools.cache
+def _jump(power):
+    """Columns of M^(2^power), M the matrix of one xorshift32 step."""
+    if power == 0:
+        columns = _step(np.uint32(1) << _BITS)
+    else:
+        half = _jump(power - 1)
+        columns = _apply(half, half)
+    columns.setflags(write=False)  # cached: every caller shares it
+    return columns
+
+
+def xs32_stream(state, count):
+    """The next ``count`` outputs after ``state``, as an int64 array.
+
+    Equal to ``count`` calls of `xs32_next`.  xorshift32 is linear over
+    GF(2), so the k-th state after x is M^k x.  The stream is cut into
+    lanes of 2^p steps; the lane starts come from ``state`` by the jumps
+    M^(2^q), built on first use and cached, which double the lane count
+    each time, and then all lanes step together in numpy (Haramoto et al.
+    2008, "Efficient jump ahead for F2-linear random number generators").
+    """
+    if count <= 0:
+        return np.empty(0, dtype=np.int64)
+    # lanes of about count^(1/3) steps: each step and each jump is a few
+    # numpy calls, whose fixed cost dominates at these sizes
+    power = int(count).bit_length() // 3
+    lanes = -(-count // (1 << power))
+    x = np.array([state & _MASK], dtype=np.uint32)
+    while x.size < lanes:
+        x = np.concatenate([x, _apply(_jump(power + x.size.bit_length() - 1), x)])
+    x = x[:lanes]
+    block = np.empty((1 << power, lanes), dtype=np.uint32)
+    for t in range(1 << power):
+        block[t] = _step(x)
+    return block.T.reshape(-1)[:count].astype(np.int64)
 
 
 @njit(cache=True)
@@ -75,49 +137,108 @@ def worker_states(seed: int, workers: int) -> np.ndarray:
     return states
 
 
+def _refill_loop(row, cursors, slot):
+    read = cursors[slot]
+    keep = len(row) - read
+    x = row[len(row) - 1]
+    for i in range(keep):
+        row[i] = row[read + i]
+    for i in range(keep, len(row)):
+        x = xs32_next(x)
+        row[i] = x
+    cursors[slot] = 0
+
+
+def _refill_lanes(row, cursors, slot):
+    read = cursors[slot]
+    fresh = xs32_stream(row[-1], read).tolist()
+    row[: len(row) - read] = row[read:]
+    row[len(row) - read:] = fresh
+    cursors[slot] = 0
+
+
+# refill(row, cursors, slot): drop the ``cursors[slot]`` values of ``row``
+# already read, move the rest to the front and append as many fresh values,
+# continuing from the row's last value (the last output is the state); the
+# cursor goes back to 0.  Compiled, a plain loop; interpreted, numpy lanes.
+refill = njit(cache=True)(_refill_loop) if JIT_ENABLED else _refill_lanes
+
+
+@njit(cache=True)
+def next_output(row, cursors, slot):
+    """The next unread value of a stream row; the row is refilled only when
+    every value has been read."""
+    k = cursors[slot]
+    if k == len(row):
+        refill(row, cursors, slot)
+        k = 0
+    cursors[slot] = k + 1
+    return row[k]
+
+
+def stream_rows(states, size):
+    """(rows, cursors): one stream row of ``size`` values per state, all read.
+
+    Row k ends with ``states[k]`` and its cursor is at the end, so its first
+    read refills it with the outputs that follow the state.  The rows are
+    fixed-capacity; a refill rewrites them in place.
+    """
+    rows = np.zeros((len(states), size), dtype=np.int64)
+    rows[:, -1] = states
+    return rows, np.full(len(states), size, dtype=np.int64)
+
+
 # Stream index for visit-order shuffles; far above any real worker index so
 # the order stream never collides with a worker stream.
 _ORDER_STREAM = 0x4F524452
 
 
 @njit(cache=True)
-def _fisher_yates(order, states):
+def _fisher_yates(order, stream):
+    # position i swaps with stream[k] % (i + 1), k counting up as i falls
+    k = 0
     for i in range(len(order) - 1, 0, -1):
-        j = draw_bounded(states, 0, i + 1)
+        j = stream[k] % (i + 1)
         order[i], order[j] = order[j], order[i]
+        k += 1
 
 
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
     """Seed-determined permutation of range(n), stable across backends."""
-    order, states = kernel_args(
+    order, stream = kernel_args(
         np.arange(n, dtype=np.int64),
-        np.array([mix_seed(int(seed) & _MASK, _ORDER_STREAM)], dtype=np.int64),
+        xs32_stream(mix_seed(int(seed) & _MASK, _ORDER_STREAM), n - 1),
     )
-    _fisher_yates(order, states)
+    _fisher_yates(order, stream)
     return np.asarray(order, dtype=np.int64)
 
 
 class XorShift32:
-    """Single-stream generator for sequential use and tests."""
+    """Single-stream generator for sequential use and tests.
+
+    It reads one stream row, as a kernel worker does, so its draws follow
+    the kernels' draw rule exactly.
+    """
+
+    _ROW = 1024
 
     def __init__(self, seed: int):
         s = int(seed) & _MASK
         if s == 0:
             s = ZERO_SEED_REPLACEMENT
-        self._state = np.array([s], dtype=np.int64)
+        rows, self._cursors = kernel_args(*stream_rows([s], self._ROW))
+        self._row = rows[0]
 
     @property
     def state(self) -> int:
-        return int(self._state[0])
+        return int(self._row[self._cursors[0] - 1])
 
     def next(self) -> int:
         """Next 32-bit value; also the new state."""
-        x = xs32_next(self._state[0])
-        self._state[0] = x
-        return int(x)
+        return int(next_output(self._row, self._cursors, 0))
 
     def next_bounded(self, n: int) -> int:
         """Uniform-ish integer in [0, n) by modulo reduction."""
         if n < 1:
             raise ValueError("bound must be a positive integer")
-        return int(draw_bounded(self._state, 0, n))
+        return self.next() % n

@@ -49,7 +49,7 @@ import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
-from .prng import XorShift32, draw_bounded, shuffled_indices
+from .prng import XorShift32, next_output, shuffled_indices
 from .quality import modularity
 from .result import DetectionResult, launch
 
@@ -72,26 +72,24 @@ class RakParams:
 
 
 @njit(cache=True)
-def _pick_from_tally(touched, tally, count, strict, states, slot):
+def _pick_from_tally(touched, tally, count, strict, stream, cursors, slot):
     # touched[:count] holds the distinct labels in scan order; tally is the
     # dense accumulator.  Ties compare accumulated weights exactly.
     best_w = -1.0
     best = -1
+    ties = 0
     for i in range(count):
         lab = touched[i]
         w = tally[lab]
         if w > best_w:
             best_w = w
             best = lab
-    if strict or count == 1:
-        return best
-    ties = 0
-    for i in range(count):
-        if tally[touched[i]] == best_w:
+            ties = 1
+        elif w == best_w:
             ties += 1
-    if ties == 1:
+    if strict or ties == 1:
         return best
-    j = draw_bounded(states, slot, ties)
+    j = next_output(stream, cursors, slot) % ties
     for i in range(count):
         lab = touched[i]
         if tally[lab] == best_w:
@@ -103,10 +101,10 @@ def _pick_from_tally(touched, tally, count, strict, states, slot):
 
 @njit(cache=True, parallel=True)
 def _rak(
-    offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, states, tallies,
-    touches, chunk
+    offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, streams,
+    cursors, tallies, touches, chunk
 ):
-    # worker tid draws from states[tid] and tallies in its own rows
+    # worker tid draws from streams[tid] and tallies in its own rows
     n = len(labels)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
@@ -115,6 +113,7 @@ def _rak(
         changed = 0
         for c in prange(n_chunks):
             tid = get_thread_id()
+            stream = streams[tid]
             tally = tallies[tid]
             touched = touches[tid]
             local = 0
@@ -132,7 +131,7 @@ def _rak(
                     tally[lab] += weights[e]
                 if count == 0:
                     continue  # no incident arcs at all: label cannot move
-                best = _pick_from_tally(touched, tally, count, strict, states, tid)
+                best = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
                 for i in range(count):
                     tally[touched[i]] = 0.0
                 if best != labels[v]:
@@ -261,7 +260,7 @@ def _run(graph: Graph, params: RakParams, order: np.ndarray):
     else:
         iterations, (labels, _) = launch(
             _rak, graph, params, (labels, order),
-            (params.strict, params.tolerance, params.max_iterations),
+            (params.strict, params.tolerance, params.max_iterations), labels.size,
         )
     return labels, iterations, (labels,)
 
@@ -308,4 +307,4 @@ def choose_max_label(labels, weights, strict: bool, rng: XorShift32) -> int:
     among all tied maxima using ``rng``.
     """
     touched, tally, count = _dense_tally(labels, weights)
-    return int(_pick_from_tally(touched, tally, count, strict, rng._state, 0))
+    return int(_pick_from_tally(touched, tally, count, strict, rng._row, rng._cursors, 0))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._backend import CHUNK, MAX_THREADS, PAD, get_num_threads, kernel_args, set_num_threads
-from .prng import worker_states
+from .prng import stream_rows, worker_states
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,22 @@ class DetectionResult:
     modularity: float
 
 
-def launch(kernel, graph, params, state, scalars):
+# Largest stream row a worker holds, so that rows stay O(max degree), not O(arcs).
+STREAM_CAP = 1 << 16
+
+
+def launch(kernel, graph, params, state, scalars, draws):
     """Run a chunked kernel on ``params.workers`` threads (clamped to the pool).
 
     The kernel is called as ``kernel(offsets, neighbors, weights, *state,
-    *scalars, states, tallies, touches, CHUNK)`` and updates ``state`` in
-    place.  Worker k draws from its own RNG state, ``mix_seed(seed, k)``,
-    and tallies in its own dense row with a touched-label row, both
+    *scalars, streams, cursors, tallies, touches, CHUNK)`` and updates
+    ``state`` in place.  Worker k draws from its own xorshift32 stream,
+    which starts after ``mix_seed(seed, k)``: row ``streams[k]`` holds
+    precomputed values of it and ``cursors[k]`` indexes the next unread
+    one (`labelprop.prng.stream_rows`).  A row holds ``draws`` values (the
+    most one iteration may read), capped at ``STREAM_CAP`` but never fewer
+    than the largest degree + 1, and is filled on its first read.  Worker
+    k also tallies in its own dense row with a touched-label row, both
     padded by ``PAD``.  Returns the iteration count and the final state
     as numpy arrays of the input dtypes; on an empty graph the kernel is
     not run and the count is 0.
@@ -42,9 +51,10 @@ def launch(kernel, graph, params, state, scalars):
     if n == 0:
         return 0, tuple(state)
     workers = min(params.workers, MAX_THREADS)
+    size = max(min(draws, STREAM_CAP), int(np.diff(graph.offsets).max()) + 1)
     args = kernel_args(
         graph.offsets, graph.neighbors, graph.weights, *state,
-        worker_states(params.seed, workers),
+        *stream_rows(worker_states(params.seed, workers), size),
         np.zeros((workers, n + PAD), dtype=np.float64),
         np.empty((workers, n + PAD), dtype=np.int64),
     )

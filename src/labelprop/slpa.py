@@ -23,7 +23,7 @@ import numpy as np
 
 from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
-from .prng import draw_bounded
+from .prng import refill
 from .quality import modularity
 from .rak import _pick_from_tally
 from .result import DetectionResult, launch
@@ -66,24 +66,32 @@ def _modal_label(slots, row, filled):
 
 @njit(cache=True)
 def _listen(
-    offsets, neighbors, weights, slots, filled, memory_size, v, strict, states, slot, tally, touched
+    offsets, neighbors, weights, slots, filled, memory_size, v, strict, stream, cursors, slot,
+    tally, touched
 ):
-    # slots is flat: vertex v's memory starts at v * memory_size
+    # slots is flat: vertex v's memory starts at v * memory_size.  A listener
+    # draws at most once per arc and once for a tie, so with degree + 1
+    # unread values in its stream row it reads them inline.
+    k = cursors[slot]
+    if len(stream) - k <= offsets[v + 1] - offsets[v]:
+        refill(stream, cursors, slot)
+        k = 0
     count = 0
     for e in range(offsets[v], offsets[v + 1]):
         u = neighbors[e]
         if u == v:
             continue  # self-loops do not speak
-        j = draw_bounded(states, slot, filled[u])
-        lab = slots[u * memory_size + j]
+        lab = slots[u * memory_size + stream[k] % filled[u]]
+        k += 1
         if tally[lab] == 0.0:
             touched[count] = lab
             count += 1
         tally[lab] += weights[e]
+    cursors[slot] = k
     if count == 0:
         # no speakers: fall back to the listener's own most popular label
         return _modal_label(slots, v * memory_size, filled[v])
-    lab = _pick_from_tally(touched, tally, count, strict, states, slot)
+    lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, slot)
     for i in range(count):
         tally[touched[i]] = 0.0
     return lab
@@ -92,7 +100,7 @@ def _listen(
 @njit(cache=True, parallel=True)
 def _slpa(
     offsets, neighbors, weights, slots, filled, prev, labels, memory_size, strict, tolerance,
-    states, tallies, touches, chunk
+    streams, cursors, tallies, touches, chunk
 ):
     # ends by writing each memory's modal label to labels[v]
     n = len(filled)
@@ -103,6 +111,7 @@ def _slpa(
         repeats = 0
         for c in prange(n_chunks):
             tid = get_thread_id()
+            stream = streams[tid]
             tally = tallies[tid]
             touched = touches[tid]
             local = 0
@@ -111,8 +120,8 @@ def _slpa(
                 hi = n
             for v in range(c * chunk, hi):
                 lab = _listen(
-                    offsets, neighbors, weights, slots, filled, memory_size, v, strict, states,
-                    tid, tally, touched,
+                    offsets, neighbors, weights, slots, filled, memory_size, v, strict, stream,
+                    cursors, tid, tally, touched,
                 )
                 slots[v * memory_size + filled[v]] = lab
                 filled[v] += 1  # publish only after the slot is written
@@ -137,7 +146,7 @@ def _run(graph: Graph, params: SlpaParams):
     prev = np.full(n, -1, dtype=np.int64)
     iterations, (slots, filled, _, labels) = launch(
         _slpa, graph, params, (slots, filled, prev, np.empty(n, dtype=np.int64)),
-        (M, params.strict, params.tolerance),
+        (M, params.strict, params.tolerance), graph.edge_count + n,
     )
     return labels, iterations, (slots.reshape(n, M), filled)
 

@@ -5,7 +5,8 @@ Python lists (``kernel_args``); compiled kernels always receive numpy
 arrays.
 The golden hashes pin the full detector state on two graphs, and the
 equivalence test runs the same kernels on arrays, which checks the
-flat-row index arithmetic without needing numba.
+flat-row index arithmetic, and the loop that refills stream rows under
+numba, without needing numba.
 """
 
 import hashlib
@@ -176,6 +177,9 @@ def test_array_fed_kernels_match_list_fed(monkeypatch):
             return arrays
 
         monkeypatch.setattr(module, "kernel_args", arrays_unchanged)
+    # refill its stream rows with the compiled path's loop, as numba would
+    for module in (prng, slpa):
+        monkeypatch.setattr(module, "refill", prng._refill_loop)
     fed_arrays = _every_run()
     assert called == {"labelprop.result", "labelprop.prng"}
     assert fed_arrays == fed_by_backend

@@ -23,7 +23,8 @@ def oracle(graph, order, tolerance, max_iterations):
     labels = list(range(n))
     iterations = _kernel(
         graph.offsets.tolist(), graph.neighbors.tolist(), graph.weights.tolist(), labels,
-        order.tolist(), True, tolerance, max_iterations, [1], [[0.0] * n], [[0] * n], CHUNK,
+        order.tolist(), True, tolerance, max_iterations, [[1]], [1], [[0.0] * n], [[0] * n],
+        CHUNK,
     )
     return labels, iterations
 
