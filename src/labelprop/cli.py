@@ -3,7 +3,10 @@
 ``detect`` writes a ``vertex<TAB>community`` TSV (stdout by default) and a
 one-line summary on stderr.  ``sweep`` streams a CSV of runs over the
 parameter grids.  ``score`` recomputes modularity for a saved assignment.
-``info`` prints vertex/edge counts and average degree per graph.
+``info`` prints vertex/edge counts and average degree per graph.  A file
+that cannot be read or parsed ends a command with one ``labelprop: ...``
+line and exit 1 (``sweep`` skips such a graph, ``info`` reports it and
+goes on).
 """
 
 from __future__ import annotations
@@ -156,11 +159,7 @@ def cmd_detect(args) -> int:
                   f"--algorithm {args.algorithm}", file=sys.stderr)
             return 2
     strict = options.pop("strict", False)
-    try:
-        graph = _load(args, args.input)
-    except (OSError, GraphParseError) as exc:
-        print(f"labelprop: {exc}", file=sys.stderr)
-        return 1
+    graph = _load(args, args.input)
     result = run_one(
         args.algorithm,
         graph,
@@ -173,12 +172,8 @@ def cmd_detect(args) -> int:
     if args.output == "-":
         sys.stdout.write(lines)
     else:
-        try:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(lines)
-        except OSError as exc:
-            print(f"labelprop: {exc}", file=sys.stderr)
-            return 1
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(lines)
     print(
         f"vertices={graph.vertex_count} iterations={result.iterations} "
         f"elapsed_ms={result.elapsed * 1000.0:.3f} modularity={result.modularity:.12f}",
@@ -203,11 +198,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"labelprop sweep: error: {exc}", file=sys.stderr)
         return 2
-    try:
-        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        print(f"labelprop: {exc}", file=sys.stderr)
-        return 1
+    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
         print(CSV_HEADER, file=out, flush=True)
 
@@ -229,50 +220,32 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_score(args) -> int:
-    try:
-        graph = _load(args, args.input)
-    except (OSError, GraphParseError) as exc:
-        print(f"labelprop: {exc}", file=sys.stderr)
-        return 1
+    graph = _load(args, args.input)
     n = graph.vertex_count
     communities = np.zeros(n, dtype=np.int64)
     assigned = np.zeros(n, dtype=bool)
-    try:
-        text = read_text(args.assignment)
-    except (OSError, GraphParseError) as exc:
-        print(f"labelprop: {exc}", file=sys.stderr)
-        return 1
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(read_text(args.assignment).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         toks = line.split()
         if len(toks) != 2:
-            print(f"labelprop: line {lineno}: expected 'vertex<TAB>community'", file=sys.stderr)
-            return 1
+            raise GraphParseError(f"line {lineno}: expected 'vertex<TAB>community'")
         try:
             v, c = int(toks[0]), int(toks[1])
         except ValueError:
-            print(f"labelprop: line {lineno}: non-integer token in assignment file",
-                  file=sys.stderr)
-            return 1
+            raise GraphParseError(f"line {lineno}: non-integer token in assignment file") from None
         if not 0 <= v < n:
-            print(f"labelprop: line {lineno}: vertex {v} out of range [0, {n})",
-                  file=sys.stderr)
-            return 1
+            raise GraphParseError(f"line {lineno}: vertex {v} out of range [0, {n})")
         if assigned[v]:
-            print(f"labelprop: line {lineno}: duplicate assignment for vertex {v}",
-                  file=sys.stderr)
-            return 1
+            raise GraphParseError(f"line {lineno}: duplicate assignment for vertex {v}")
         if not -2**63 <= c < 2**63:
-            print(f"labelprop: line {lineno}: community id {c} outside int64", file=sys.stderr)
-            return 1
+            raise GraphParseError(f"line {lineno}: community id {c} outside int64")
         communities[v] = c
         assigned[v] = True
     missing = np.flatnonzero(~assigned)
     if missing.size:
-        print(f"labelprop: missing assignment for vertex {int(missing[0])}", file=sys.stderr)
-        return 1
+        raise GraphParseError(f"missing assignment for vertex {int(missing[0])}")
     # external community ids may be sparse; compact them for scoring
     _, compact = np.unique(communities, return_inverse=True)
     q = modularity(graph, compact.astype(np.int64))
@@ -297,15 +270,16 @@ def cmd_info(args) -> int:
     return status
 
 
+COMMANDS = {"detect": cmd_detect, "sweep": cmd_sweep, "score": cmd_score, "info": cmd_info}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "detect":
-        return cmd_detect(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "score":
-        return cmd_score(args)
-    return cmd_info(args)
+    try:
+        return COMMANDS[args.command](args)
+    except (OSError, GraphParseError) as exc:
+        print(f"labelprop: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,14 +12,14 @@ comparable across implementations.
 Draws read precomputed streams.  A stream row holds upcoming outputs of
 one worker's sequence, and a cursor indexes the next unread one; a draw
 in ``[0, n)`` is ``row[k] % n`` with the cursor then moved past ``k``.
-`refill` drops the values already read and appends as many fresh ones,
-continuing from the row's last value, since the last output is the
-state.  A run therefore consumes exactly the outputs that one sequential
-generator per worker gives, in the same order, wherever the refills
-fall.  Interpreted, the fresh values come from `xs32_stream`, which
-steps many jump-ahead lanes together in numpy; compiled, `refill` is a
-plain loop.  The visit-order shuffle reads one stream of ``n - 1``
-values.
+`refill` regenerates the whole row from the last value read: that value
+is the generator's state, so the row again holds the unread values first
+and fresh ones after them.  A run therefore consumes exactly the outputs
+that one sequential generator per worker gives, in the same order,
+wherever the refills fall.  Interpreted, the row comes from
+`xs32_stream`, which steps many jump-ahead lanes together in numpy;
+compiled, `refill` is a plain loop.  The visit-order shuffle reads one
+stream of ``n - 1`` values.
 
 Rows are int64 arrays (one per worker), or lists of Python ints when the
 kernels run interpreted, so the same functions work inside compiled
@@ -138,29 +138,23 @@ def worker_states(seed: int, workers: int) -> np.ndarray:
 
 
 def _refill_loop(row, cursors, slot):
-    read = cursors[slot]
-    keep = len(row) - read
-    x = row[len(row) - 1]
-    for i in range(keep):
-        row[i] = row[read + i]
-    for i in range(keep, len(row)):
+    x = row[cursors[slot] - 1]
+    for i in range(len(row)):
         x = xs32_next(x)
         row[i] = x
     cursors[slot] = 0
 
 
 def _refill_lanes(row, cursors, slot):
-    read = cursors[slot]
-    fresh = xs32_stream(row[-1], read).tolist()
-    row[: len(row) - read] = row[read:]
-    row[len(row) - read:] = fresh
+    row[:] = xs32_stream(row[cursors[slot] - 1], len(row)).tolist()
     cursors[slot] = 0
 
 
-# refill(row, cursors, slot): drop the ``cursors[slot]`` values of ``row``
-# already read, move the rest to the front and append as many fresh values,
-# continuing from the row's last value (the last output is the state); the
-# cursor goes back to 0.  Compiled, a plain loop; interpreted, numpy lanes.
+# refill(row, cursors, slot): regenerate the whole row from the last value
+# read, ``row[cursors[slot] - 1]`` (the last output is the state), which
+# gives the unread values first and then fresh ones; the cursor goes back
+# to 0 and must be at least 1 before.  Compiled, a plain loop; interpreted,
+# numpy lanes.
 refill = njit(cache=True)(_refill_loop) if JIT_ENABLED else _refill_lanes
 
 

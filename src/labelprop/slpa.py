@@ -8,7 +8,10 @@ weight and appends the winner (strict: first maximum in neighbor scan
 order; non-strict: random among maxima).  Self-loops do not speak, and a
 listener with no speaking neighbors appends its own current most popular
 label.  The run stops early once enough vertices append the same label
-they appended in the previous iteration.
+they appended in the previous iteration.  That label is the memory's last
+filled slot, so the memory is the only state a vertex carries; in the
+first iteration the slot holds the vertex's own id, but repeats are
+counted toward stopping only from the second iteration on.
 
 The disjoint projection is the modal label of each memory, frequency ties
 broken by the smallest label id.
@@ -48,61 +51,30 @@ class SlpaParams:
 
 @njit(cache=True)
 def _modal_label(slots, row, filled):
-    # most frequent of slots[row:row + filled]; frequency ties go to the
-    # smallest id.  O(filled^2), fine for the small memories used here.
-    best = -1
+    # most frequent of slots[row:row + filled]: one scan over the sorted
+    # memory, where the strict > keeps the smallest id among tied runs
+    memory = sorted(slots[row:row + filled])
+    best = memory[0]
     best_count = 0
-    for i in range(row, row + filled):
-        lab = slots[i]
-        c = 0
-        for j in range(row, row + filled):
-            if slots[j] == lab:
-                c += 1
-        if c > best_count or (c == best_count and lab < best):
-            best = lab
-            best_count = c
+    run = 0
+    for i in range(len(memory)):
+        if i > 0 and memory[i] == memory[i - 1]:
+            run += 1
+        else:
+            run = 1
+        if run > best_count:
+            best = memory[i]
+            best_count = run
     return best
-
-
-@njit(cache=True)
-def _listen(
-    offsets, neighbors, weights, slots, filled, memory_size, v, strict, stream, cursors, slot,
-    tally, touched
-):
-    # slots is flat: vertex v's memory starts at v * memory_size.  A listener
-    # draws at most once per arc and once for a tie, so with degree + 1
-    # unread values in its stream row it reads them inline.
-    k = cursors[slot]
-    if len(stream) - k <= offsets[v + 1] - offsets[v]:
-        refill(stream, cursors, slot)
-        k = 0
-    count = 0
-    for e in range(offsets[v], offsets[v + 1]):
-        u = neighbors[e]
-        if u == v:
-            continue  # self-loops do not speak
-        lab = slots[u * memory_size + stream[k] % filled[u]]
-        k += 1
-        if tally[lab] == 0.0:
-            touched[count] = lab
-            count += 1
-        tally[lab] += weights[e]
-    cursors[slot] = k
-    if count == 0:
-        # no speakers: fall back to the listener's own most popular label
-        return _modal_label(slots, v * memory_size, filled[v])
-    lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, slot)
-    for i in range(count):
-        tally[touched[i]] = 0.0
-    return lab
 
 
 @njit(cache=True, parallel=True)
 def _slpa(
-    offsets, neighbors, weights, slots, filled, prev, labels, memory_size, strict, tolerance,
-    streams, cursors, tallies, touches, chunk
+    offsets, neighbors, weights, slots, filled, labels, memory_size, strict, tolerance, streams,
+    cursors, tallies, touches, chunk
 ):
-    # ends by writing each memory's modal label to labels[v]
+    # slots is flat: vertex v's memory starts at v * memory_size.  Ends by
+    # writing each memory's modal label to labels[v].
     n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
@@ -119,15 +91,37 @@ def _slpa(
             if hi > n:
                 hi = n
             for v in range(c * chunk, hi):
-                lab = _listen(
-                    offsets, neighbors, weights, slots, filled, memory_size, v, strict, stream,
-                    cursors, tid, tally, touched,
-                )
-                slots[v * memory_size + filled[v]] = lab
-                filled[v] += 1  # publish only after the slot is written
-                if lab == prev[v]:
+                # a listener draws at most once per arc and once for a tie,
+                # so with degree + 1 unread values in its row it reads them inline
+                k = cursors[tid]
+                if len(stream) - k <= offsets[v + 1] - offsets[v]:
+                    refill(stream, cursors, tid)
+                    k = 0
+                count = 0
+                for e in range(offsets[v], offsets[v + 1]):
+                    u = neighbors[e]
+                    if u == v:
+                        continue  # self-loops do not speak
+                    lab = slots[u * memory_size + stream[k] % filled[u]]
+                    k += 1
+                    if tally[lab] == 0.0:
+                        touched[count] = lab
+                        count += 1
+                    tally[lab] += weights[e]
+                cursors[tid] = k
+                row = v * memory_size
+                if count == 0:
+                    # no speakers: fall back to the listener's own most popular label
+                    lab = _modal_label(slots, row, filled[v])
+                else:
+                    lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
+                    for i in range(count):
+                        tally[touched[i]] = 0.0
+                free = row + filled[v]
+                if lab == slots[free - 1]:
                     local += 1
-                prev[v] = lab
+                slots[free] = lab
+                filled[v] += 1  # publish only after the slot is written
             repeats += local
         if t >= 2 and repeats >= (1.0 - tolerance) * n:
             break
@@ -143,9 +137,8 @@ def _run(graph: Graph, params: SlpaParams):
     slots = np.zeros(n * M, dtype=np.int64)
     slots[::M] = np.arange(n)
     filled = np.ones(n, dtype=np.int64)
-    prev = np.full(n, -1, dtype=np.int64)
-    iterations, (slots, filled, _, labels) = launch(
-        _slpa, graph, params, (slots, filled, prev, np.empty(n, dtype=np.int64)),
+    iterations, (slots, filled, labels) = launch(
+        _slpa, graph, params, (slots, filled, np.empty(n, dtype=np.int64)),
         (M, params.strict, params.tolerance), graph.edge_count + n,
     )
     return labels, iterations, (slots.reshape(n, M), filled)

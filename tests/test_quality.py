@@ -96,29 +96,44 @@ def test_empty_graph_scores_zero():
 
 
 def test_modularity_matches_networkx():
-    """Independent oracle on graphs without self-loops, where both conventions agree."""
+    """Independent oracle, on graphs with and without self-loops.
+
+    Self-loop convention: a stored loop arc (v, v) of weight w is one
+    undirected loop.  It adds 2w to v's degree and to the total weight W,
+    and 2w to the internal weight of v's community.  networkx counts a loop
+    edge of weight w the same way: twice in the degree, once in the internal
+    weight and in m = W / 2.  So each loop goes to networkx once, with its
+    weight, and the two agree on every graph the detectors score (which
+    carry one self-loop per vertex after `preprocess`).
+    """
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(5)
     u = rng.integers(0, 30, 120)
     v = (u + rng.integers(1, 30, 120)) % 30  # no self-loops
+    w = rng.choice([0.5, 1.0, 2.0, 3.5], 120)
+    loops = rng.choice(30, 12, replace=False)
     graphs = [
-        lp.gnp(40, 0.15, seed=3, self_loops=False),
-        lp.ring_of_cliques(6, 5, self_loops=False),
         lp.preprocess(
-            lp.from_arcs(30, u, v, rng.choice([0.5, 1.0, 2.0, 3.5], 120)),
+            lp.from_arcs(30, np.r_[u, loops], np.r_[v, loops], np.r_[w, rng.uniform(0.1, 4.0, 12)]),
             unit_weights=False,
-            self_loops=False,
+            self_loops=False,  # keeps these weighted loops, on 12 of the 30 vertices
         ),
     ]
+    for self_loops in (False, True):
+        graphs += [
+            lp.gnp(40, 0.15, seed=3, self_loops=self_loops),
+            lp.ring_of_cliques(6, 5, self_loops=self_loops),
+            lp.preprocess(lp.from_arcs(30, u, v, w), unit_weights=False, self_loops=self_loops),
+        ]
     for g in graphs:
         rows = lp.graph.arc_rows(g)
-        assert (rows != g.neighbors).all()
         G = nx.Graph()
         G.add_nodes_from(range(g.vertex_count))
         G.add_weighted_edges_from(
             (int(a), int(b), float(c))
-            for a, b, c in zip(rows, g.neighbors, g.weights) if a < b
+            for a, b, c in zip(rows, g.neighbors, g.weights) if a <= b
         )
+        assert nx.number_of_selfloops(G) == int((rows == g.neighbors).sum())
         for k in (1, 3, g.vertex_count):
             labels = rng.integers(0, k, g.vertex_count)
             communities = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,33 @@ class TestMostPopularLabel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             lp.most_popular_label([])
+
+    def test_matches_counter_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def oracle(memory):
+            counts = Counter(memory)
+            top = max(counts.values())
+            return min(lab for lab, c in counts.items() if c == top)
+
+        # a three-way tie repeated, then padded with other ids, then shuffled
+        tie = st.tuples(st.lists(st.integers(-50, 50), min_size=3, max_size=3, unique=True),
+                        st.integers(1, 6), st.lists(st.integers(-50, 50), max_size=20))
+        memories = st.one_of(
+            st.lists(st.integers(-5, 5), min_size=1, max_size=40),
+            st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=40),
+            tie.map(lambda t: t[0] * t[1] + t[2]).flatmap(st.permutations),
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(memory=memories)
+        def check(memory):
+            want = oracle(memory)
+            assert lp.most_popular_label(memory) == want
+            assert lp.most_popular_label(np.array(memory, dtype=np.int64)) == want
+
+        check()
 
 
 class TestParams:

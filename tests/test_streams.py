@@ -72,7 +72,7 @@ def test_rows_read_the_sequence_whatever_the_refill(refill, as_list, state, size
         mp.setattr(prng, "refill", REFILLS[refill])
         got = [int(next_output(row, cursors, 0)) for _ in range(reads)]
         if cursors[0] > 0:
-            REFILLS[refill](row, cursors, 0)  # a top-up keeps the unread values first
+            REFILLS[refill](row, cursors, 0)  # a top-up restarts from the last value read
         got += [int(next_output(row, cursors, 0)) for _ in range(size + 1)]
     assert got == sequential(state, reads + size + 1)
 
