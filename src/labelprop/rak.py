@@ -37,6 +37,15 @@ sums and therefore ties are identical on weighted graphs too.
 Non-strict RAK keeps the list kernel: its tie draws follow the visit
 order through one xorshift stream, which levels cannot reproduce.
 COPRA and SLPA keep their kernels as well.
+The list kernel evaluates a vertex only while its ``stale`` flag is set:
+cleared before its arcs are scanned (so a concurrent neighbor change
+under threads sets it again), set when it draws from the stream or a
+neighbor (itself, through its self-loop) changes label.  On a symmetric
+graph those neighbors are all its tally reads, so a clean vertex would
+read its last tally, which drew nothing, and keep its label without
+moving the stream: pruning is exact in both modes.  Levels are not pruned: almost every level of the planted
+sweep graphs keeps a stale vertex, and sub-plans of the stale vertices
+or skipping clean levels made strict rows about 40% or 30% slower.
 """
 
 from __future__ import annotations
@@ -101,8 +110,8 @@ def _pick_from_tally(touched, tally, count, strict, stream, cursors, slot):
 
 @njit(cache=True, parallel=True)
 def _rak(
-    offsets, neighbors, weights, labels, order, strict, tolerance, max_iterations, streams,
-    cursors, tallies, touches, chunk
+    offsets, neighbors, weights, labels, order, stale, strict, tolerance, max_iterations,
+    streams, cursors, tallies, touches, chunk
 ):
     # worker tid draws from streams[tid] and tallies in its own rows
     n = len(labels)
@@ -122,6 +131,9 @@ def _rak(
                 hi = n
             for i in range(c * chunk, hi):
                 v = order[i]
+                if not stale[v]:
+                    continue
+                stale[v] = False
                 count = 0
                 for e in range(offsets[v], offsets[v + 1]):
                     lab = labels[neighbors[e]]
@@ -131,12 +143,17 @@ def _rak(
                     tally[lab] += weights[e]
                 if count == 0:
                     continue  # no incident arcs at all: label cannot move
+                drawn = cursors[tid]
                 best = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
+                if cursors[tid] != drawn:
+                    stale[v] = True  # a draw: the same tally may pick differently
                 for i in range(count):
                     tally[touched[i]] = 0.0
                 if best != labels[v]:
                     labels[v] = best
                     local += 1
+                    for e in range(offsets[v], offsets[v + 1]):
+                        stale[neighbors[e]] = True
             changed += local
         if changed <= tolerance * n:
             break
@@ -258,8 +275,8 @@ def _run(graph: Graph, params: RakParams, order: np.ndarray):
             _level_plan(graph, order), labels, params.tolerance, params.max_iterations
         )
     else:
-        iterations, (labels, _) = launch(
-            _rak, graph, params, (labels, order),
+        iterations, (labels, _, _) = launch(
+            _rak, graph, params, (labels, order, np.ones(labels.size, dtype=bool)),
             (params.strict, params.tolerance, params.max_iterations), labels.size,
         )
     return labels, iterations, (labels,)

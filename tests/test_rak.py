@@ -44,17 +44,20 @@ class TestDetect:
         assert a.tobytes() == b.tobytes()
 
     def test_tolerance_monotonic_and_prefix(self):
+        # non-strict, the replay must also leave the stream where the loose
+        # run left it, skipped vertices included
         for g in (lp.gnp(400, 0.02, seed=2), lp.ring_of_cliques(8, 5)):
-            loose = lp.rak_detect(g, lp.RakParams(tolerance=0.1, strict=True, seed=4))
-            tight = lp.rak_detect(g, lp.RakParams(tolerance=0.0001, strict=True, seed=4))
-            assert tight.iterations >= loose.iterations
-            replay = lp.rak_detect(
-                g,
-                lp.RakParams(
-                    tolerance=0.0001, strict=True, seed=4, max_iterations=loose.iterations
-                ),
-            )
-            assert np.array_equal(loose.assignment, replay.assignment)
+            for strict in (True, False):
+                loose = lp.rak_detect(g, lp.RakParams(tolerance=0.1, strict=strict, seed=4))
+                tight = lp.rak_detect(g, lp.RakParams(tolerance=0.0001, strict=strict, seed=4))
+                assert tight.iterations >= loose.iterations
+                replay = lp.rak_detect(
+                    g,
+                    lp.RakParams(
+                        tolerance=0.0001, strict=strict, seed=4, max_iterations=loose.iterations
+                    ),
+                )
+                assert np.array_equal(loose.assignment, replay.assignment), strict
 
     def test_asymmetric_graph_rejected(self):
         raw = lp.from_arcs(2, [0], [1], [1.0])
@@ -150,6 +153,39 @@ class TestLevels:
         two = lp.rak_detect(g, lp.RakParams(strict=True, seed=2, tolerance=0.001, workers=2))
         assert np.array_equal(one.assignment, two.assignment)
         assert one.iterations == two.iterations
+
+
+# Planted partitions (groups, group size, p_in, p_out, graph seed) and the
+# bound: RAK's mean Q over seeds 1-5, in each mode at the default
+# tolerance, may trail networkx's asynchronous LPA over the same seeds by
+# at most QUALITY_SLACK.  Neither is tuned to the results; the strict legs
+# fail (README, Testing).
+PLANTED = [(8, 25, 0.4, 0.02, 11), (16, 16, 0.5, 0.01, 12)]
+QUALITY_SLACK = 0.02
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["non-strict", "strict"])
+@pytest.mark.parametrize("recipe", PLANTED, ids=str)
+def test_quality_matches_networkx_async_lpa(recipe, strict):
+    nx = pytest.importorskip("networkx")
+    groups, size, p_in, p_out, seed = recipe
+    G = nx.planted_partition_graph(groups, size, p_in, p_out, seed=seed)
+    u, v = np.array(list(G.edges())).T
+    g = lp.preprocess(lp.from_arcs(G.number_of_nodes(), u, v, np.ones(u.size)))
+    seeds = range(1, 6)
+    reference = np.mean([
+        lp.modularity(g, partition_labels(nx.community.asyn_lpa_communities(G, seed=s), g))
+        for s in seeds
+    ])
+    q = np.mean([lp.rak_detect(g, lp.RakParams(strict=strict, seed=s)).modularity for s in seeds])
+    assert q >= reference - QUALITY_SLACK, (q, reference)
+
+
+def partition_labels(communities, graph):
+    labels = np.empty(graph.vertex_count, dtype=np.int64)
+    for c, members in enumerate(communities):
+        labels[list(members)] = c
+    return labels
 
 
 class TestChooseMaxLabel:

@@ -1,9 +1,15 @@
-"""Property test: strict RAK run level by level equals the per-vertex kernel.
+"""Property tests: every RAK path equals a plain sequential RAK.
 
-The oracle is `_rak` fed Python lists with one worker's scratch rows, the
-per-vertex source that numba compiles; the level path is called directly,
-so it is checked whichever backend `rak_detect` picks.
+The oracle is written here, independent of the kernels: a dict tally in
+CSR scan order, strict ties to the first maximum in first-seen order,
+non-strict ties to ``tied[rng.next() % len(tied)]`` on worker 0's stream.
+Three paths are checked against it: the strict level path (called
+directly, so it is checked whichever backend `rak_detect` picks),
+non-strict `rak_detect`, and strict `_rak` through the launch, the path
+compiled runs take.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,27 +18,51 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import labelprop as lp  # noqa: E402
-from labelprop import rak  # noqa: E402
-from labelprop._backend import CHUNK  # noqa: E402
-
-_kernel = getattr(rak._rak, "py_func", rak._rak)
+from labelprop import prng, rak  # noqa: E402
 
 
-def oracle(graph, order, tolerance, max_iterations):
+def oracle(graph, seed, tolerance, max_iterations, strict):
     n = graph.vertex_count
+    offsets, neighbors = graph.offsets.tolist(), graph.neighbors.tolist()
+    weights = graph.weights.tolist()
     labels = list(range(n))
-    iterations = _kernel(
-        graph.offsets.tolist(), graph.neighbors.tolist(), graph.weights.tolist(), labels,
-        order.tolist(), True, tolerance, max_iterations, [[1]], [1], [[0.0] * n], [[0] * n],
-        CHUNK,
-    )
+    order = rak.shuffled_indices(n, seed).tolist()
+    rng = prng.XorShift32(prng.mix_seed(seed, 0))
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        changed = 0
+        for v in order:
+            tally = {}
+            for e in range(offsets[v], offsets[v + 1]):
+                lab = labels[neighbors[e]]
+                tally[lab] = tally.get(lab, 0.0) + weights[e]
+            if not tally:
+                continue
+            top = max(tally.values())
+            tied = [lab for lab, w in tally.items() if w == top]
+            best = tied[0] if strict or len(tied) == 1 else tied[rng.next() % len(tied)]
+            if best != labels[v]:
+                labels[v] = best
+                changed += 1
+        if changed <= tolerance * n:
+            break
     return labels, iterations
 
 
-def levels(graph, order, tolerance, max_iterations):
+def levels(graph, seed, tolerance, max_iterations):
     labels = np.arange(graph.vertex_count, dtype=np.int64)
-    iterations = rak._rak_levels(rak._level_plan(graph, order), labels, tolerance, max_iterations)
+    plan = rak._level_plan(graph, rak.shuffled_indices(graph.vertex_count, seed))
+    iterations = rak._rak_levels(plan, labels, tolerance, max_iterations)
     return labels.tolist(), iterations
+
+
+def detect(graph, seed, tolerance, max_iterations, strict):
+    params = lp.RakParams(
+        tolerance=tolerance, strict=strict, max_iterations=max_iterations, seed=seed
+    )
+    r = lp.rak_detect(graph, params)
+    return r.assignment.tolist(), r.iterations
 
 
 # Unit weights, small integers, and tenths whose float sums depend on the
@@ -60,10 +90,25 @@ def cases(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     tolerance = draw(st.sampled_from([1e-4, 0.01, 0.05, 0.3, 1.0]))
     max_iterations = draw(st.integers(1, 12))
-    return graph, rak.shuffled_indices(n, seed), tolerance, max_iterations
+    return graph, seed, tolerance, max_iterations
 
 
 @settings(max_examples=300, deadline=None)
 @given(cases())
 def test_levels_match_the_sequential_kernel(case):
-    assert levels(*case) == oracle(*case)
+    assert levels(*case) == oracle(*case, strict=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_non_strict_detect_matches_the_oracle(case):
+    assert detect(*case, strict=False) == oracle(*case, strict=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases())
+def test_strict_list_kernel_matches_the_oracle(case):
+    # the branch compiled runs take: strict RAK through the launch of `_rak`
+    with mock.patch.object(rak, "JIT_ENABLED", True):
+        got = detect(*case, strict=True)
+    assert got == oracle(*case, strict=True)
