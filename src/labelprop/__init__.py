@@ -23,7 +23,7 @@ from .graph import (
 from .prng import XorShift32
 from .quality import modularity
 from .rak import RakParams, choose_max_label, rak_detect
-from .result import DetectionResult
+from .result import DetectionResult, Held
 from .slpa import SlpaParams, most_popular_label, slpa_detect
 from .synth import (
     brute_modularity,
@@ -42,6 +42,7 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "DetectionResult",
+    "Held",
     "RakParams",
     "CopraParams",
     "SlpaParams",

@@ -13,6 +13,14 @@ vertices whose best label changed drops to the tolerance.
 
 The disjoint projection is each vertex's best label (maximum belonging,
 ties to the smallest label id).
+
+The kernel starts from a given iteration and reports the changed count
+of its last one.  Its whole state (both label rows of every vertex, the
+best labels, stream rows and cursors) can stay in a
+`labelprop.result.Held` handle between calls, so a call with a smaller
+tolerance goes on from where the held run stopped; the tolerance only
+decides when to stop, so this equals a run started afresh.  A sweep does
+this down its tolerance grid for each ``max_labels`` cell.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .graph import Graph, check_symmetric
 from .prng import XorShift32
 from .quality import modularity
 from .rak import _dense_tally, _pick_from_tally
-from .result import DetectionResult, launch
+from .result import DetectionResult, Held, Launch, graph_args, hold
 
 
 @dataclass(frozen=True)
@@ -108,15 +116,18 @@ def _best_of_row(labs, bels, row, k):
 @njit(cache=True, parallel=True)
 def _copra(
     offsets, neighbors, weights, labs, bels, sizes, pub, best, tolerance, max_labels,
-    max_iterations, streams, cursors, tallies, touches, chunk
+    max_iterations, start, streams, cursors, tallies, touches, chunk
 ):
     # Vertex v owns label rows 2v and 2v + 1 of the flat labs/bels (row r
     # starts at r * max_labels and holds sizes[r] live entries); pub[v]
     # names the published one.  A writer fills the other row completely,
     # then stores pub[v], so concurrent readers always see a whole row.
+    # Goes on from iteration ``start``; returns the iteration count and the
+    # last iteration's changed count.
     n = len(best)
     n_chunks = (n + chunk - 1) // chunk
-    iterations = 0
+    iterations = start
+    changed = 0
     while iterations < max_iterations:
         iterations += 1
         changed = 0
@@ -174,36 +185,49 @@ def _copra(
             changed += local
         if changed <= tolerance * n:
             break
-    return iterations
+    return iterations, changed
 
 
-def _run(graph: Graph, params: CopraParams):
-    """(best labels, iterations, (labs, bels, sizes)) of one COPRA run; the
+def _run(graph: Graph, params: CopraParams, held: Held | None = None):
+    """(best labels, iterations, (labs, bels, sizes)) of the COPRA run in
+    ``held`` (continued, or started afresh), or of a run of its own; the
     state is each vertex's published label row, belongings and live count."""
+    held = hold(held, graph)
     n, L = graph.vertex_count, params.max_labels
-    # both rows of every vertex start as its own label with belonging 1
-    labs = np.zeros(2 * n * L, dtype=np.int64)
-    bels = np.zeros(2 * n * L, dtype=np.float64)
-    labs[::L] = np.repeat(np.arange(n), 2)
-    bels[::L] = 1.0
-    sizes = np.ones(2 * n, dtype=np.int64)
-    pub = np.arange(0, 2 * n, 2, dtype=np.int64)
-    iterations, (labs, bels, sizes, pub, best) = launch(
-        _copra, graph, params, (labs, bels, sizes, pub, np.arange(n, dtype=np.int64)),
-        (params.tolerance, L, params.max_iterations), n,
+
+    def start():
+        # both rows of every vertex start as its own label with belonging 1
+        labs = np.zeros(2 * n * L, dtype=np.int64)
+        bels = np.zeros(2 * n * L, dtype=np.float64)
+        labs[::L] = np.repeat(np.arange(n), 2)
+        bels[::L] = 1.0
+        sizes = np.ones(2 * n, dtype=np.int64)
+        pub = np.arange(0, 2 * n, 2, dtype=np.int64)
+        return Launch(
+            _copra, graph, params, (labs, bels, sizes, pub, np.arange(n, dtype=np.int64)), n,
+            held.keep("graph", lambda: graph_args(graph)),
+        )
+
+    iterations, (labs, bels, sizes, pub, best) = held.go(
+        params, start, params.tolerance, L, params.max_iterations
     )
     return best, iterations, (labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub])
 
 
-def copra_detect(graph: Graph, params: CopraParams | None = None) -> DetectionResult:
-    """Run COPRA on a preprocessed graph; the assignment is each best label."""
+def copra_detect(
+    graph: Graph, params: CopraParams | None = None, held: Held | None = None
+) -> DetectionResult:
+    """Run COPRA on a preprocessed graph, continuing the run in ``held``
+    where it can (`labelprop.result.Held`); the assignment is each best label."""
     if params is None:
         params = CopraParams()
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
+    held = hold(held, graph)
     start = time.perf_counter()
-    best, iterations, _ = _run(graph, params)
+    best, iterations, _ = _run(graph, params, held)
     elapsed = time.perf_counter() - start
+    held.elapsed += elapsed
     return DetectionResult(best, iterations, elapsed, modularity(graph, best))
 
 

@@ -43,9 +43,20 @@ under threads sets it again), set when it draws from the stream or a
 neighbor (itself, through its self-loop) changes label.  On a symmetric
 graph those neighbors are all its tally reads, so a clean vertex would
 read its last tally, which drew nothing, and keep its label without
-moving the stream: pruning is exact in both modes.  Levels are not pruned: almost every level of the planted
-sweep graphs keeps a stale vertex, and sub-plans of the stale vertices
-or skipping clean levels made strict rows about 40% or 30% slower.
+moving the stream: pruning is exact in both modes.  Levels are not
+pruned: almost every level of the planted sweep graphs keeps a stale
+vertex, and sub-plans of the stale vertices or skipping clean levels
+made strict rows about 40% or 30% slower.
+
+Continuing a run.  Both paths start from a given iteration and report
+the changed count of their last one, and a run's whole state (labels,
+stale flags, stream rows and cursors, or the level plan) stays in a
+`labelprop.result.Held` handle between calls.  A call with a smaller
+tolerance goes on from where the held run stopped, which is exact: the
+tolerance only decides when to stop, so a tight run's first iterations
+are the loose run's (tested as the prefix property).  A sweep uses this
+down its tolerance grid, and shares one visit order and one level plan
+per seed among a graph's cells.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
 from .prng import XorShift32, next_output, shuffled_indices
 from .quality import modularity
-from .result import DetectionResult, launch
+from .result import DetectionResult, Held, Launch, graph_args, hold
 
 
 @dataclass(frozen=True)
@@ -110,13 +121,16 @@ def _pick_from_tally(touched, tally, count, strict, stream, cursors, slot):
 
 @njit(cache=True, parallel=True)
 def _rak(
-    offsets, neighbors, weights, labels, order, stale, strict, tolerance, max_iterations,
+    offsets, neighbors, weights, labels, order, stale, strict, tolerance, max_iterations, start,
     streams, cursors, tallies, touches, chunk
 ):
-    # worker tid draws from streams[tid] and tallies in its own rows
+    # Goes on from iteration ``start``; returns the iteration count and the
+    # last iteration's changed count.  Worker tid draws from streams[tid]
+    # and tallies in its own rows.
     n = len(labels)
     n_chunks = (n + chunk - 1) // chunk
-    iterations = 0
+    iterations = start
+    changed = 0
     while iterations < max_iterations:
         iterations += 1
         changed = 0
@@ -157,7 +171,7 @@ def _rak(
             changed += local
         if changed <= tolerance * n:
             break
-    return iterations
+    return iterations, changed
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -255,43 +269,73 @@ def _update_level(lv: _Level, labels: np.ndarray) -> int:
     return int(changed)
 
 
-def _rak_levels(plan: list[_Level], labels: np.ndarray, tolerance: float, max_iterations: int) -> int:
-    """Strict RAK, level by level; same labels and iterations as `_rak`."""
-    iterations = 0
+def _rak_levels(
+    plan: list[_Level], labels: np.ndarray, tolerance: float, max_iterations: int, start: int = 0
+) -> tuple[int, int]:
+    """Strict RAK, level by level, on from iteration ``start``: the
+    iteration count and the last iteration's changed count, and the same
+    labels, as `_rak`."""
+    iterations = start
+    changed = 0
     while iterations < max_iterations:
         iterations += 1
         changed = sum(_update_level(lv, labels) for lv in plan)
         if changed <= tolerance * labels.size:
             break
-    return iterations
+    return iterations, changed
 
 
-def _run(graph: Graph, params: RakParams, order: np.ndarray):
-    """(labels, iterations, (labels,)) of one RAK run visiting in ``order``."""
-    labels = np.arange(graph.vertex_count, dtype=np.int64)
-    # an empty graph goes to the launch, which runs no kernel on it
-    if params.strict and not JIT_ENABLED and labels.size:
-        iterations = _rak_levels(
-            _level_plan(graph, order), labels, params.tolerance, params.max_iterations
+class _Levels:
+    """A level-by-level strict run, called and read as a `Launch` is."""
+
+    def __init__(self, plan: list[_Level], labels: np.ndarray):
+        self.plan, self.labels = plan, labels
+
+    def __call__(self, strict, tolerance, max_iterations, start):
+        return _rak_levels(self.plan, self.labels, tolerance, max_iterations, start)
+
+    def read(self):
+        return (self.labels.copy(),)
+
+
+def _run(graph: Graph, params: RakParams, order: np.ndarray, held: Held) -> tuple[np.ndarray, int]:
+    """(labels, iterations) of the RAK run in ``held``, continued or
+    started afresh to visit in ``order``."""
+
+    def start():
+        labels = np.arange(graph.vertex_count, dtype=np.int64)
+        # an empty graph goes to the launch, which runs no kernel on it
+        if params.strict and not JIT_ENABLED and labels.size:
+            plan = held.keep(("plan", params.seed), lambda: _level_plan(graph, order))
+            return _Levels(plan, labels)
+        return Launch(
+            _rak, graph, params, (labels, order, np.ones(labels.size, dtype=bool)), labels.size,
+            held.keep("graph", lambda: graph_args(graph)),
         )
-    else:
-        iterations, (labels, _, _) = launch(
-            _rak, graph, params, (labels, order, np.ones(labels.size, dtype=bool)),
-            (params.strict, params.tolerance, params.max_iterations), labels.size,
-        )
-    return labels, iterations, (labels,)
+
+    iterations, (labels, *_) = held.go(
+        params, start, params.strict, params.tolerance, params.max_iterations
+    )
+    return labels, iterations
 
 
-def rak_detect(graph: Graph, params: RakParams | None = None) -> DetectionResult:
-    """Run RAK on a preprocessed graph."""
+def rak_detect(
+    graph: Graph, params: RakParams | None = None, held: Held | None = None
+) -> DetectionResult:
+    """Run RAK on a preprocessed graph, continuing the run in ``held``
+    where it can (`labelprop.result.Held`)."""
     if params is None:
         params = RakParams()
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
-    order = shuffled_indices(graph.vertex_count, params.seed)
+    held = hold(held, graph)
+    order = held.keep(
+        ("order", params.seed), lambda: shuffled_indices(graph.vertex_count, params.seed)
+    )
     start = time.perf_counter()
-    labels, iterations, _ = _run(graph, params, order)
+    labels, iterations = _run(graph, params, order, held)
     elapsed = time.perf_counter() - start
+    held.elapsed += elapsed
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
 
 

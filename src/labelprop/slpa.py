@@ -29,7 +29,7 @@ from .graph import Graph, check_symmetric
 from .prng import refill
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, launch
+from .result import DetectionResult, Launch
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,12 @@ def _slpa(
     cursors, tallies, touches, chunk
 ):
     # slots is flat: vertex v's memory starts at v * memory_size.  Ends by
-    # writing each memory's modal label to labels[v].
+    # writing each memory's modal label to labels[v]; returns the iteration
+    # count and the last iteration's repeat count.
     n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
     iterations = 0
+    repeats = 0
     for t in range(1, memory_size):
         iterations += 1
         repeats = 0
@@ -127,7 +129,7 @@ def _slpa(
             break
     for v in range(n):
         labels[v] = _modal_label(slots, v * memory_size, filled[v])
-    return iterations
+    return iterations, repeats
 
 
 def _run(graph: Graph, params: SlpaParams):
@@ -137,10 +139,11 @@ def _run(graph: Graph, params: SlpaParams):
     slots = np.zeros(n * M, dtype=np.int64)
     slots[::M] = np.arange(n)
     filled = np.ones(n, dtype=np.int64)
-    iterations, (slots, filled, labels) = launch(
-        _slpa, graph, params, (slots, filled, np.empty(n, dtype=np.int64)),
-        (M, params.strict, params.tolerance), graph.edge_count + n,
+    run = Launch(
+        _slpa, graph, params, (slots, filled, np.empty(n, dtype=np.int64)), graph.edge_count + n
     )
+    iterations, _ = run(M, params.strict, params.tolerance)
+    slots, filled, labels = run.read()
     return labels, iterations, (slots.reshape(n, M), filled)
 
 

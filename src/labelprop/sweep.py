@@ -11,6 +11,20 @@ Parameters outside an algorithm's grids keep their ``*Params`` defaults
 seed ``seed + r`` so non-strict runs differ.  Records stream out as runs
 finish; grid fields that do not apply to an algorithm are left empty in
 the CSV.
+
+A RAK or COPRA row continues the run of its non-tolerance cell (graph,
+mode or ``max_labels``, workers, repetition) that the cell's previous
+row left, instead of starting again from the initial labels
+(`labelprop.result.Held`): a tighter tolerance only adds iterations to
+a looser run.  A row whose tolerance is larger than the previous one's
+(an ascending grid) starts a fresh run.  Every row equals a standalone
+run of its cell, and its ``elapsed_ms`` is the run's cumulative time,
+about what the standalone run takes (a level plan or graph copy that
+several cells share counts in the row that builds it).  The sweep holds
+one live run per non-tolerance cell of the current graph, freed after
+the cell's last tolerance row, and per graph one visit order and strict
+level plan per seed.  SLPA has no tolerance grid; every SLPA row is a
+run of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ from typing import Iterator, Optional, Sequence
 from .copra import CopraParams, copra_detect
 from .graph import Graph
 from .rak import RakParams, rak_detect
+from .result import Held
 from .slpa import SlpaParams, slpa_detect
 
 CSV_HEADER = "graph,algorithm,mode,tolerance,max_labels,memory_size,workers,seed,iterations,elapsed_ms,modularity"
@@ -100,7 +115,9 @@ class RunRecord:
         )
 
 
-def run_one(algorithm: str, graph: Graph, *, mode: str = "non-strict", **options):
+def run_one(
+    algorithm: str, graph: Graph, *, mode: str = "non-strict", held: Held | None = None, **options
+):
     """Dispatch one detection run; returns a DetectionResult.
 
     ``options`` are fields of the algorithm's ``*Params`` (``tolerance``,
@@ -108,15 +125,17 @@ def run_one(algorithm: str, graph: Graph, *, mode: str = "non-strict", **options
     None, keeps its default.  A non-None option the algorithm lacks (say
     ``max_labels`` for RAK, or ``max_iterations`` for SLPA) is a
     TypeError.  ``mode`` sets ``strict`` for RAK and SLPA; COPRA has no
-    tie mode.
+    tie mode.  ``held`` is a RAK or COPRA run to continue where it can.
     """
     options = {k: v for k, v in options.items() if v is not None}
     strict = mode == "strict"
     if algorithm == "rak":
-        return rak_detect(graph, RakParams(strict=strict, **options))
+        return rak_detect(graph, RakParams(strict=strict, **options), held)
     if algorithm == "copra":
-        return copra_detect(graph, CopraParams(**options))
+        return copra_detect(graph, CopraParams(**options), held)
     if algorithm == "slpa":
+        if held is not None:
+            raise TypeError("SLPA runs cannot be held")
         return slpa_detect(graph, SlpaParams(strict=strict, **options))
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
@@ -140,7 +159,10 @@ def _combos(spec: SweepSpec) -> Iterator[tuple[str, dict]]:
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
     """Yield one RunRecord per (graph x combo x workers x repetition)."""
     params = PARAMS[spec.algorithm]
+    holds = spec.algorithm != "slpa"
     for name, graph in graphs:
+        memo = {}  # what the runs of this graph share
+        held = {}  # non-tolerance cell -> (its run, tolerance rows left)
         for mode, options in _combos(spec):
             # the value each run used; empty where the algorithm has no such field
             used = {f: options.get(f, getattr(params, f, None))
@@ -148,8 +170,16 @@ def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[
             for workers in spec.workers:
                 for rep in range(spec.repetitions):
                     seed = spec.seed + rep
+                    handle = None
+                    if holds:
+                        cell = (mode, options.get("max_labels"), workers, seed)
+                        handle, left = held.pop(cell, None) or (
+                            Held(graph, memo), len(spec.tolerances)
+                        )
+                        if left > 1:
+                            held[cell] = handle, left - 1
                     result = run_one(
-                        spec.algorithm, graph, mode=mode or "non-strict",
+                        spec.algorithm, graph, mode=mode or "non-strict", held=handle,
                         workers=workers, seed=seed, **options,
                     )
                     yield RunRecord(
@@ -159,7 +189,7 @@ def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[
                         workers=workers,
                         seed=seed,
                         iterations=result.iterations,
-                        elapsed_ms=result.elapsed * 1000.0,
+                        elapsed_ms=(handle or result).elapsed * 1000.0,
                         modularity=result.modularity,
                         **used,
                     )

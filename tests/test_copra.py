@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,20 @@ class TestDetect:
         _, smallest, largest, sizes = copra_row_bounds(g, lp.CopraParams(max_labels=1, seed=5))
         assert smallest == 1 and largest == 1
         assert (sizes == 1).all()
+
+    def test_tolerance_monotonic_and_prefix(self):
+        # a held sweep run goes on from the loose run's state, so the tight
+        # run's first iterations must be the loose run's, label rows included
+        for g in (lp.gnp(400, 0.02, seed=2), lp.ring_of_cliques(8, 5)):
+            for max_labels in (1, 8):
+                params = lp.CopraParams(max_labels=max_labels, seed=4)
+                loose = _run(g, replace(params, tolerance=0.1))
+                tight = _run(g, replace(params, tolerance=0.0001))
+                assert tight[1] >= loose[1]
+                replay = _run(g, replace(params, tolerance=0.0001, max_iterations=loose[1]))
+                assert replay[1] == loose[1]
+                for a, b in zip((loose[0], *loose[2]), (replay[0], *replay[2])):
+                    assert np.array_equal(a, b), max_labels
 
     def test_iteration_count_capped(self):
         g = lp.gnp(200, 0.05, seed=2)

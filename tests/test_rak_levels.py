@@ -53,7 +53,7 @@ def oracle(graph, seed, tolerance, max_iterations, strict):
 def levels(graph, seed, tolerance, max_iterations):
     labels = np.arange(graph.vertex_count, dtype=np.int64)
     plan = rak._level_plan(graph, rak.shuffled_indices(graph.vertex_count, seed))
-    iterations = rak._rak_levels(plan, labels, tolerance, max_iterations)
+    iterations, _ = rak._rak_levels(plan, labels, tolerance, max_iterations)
     return labels.tolist(), iterations
 
 

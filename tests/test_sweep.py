@@ -1,0 +1,159 @@
+"""A sweep row continues its cell's held run, and equals a standalone run.
+
+Within a sweep, a RAK or COPRA row goes on from the run its cell's
+previous tolerance row left (`labelprop.result.Held`).  These tests
+compare every row with a fresh `run_one` call of the same cell, and the
+detectors' held calls with standalone calls, on grids that continue,
+repeat, and climb back to a looser tolerance.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+
+import labelprop as lp
+from labelprop import rak, sweep
+
+GRAPHS = {
+    "gnp": lambda: lp.gnp(300, 0.03, seed=2),
+    "ring": lambda: lp.ring_of_cliques(8, 5),
+}
+
+GRIDS = {
+    "descending": (0.1, 0.01, 0.0001),
+    "ascending": (0.0001, 0.1),
+    "repeated": (0.1, 0.1, 0.01),
+}
+
+SPECS = {
+    "rak": dict(algorithm="rak"),
+    "copra": dict(algorithm="copra", max_labels=(1, 3, 8)),
+}
+
+
+def dispatched_rows(monkeypatch, spec, graphs):
+    """(record, run_one keywords, result) of every row the sweep yields."""
+    calls = []
+    run_one = sweep.run_one
+
+    def recording(*args, **kwargs):
+        result = run_one(*args, **kwargs)
+        calls.append((kwargs, result))
+        return result
+
+    monkeypatch.setattr(sweep, "run_one", recording)
+    records = list(lp.run_sweep(spec, graphs))
+    assert len(records) == len(calls)
+    return [(rec, kw, r) for rec, (kw, r) in zip(records, calls)]
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("algorithm", list(SPECS))
+def test_rows_equal_standalone_runs(monkeypatch, algorithm, grid):
+    spec = lp.SweepSpec(
+        tolerances=GRIDS[grid], workers=(1, 2), repetitions=2, seed=3, **SPECS[algorithm]
+    )
+    graphs = [(name, make()) for name, make in GRAPHS.items()]
+    rows = dispatched_rows(monkeypatch, spec, graphs)
+    assert len(rows) == len(graphs) * len(GRIDS[grid]) * 2 * 2 * (
+        2 if algorithm == "rak" else 3
+    )
+    by_name = dict(graphs)
+    # compared after the whole sweep: later rows, which go on with the held
+    # state, must not have moved an earlier row's assignment
+    for rec, kw, result in rows:
+        options = {k: v for k, v in kw.items() if k != "held"}
+        alone = sweep.run_one(algorithm, by_name[rec.graph], **options)
+        cell = (rec.graph, options)
+        assert rec.iterations == result.iterations == alone.iterations, cell
+        assert rec.modularity == result.modularity == alone.modularity, cell
+        assert np.array_equal(result.assignment, alone.assignment), cell
+        # the row reports the run's time so far, at least this call's own
+        assert rec.elapsed_ms >= result.elapsed * 1000.0
+
+
+def test_sweep_shuffles_and_plans_once_per_seed(monkeypatch):
+    counts = {"shuffle": 0, "plan": 0}
+    shuffle, plan = rak.shuffled_indices, rak._level_plan
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(rak, "shuffled_indices", counting("shuffle", shuffle))
+    monkeypatch.setattr(rak, "_level_plan", counting("plan", plan))
+    spec = lp.SweepSpec(algorithm="rak", tolerances=(0.1, 0.001), workers=(1, 2), repetitions=2)
+    records = list(lp.run_sweep(spec, [(name, make()) for name, make in GRAPHS.items()]))
+    assert len(records) == 2 * 2 * 2 * 2 * 2
+    # two graphs, two seeds each; only strict runs build plans, and only interpreted
+    assert counts == {"shuffle": 4, "plan": 0 if lp.JIT_ENABLED else 4}
+
+
+DETECTORS = {
+    "rak-strict": (lp.rak_detect, partial(lp.RakParams, strict=True)),
+    "rak-non-strict": (lp.rak_detect, partial(lp.RakParams, strict=False)),
+    "copra-ml1": (lp.copra_detect, partial(lp.CopraParams, max_labels=1)),
+    "copra-ml8": (lp.copra_detect, partial(lp.CopraParams, max_labels=8)),
+}
+
+
+def same(a, b):
+    return (a.iterations, a.modularity, a.assignment.tolist()) == (
+        b.iterations, b.modularity, b.assignment.tolist()
+    )
+
+
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_loose_rung_at_max_iterations_runs_nothing_more(name):
+    detect, make = DETECTORS[name]
+    g = GRAPHS["gnp"]()
+    loose_params = make(tolerance=0.1, max_iterations=1, seed=5)
+    tight_params = make(tolerance=0.0001, max_iterations=1, seed=5)
+    held = lp.Held(g)
+    loose = detect(g, loose_params, held)
+    assert loose.iterations == 1 and held.changed > 0.1 * g.vertex_count  # the cap stopped it
+    run = held.run
+    tight = detect(g, tight_params, held)
+    assert held.run is run and held.iterations == 1
+    assert same(tight, detect(g, tight_params))
+
+
+@pytest.mark.parametrize("graph", ["gnp", "cliques"])
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_loose_and_tight_stop_at_the_same_iteration(name, graph):
+    detect, make = DETECTORS[name]
+    g = GRAPHS["gnp"]() if graph == "gnp" else lp.disjoint_cliques(6, 5)
+    held = lp.Held(g)
+    loose = detect(g, make(tolerance=0.3, seed=2), held)
+    # a smaller tolerance that the loose run's last changed count still meets
+    tolerance = (held.changed + 0.5) / g.vertex_count
+    assert tolerance < 0.3
+    run = held.run
+    tight = detect(g, make(tolerance=tolerance, seed=2), held)
+    assert held.run is run
+    alone = detect(g, make(tolerance=tolerance, seed=2))
+    assert tight.iterations == loose.iterations == alone.iterations
+    assert same(tight, alone)
+
+
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_held_calls_equal_standalone_calls(name):
+    detect, make = DETECTORS[name]
+    g = GRAPHS["gnp"]()
+    held = lp.Held(g)
+    # continue down, repeat, climb back (a fresh run), then change the seed
+    for tolerance, seed in ((0.2, 4), (0.01, 4), (0.01, 4), (0.0001, 4), (0.05, 4), (0.0001, 6)):
+        params = make(tolerance=tolerance, seed=seed)
+        assert same(detect(g, params, held), detect(g, params)), (tolerance, seed)
+
+
+def test_held_run_of_another_graph_is_rejected():
+    held = lp.Held(GRAPHS["ring"]())
+    with pytest.raises(ValueError, match="another graph"):
+        lp.rak_detect(GRAPHS["ring"](), lp.RakParams(), held)
+    with pytest.raises(TypeError, match="SLPA"):
+        lp.run_one("slpa", held.graph, held=held)
