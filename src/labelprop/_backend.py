@@ -7,14 +7,15 @@ and the loops run compiled on numpy arrays, the chunked kernels on
 numba's thread pool (``workers=1`` is a pool of one thread).  When numba
 is not importable, or ``LABELPROP_DISABLE_NUMBA=1`` is set before import,
 the decorator is a no-op and the identical source runs through the
-interpreter instead.  The one kernel launch (`labelprop.result.launch`)
+interpreter instead.  The one kernel launch (`labelprop.result.Launch`)
 then hands the kernels Python lists (:func:`kernel_args`), because
 reading a list element is far cheaper than building a numpy scalar; the
-results are bit-identical to the array-fed kernels.  (Strict RAK is the exception: interpreted, it runs level by
-level with numpy, with the same results; see `labelprop.rak`.)  On a
-2-vCPU x86-64 VM without numba, lists rather than arrays cut the wall
-time of the ``perfbench`` ``sweep-planted-rak`` workload from 6.60 s to
-1.80 s (median of 10 paired runs).  The compiled-versus-interpreted ratio
+results are bit-identical to the array-fed kernels.  (Strict RAK is the
+exception: interpreted, it runs level by level with numpy, with the same
+results; see `labelprop.rak`.)  On a 2-vCPU x86-64 VM without numba,
+lists rather than arrays cut the wall time of the ``perfbench``
+``sweep-planted-rak`` workload from 6.60 s to 1.80 s (median of 10
+paired runs).  The compiled-versus-interpreted ratio
 has not been measured since; running ``perfbench`` with and without
 ``LABELPROP_DISABLE_NUMBA=1`` on a host with numba gives it.
 """

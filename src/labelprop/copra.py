@@ -14,10 +14,11 @@ vertices whose best label changed drops to the tolerance.
 The disjoint projection is each vertex's best label (maximum belonging,
 ties to the smallest label id).
 
-The kernel starts from a given iteration and reports the changed count
-of its last one.  Its whole state (both label rows of every vertex, the
-best labels, stream rows and cursors) can stay in a
-`labelprop.result.Held` handle between calls, so a call with a smaller
+The kernel makes one iteration per call and returns its changed count;
+`labelprop.result.Held.go` loops over it and stops once ``changed <=
+tolerance * n`` or at ``max_iterations``.  The run's whole state (both
+label rows of every vertex, the best labels, stream rows and cursors)
+stays in the `Held` handle between calls, so a call with a smaller
 tolerance goes on from where the held run stopped; the tolerance only
 decides when to stop, so this equals a run started afresh.  A sweep does
 this down its tolerance grid for each ``max_labels`` cell.
@@ -35,7 +36,7 @@ from .graph import Graph, check_symmetric
 from .prng import XorShift32
 from .quality import modularity
 from .rak import _dense_tally, _pick_from_tally
-from .result import DetectionResult, Held, Launch, graph_args, hold
+from .result import DetectionResult, Held, Launch, hold
 
 
 @dataclass(frozen=True)
@@ -115,77 +116,70 @@ def _best_of_row(labs, bels, row, k):
 
 @njit(cache=True, parallel=True)
 def _copra(
-    offsets, neighbors, weights, labs, bels, sizes, pub, best, tolerance, max_labels,
-    max_iterations, start, streams, cursors, tallies, touches, chunk
+    offsets, neighbors, weights, labs, bels, sizes, pub, best, max_labels, streams, cursors,
+    tallies, touches, chunk
 ):
     # Vertex v owns label rows 2v and 2v + 1 of the flat labs/bels (row r
     # starts at r * max_labels and holds sizes[r] live entries); pub[v]
     # names the published one.  A writer fills the other row completely,
     # then stores pub[v], so concurrent readers always see a whole row.
-    # Goes on from iteration ``start``; returns the iteration count and the
-    # last iteration's changed count.
+    # One iteration; returns its changed count.
     n = len(best)
     n_chunks = (n + chunk - 1) // chunk
-    iterations = start
     changed = 0
-    while iterations < max_iterations:
-        iterations += 1
-        changed = 0
-        for c in prange(n_chunks):
-            tid = get_thread_id()
-            stream = streams[tid]
-            tally = tallies[tid]
-            touched = touches[tid]
-            local = 0
-            hi = (c + 1) * chunk
-            if hi > n:
-                hi = n
-            for v in range(c * chunk, hi):
-                count = 0
-                for e in range(offsets[v], offsets[v + 1]):
-                    u = neighbors[e]
-                    if u == v:
-                        continue
-                    w = weights[e]
-                    r = pub[u]
-                    ru = r * max_labels
-                    for j in range(ru, ru + sizes[r]):
-                        lab = labs[j]
-                        if tally[lab] == 0.0:
-                            touched[count] = lab
-                            count += 1
-                        tally[lab] += bels[j] * w
-                r = pub[v]
-                sv = r ^ 1
-                rv = sv * max_labels
-                if count == 0:
-                    labs[rv] = v
-                    bels[rv] = 1.0
-                    k = 1
-                    newbest = v
-                else:
-                    k = _select_labels(
-                        touched, tally, count, max_labels, stream, cursors, tid, labs, bels, rv
-                    )
-                    for i in range(count):
-                        tally[touched[i]] = 0.0
-                    newbest = _best_of_row(labs, bels, rv, k)
-                # The other row last held this vertex's row from two updates
-                # ago; copying the published row's entries past k makes every
-                # row, dead entries too, the row an in-place sweep would hold.
-                d = r * max_labels - rv
-                for j in range(rv + k, rv + sizes[r]):
-                    labs[j] = labs[j + d]
-                    bels[j] = bels[j + d]
-                sizes[sv] = k
-                pub[v] = sv
-                if newbest != best[v]:
-                    best[v] = newbest
-                    local += 1
-            changed += local
-        if changed <= tolerance * n:
-            break
-    return iterations, changed
+    for c in prange(n_chunks):
+        tid = get_thread_id()
+        stream = streams[tid]
+        tally = tallies[tid]
+        touched = touches[tid]
+        local = 0
+        hi = (c + 1) * chunk
+        if hi > n:
+            hi = n
+        for v in range(c * chunk, hi):
+            count = 0
+            for e in range(offsets[v], offsets[v + 1]):
+                u = neighbors[e]
+                if u == v:
+                    continue
+                w = weights[e]
+                r = pub[u]
+                ru = r * max_labels
+                for j in range(ru, ru + sizes[r]):
+                    lab = labs[j]
+                    if tally[lab] == 0.0:
+                        touched[count] = lab
+                        count += 1
+                    tally[lab] += bels[j] * w
+            r = pub[v]
+            sv = r ^ 1
+            rv = sv * max_labels
+            if count == 0:
+                labs[rv] = v
+                bels[rv] = 1.0
+                k = 1
+                newbest = v
+            else:
+                k = _select_labels(
+                    touched, tally, count, max_labels, stream, cursors, tid, labs, bels, rv
+                )
+                for i in range(count):
+                    tally[touched[i]] = 0.0
+                newbest = _best_of_row(labs, bels, rv, k)
+            # The other row last held this vertex's row from two updates
+            # ago; copying the published row's entries past k makes every
+            # row, dead entries too, the row an in-place sweep would hold.
+            d = r * max_labels - rv
+            for j in range(rv + k, rv + sizes[r]):
+                labs[j] = labs[j + d]
+                bels[j] = bels[j + d]
+            sizes[sv] = k
+            pub[v] = sv
+            if newbest != best[v]:
+                best[v] = newbest
+                local += 1
+        changed += local
+    return changed
 
 
 def _run(graph: Graph, params: CopraParams, held: Held | None = None):
@@ -203,14 +197,13 @@ def _run(graph: Graph, params: CopraParams, held: Held | None = None):
         bels[::L] = 1.0
         sizes = np.ones(2 * n, dtype=np.int64)
         pub = np.arange(0, 2 * n, 2, dtype=np.int64)
-        return Launch(
-            _copra, graph, params, (labs, bels, sizes, pub, np.arange(n, dtype=np.int64)), n,
-            held.keep("graph", lambda: graph_args(graph)),
-        )
+        state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
+        return Launch(_copra, held, params, state, (L,), n)
 
-    iterations, (labs, bels, sizes, pub, best) = held.go(
-        params, start, params.tolerance, L, params.max_iterations
+    iterations, run = held.go(
+        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n
     )
+    labs, bels, sizes, pub, best = run.read()
     return best, iterations, (labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub])
 
 

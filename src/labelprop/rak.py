@@ -48,10 +48,11 @@ pruned: almost every level of the planted sweep graphs keeps a stale
 vertex, and sub-plans of the stale vertices or skipping clean levels
 made strict rows about 40% or 30% slower.
 
-Continuing a run.  Both paths start from a given iteration and report
-the changed count of their last one, and a run's whole state (labels,
-stale flags, stream rows and cursors, or the level plan) stays in a
-`labelprop.result.Held` handle between calls.  A call with a smaller
+Continuing a run.  Both paths make one iteration per call and return
+its changed count; `labelprop.result.Held.go` loops over them and stops
+once ``changed <= tolerance * n`` or at ``max_iterations``.  A run's
+whole state (labels, stale flags, stream rows and cursors, or the level
+plan) stays in the `Held` handle between calls, so a call with a smaller
 tolerance goes on from where the held run stopped, which is exact: the
 tolerance only decides when to stop, so a tight run's first iterations
 are the loose run's (tested as the prefix property).  A sweep uses this
@@ -71,7 +72,7 @@ from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
 from .prng import XorShift32, next_output, shuffled_indices
 from .quality import modularity
-from .result import DetectionResult, Held, Launch, graph_args, hold
+from .result import DetectionResult, Held, Launch, hold
 
 
 @dataclass(frozen=True)
@@ -121,57 +122,50 @@ def _pick_from_tally(touched, tally, count, strict, stream, cursors, slot):
 
 @njit(cache=True, parallel=True)
 def _rak(
-    offsets, neighbors, weights, labels, order, stale, strict, tolerance, max_iterations, start,
-    streams, cursors, tallies, touches, chunk
+    offsets, neighbors, weights, labels, order, stale, strict, streams, cursors, tallies, touches,
+    chunk
 ):
-    # Goes on from iteration ``start``; returns the iteration count and the
-    # last iteration's changed count.  Worker tid draws from streams[tid]
-    # and tallies in its own rows.
+    # One iteration; returns its changed count.  Worker tid draws from
+    # streams[tid] and tallies in its own rows.
     n = len(labels)
     n_chunks = (n + chunk - 1) // chunk
-    iterations = start
     changed = 0
-    while iterations < max_iterations:
-        iterations += 1
-        changed = 0
-        for c in prange(n_chunks):
-            tid = get_thread_id()
-            stream = streams[tid]
-            tally = tallies[tid]
-            touched = touches[tid]
-            local = 0
-            hi = (c + 1) * chunk
-            if hi > n:
-                hi = n
-            for i in range(c * chunk, hi):
-                v = order[i]
-                if not stale[v]:
-                    continue
-                stale[v] = False
-                count = 0
+    for c in prange(n_chunks):
+        tid = get_thread_id()
+        stream = streams[tid]
+        tally = tallies[tid]
+        touched = touches[tid]
+        local = 0
+        hi = (c + 1) * chunk
+        if hi > n:
+            hi = n
+        for i in range(c * chunk, hi):
+            v = order[i]
+            if not stale[v]:
+                continue
+            stale[v] = False
+            count = 0
+            for e in range(offsets[v], offsets[v + 1]):
+                lab = labels[neighbors[e]]
+                if tally[lab] == 0.0:
+                    touched[count] = lab
+                    count += 1
+                tally[lab] += weights[e]
+            if count == 0:
+                continue  # no incident arcs at all: label cannot move
+            drawn = cursors[tid]
+            best = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
+            if cursors[tid] != drawn:
+                stale[v] = True  # a draw: the same tally may pick differently
+            for i in range(count):
+                tally[touched[i]] = 0.0
+            if best != labels[v]:
+                labels[v] = best
+                local += 1
                 for e in range(offsets[v], offsets[v + 1]):
-                    lab = labels[neighbors[e]]
-                    if tally[lab] == 0.0:
-                        touched[count] = lab
-                        count += 1
-                    tally[lab] += weights[e]
-                if count == 0:
-                    continue  # no incident arcs at all: label cannot move
-                drawn = cursors[tid]
-                best = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
-                if cursors[tid] != drawn:
-                    stale[v] = True  # a draw: the same tally may pick differently
-                for i in range(count):
-                    tally[touched[i]] = 0.0
-                if best != labels[v]:
-                    labels[v] = best
-                    local += 1
-                    for e in range(offsets[v], offsets[v + 1]):
-                        stale[neighbors[e]] = True
-            changed += local
-        if changed <= tolerance * n:
-            break
-    return iterations, changed
+                    stale[neighbors[e]] = True
+        changed += local
+    return changed
 
 
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -269,30 +263,14 @@ def _update_level(lv: _Level, labels: np.ndarray) -> int:
     return int(changed)
 
 
-def _rak_levels(
-    plan: list[_Level], labels: np.ndarray, tolerance: float, max_iterations: int, start: int = 0
-) -> tuple[int, int]:
-    """Strict RAK, level by level, on from iteration ``start``: the
-    iteration count and the last iteration's changed count, and the same
-    labels, as `_rak`."""
-    iterations = start
-    changed = 0
-    while iterations < max_iterations:
-        iterations += 1
-        changed = sum(_update_level(lv, labels) for lv in plan)
-        if changed <= tolerance * labels.size:
-            break
-    return iterations, changed
-
-
 class _Levels:
     """A level-by-level strict run, called and read as a `Launch` is."""
 
     def __init__(self, plan: list[_Level], labels: np.ndarray):
         self.plan, self.labels = plan, labels
 
-    def __call__(self, strict, tolerance, max_iterations, start):
-        return _rak_levels(self.plan, self.labels, tolerance, max_iterations, start)
+    def __call__(self) -> int:
+        return sum(_update_level(lv, self.labels) for lv in self.plan)
 
     def read(self):
         return (self.labels.copy(),)
@@ -301,22 +279,20 @@ class _Levels:
 def _run(graph: Graph, params: RakParams, order: np.ndarray, held: Held) -> tuple[np.ndarray, int]:
     """(labels, iterations) of the RAK run in ``held``, continued or
     started afresh to visit in ``order``."""
+    n = graph.vertex_count
 
     def start():
-        labels = np.arange(graph.vertex_count, dtype=np.int64)
-        # an empty graph goes to the launch, which runs no kernel on it
-        if params.strict and not JIT_ENABLED and labels.size:
+        labels = np.arange(n, dtype=np.int64)
+        if params.strict and not JIT_ENABLED:
             plan = held.keep(("plan", params.seed), lambda: _level_plan(graph, order))
             return _Levels(plan, labels)
-        return Launch(
-            _rak, graph, params, (labels, order, np.ones(labels.size, dtype=bool)), labels.size,
-            held.keep("graph", lambda: graph_args(graph)),
-        )
+        state = labels, order, np.ones(n, dtype=bool)
+        return Launch(_rak, held, params, state, (params.strict,), n)
 
-    iterations, (labels, *_) = held.go(
-        params, start, params.strict, params.tolerance, params.max_iterations
+    iterations, run = held.go(
+        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n
     )
-    return labels, iterations
+    return run.read()[0], iterations
 
 
 def rak_detect(

@@ -13,6 +13,14 @@ filled slot, so the memory is the only state a vertex carries; in the
 first iteration the slot holds the vertex's own id, but repeats are
 counted toward stopping only from the second iteration on.
 
+The kernel makes one speaking iteration per call and returns its repeat
+count; `labelprop.result.Held.go` loops over it, at most ``memory_size -
+1`` times, and stops once ``repeats >= (1 - tolerance) * n`` from the
+second iteration on.  A smaller tolerance only stops later, so a call
+with one goes on from the run held in a `Held` handle (memories, stream
+rows and cursors): its memories begin with the looser run's.  A sweep
+has no SLPA tolerance grid, so each of its SLPA rows is a run of its own.
+
 The disjoint projection is the modal label of each memory, frequency ties
 broken by the smallest label id.
 """
@@ -29,7 +37,7 @@ from .graph import Graph, check_symmetric
 from .prng import refill
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, Launch
+from .result import DetectionResult, Held, Launch, hold
 
 
 @dataclass(frozen=True)
@@ -70,92 +78,105 @@ def _modal_label(slots, row, filled):
 
 @njit(cache=True, parallel=True)
 def _slpa(
-    offsets, neighbors, weights, slots, filled, labels, memory_size, strict, tolerance, streams,
-    cursors, tallies, touches, chunk
+    offsets, neighbors, weights, slots, filled, memory_size, strict, streams, cursors, tallies,
+    touches, chunk
 ):
-    # slots is flat: vertex v's memory starts at v * memory_size.  Ends by
-    # writing each memory's modal label to labels[v]; returns the iteration
-    # count and the last iteration's repeat count.
+    # One speaking iteration; slots is flat: vertex v's memory starts at
+    # v * memory_size.  Returns how many listeners appended the label of
+    # their last filled slot.
     n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
-    iterations = 0
     repeats = 0
-    for t in range(1, memory_size):
-        iterations += 1
-        repeats = 0
-        for c in prange(n_chunks):
-            tid = get_thread_id()
-            stream = streams[tid]
-            tally = tallies[tid]
-            touched = touches[tid]
-            local = 0
-            hi = (c + 1) * chunk
-            if hi > n:
-                hi = n
-            for v in range(c * chunk, hi):
-                # a listener draws at most once per arc and once for a tie,
-                # so with degree + 1 unread values in its row it reads them inline
-                k = cursors[tid]
-                if len(stream) - k <= offsets[v + 1] - offsets[v]:
-                    refill(stream, cursors, tid)
-                    k = 0
-                count = 0
-                for e in range(offsets[v], offsets[v + 1]):
-                    u = neighbors[e]
-                    if u == v:
-                        continue  # self-loops do not speak
-                    lab = slots[u * memory_size + stream[k] % filled[u]]
-                    k += 1
-                    if tally[lab] == 0.0:
-                        touched[count] = lab
-                        count += 1
-                    tally[lab] += weights[e]
-                cursors[tid] = k
-                row = v * memory_size
-                if count == 0:
-                    # no speakers: fall back to the listener's own most popular label
-                    lab = _modal_label(slots, row, filled[v])
-                else:
-                    lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
-                    for i in range(count):
-                        tally[touched[i]] = 0.0
-                free = row + filled[v]
-                if lab == slots[free - 1]:
-                    local += 1
-                slots[free] = lab
-                filled[v] += 1  # publish only after the slot is written
-            repeats += local
-        if t >= 2 and repeats >= (1.0 - tolerance) * n:
-            break
-    for v in range(n):
+    for c in prange(n_chunks):
+        tid = get_thread_id()
+        stream = streams[tid]
+        tally = tallies[tid]
+        touched = touches[tid]
+        local = 0
+        hi = (c + 1) * chunk
+        if hi > n:
+            hi = n
+        for v in range(c * chunk, hi):
+            # a listener draws at most once per arc and once for a tie,
+            # so with degree + 1 unread values in its row it reads them inline
+            k = cursors[tid]
+            if len(stream) - k <= offsets[v + 1] - offsets[v]:
+                refill(stream, cursors, tid)
+                k = 0
+            count = 0
+            for e in range(offsets[v], offsets[v + 1]):
+                u = neighbors[e]
+                if u == v:
+                    continue  # self-loops do not speak
+                lab = slots[u * memory_size + stream[k] % filled[u]]
+                k += 1
+                if tally[lab] == 0.0:
+                    touched[count] = lab
+                    count += 1
+                tally[lab] += weights[e]
+            cursors[tid] = k
+            row = v * memory_size
+            if count == 0:
+                # no speakers: fall back to the listener's own most popular label
+                lab = _modal_label(slots, row, filled[v])
+            else:
+                lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
+                for i in range(count):
+                    tally[touched[i]] = 0.0
+            free = row + filled[v]
+            if lab == slots[free - 1]:
+                local += 1
+            slots[free] = lab
+            filled[v] += 1  # publish only after the slot is written
+        repeats += local
+    return repeats
+
+
+@njit(cache=True)
+def _modal_labels(slots, filled, memory_size):
+    labels = np.empty(len(filled), dtype=np.int64)
+    for v in range(len(filled)):
         labels[v] = _modal_label(slots, v * memory_size, filled[v])
-    return iterations, repeats
+    return labels
 
 
-def _run(graph: Graph, params: SlpaParams):
-    """(labels, iterations, (slots, filled)) of one SLPA run; the state is
+def _run(graph: Graph, params: SlpaParams, held: Held | None = None):
+    """(labels, iterations, (slots, filled)) of the SLPA run in ``held``
+    (continued, or started afresh), or of a run of its own; the state is
     every memory, one row per vertex, and its fill count."""
+    held = hold(held, graph)
     n, M = graph.vertex_count, params.memory_size
-    slots = np.zeros(n * M, dtype=np.int64)
-    slots[::M] = np.arange(n)
-    filled = np.ones(n, dtype=np.int64)
-    run = Launch(
-        _slpa, graph, params, (slots, filled, np.empty(n, dtype=np.int64)), graph.edge_count + n
+
+    def start():
+        slots = np.zeros(n * M, dtype=np.int64)
+        slots[::M] = np.arange(n)
+        state = slots, np.ones(n, dtype=np.int64)
+        return Launch(_slpa, held, params, state, (M, params.strict), graph.edge_count + n)
+
+    # first-iteration repeats compare with the seeded own id and never stop the run
+    iterations, run = held.go(
+        params, start, M - 1,
+        lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
     )
-    iterations, _ = run(M, params.strict, params.tolerance)
-    slots, filled, labels = run.read()
+    labels = _modal_labels(*run.state, M)  # on the kernel's own state, lists when interpreted
+    slots, filled = run.read()
     return labels, iterations, (slots.reshape(n, M), filled)
 
 
-def slpa_detect(graph: Graph, params: SlpaParams | None = None) -> DetectionResult:
-    """Run SLPA on a preprocessed graph; the assignment is each modal label."""
+def slpa_detect(
+    graph: Graph, params: SlpaParams | None = None, held: Held | None = None
+) -> DetectionResult:
+    """Run SLPA on a preprocessed graph, continuing the run in ``held``
+    where it can (`labelprop.result.Held`); the assignment is each modal label."""
     if params is None:
         params = SlpaParams()
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
+    held = hold(held, graph)
     start = time.perf_counter()
-    labels, iterations, _ = _run(graph, params)
+    labels, iterations, _ = _run(graph, params, held)
     elapsed = time.perf_counter() - start
+    held.elapsed += elapsed
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
 
 

@@ -12,23 +12,24 @@ seed ``seed + r`` so non-strict runs differ.  Records stream out as runs
 finish; grid fields that do not apply to an algorithm are left empty in
 the CSV.
 
-A RAK or COPRA row continues the run of its non-tolerance cell (graph,
-mode or ``max_labels``, workers, repetition) that the cell's previous
-row left, instead of starting again from the initial labels
-(`labelprop.result.Held`): a tighter tolerance only adds iterations to
-a looser run.  A row whose tolerance is larger than the previous one's
-(an ascending grid) starts a fresh run.  Every row equals a standalone
-run of its cell, and its ``elapsed_ms`` is the run's cumulative time,
-about what the standalone run takes (a level plan or graph copy that
-several cells share counts in the row that builds it).  The sweep holds
-one live run per non-tolerance cell of the current graph, freed after
-the cell's last tolerance row, and per graph one visit order and strict
-level plan per seed.  SLPA has no tolerance grid; every SLPA row is a
-run of its own.
+A row continues the run of its cell, every grid value but the
+tolerance (graph, mode, ``max_labels`` or ``memory_size``, workers,
+repetition), that the cell's previous row left, instead of starting
+again from the initial state (`labelprop.result.Held`): a tighter
+tolerance only adds iterations to a looser run.  A row whose tolerance
+is larger than the previous one's (an ascending grid) starts a fresh
+run, and SLPA, which has no tolerance grid, has one row per cell.  Every
+row equals a standalone run of its cell, and its ``elapsed_ms`` is the
+run's cumulative time, about what the standalone run takes (a level plan
+or graph copy that several cells share counts in the row that builds
+it).  The sweep holds one live run per cell of the current graph, freed
+after the cell's last row, and per graph one kernel copy of the graph
+and one visit order and strict level plan per seed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -125,7 +126,7 @@ def run_one(
     None, keeps its default.  A non-None option the algorithm lacks (say
     ``max_labels`` for RAK, or ``max_iterations`` for SLPA) is a
     TypeError.  ``mode`` sets ``strict`` for RAK and SLPA; COPRA has no
-    tie mode.  ``held`` is a RAK or COPRA run to continue where it can.
+    tie mode.  ``held`` is a run to continue where it can.
     """
     options = {k: v for k, v in options.items() if v is not None}
     strict = mode == "strict"
@@ -134,9 +135,7 @@ def run_one(
     if algorithm == "copra":
         return copra_detect(graph, CopraParams(**options), held)
     if algorithm == "slpa":
-        if held is not None:
-            raise TypeError("SLPA runs cannot be held")
-        return slpa_detect(graph, SlpaParams(strict=strict, **options))
+        return slpa_detect(graph, SlpaParams(strict=strict, **options), held)
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -159,25 +158,25 @@ def _combos(spec: SweepSpec) -> Iterator[tuple[str, dict]]:
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
     """Yield one RunRecord per (graph x combo x workers x repetition)."""
     params = PARAMS[spec.algorithm]
-    holds = spec.algorithm != "slpa"
+    combos = list(_combos(spec))
+    # a held run's cell: every grid value but the tolerance
+    cells = [(mode, options.get("max_labels"), options.get("memory_size"))
+             for mode, options in combos]
+    rows = Counter(cells)
     for name, graph in graphs:
         memo = {}  # what the runs of this graph share
-        held = {}  # non-tolerance cell -> (its run, tolerance rows left)
-        for mode, options in _combos(spec):
+        held = {}  # cell, workers, seed -> (its run, rows left)
+        for cell, (mode, options) in zip(cells, combos):
             # the value each run used; empty where the algorithm has no such field
             used = {f: options.get(f, getattr(params, f, None))
                     for f in ("tolerance", "max_labels", "memory_size")}
             for workers in spec.workers:
                 for rep in range(spec.repetitions):
                     seed = spec.seed + rep
-                    handle = None
-                    if holds:
-                        cell = (mode, options.get("max_labels"), workers, seed)
-                        handle, left = held.pop(cell, None) or (
-                            Held(graph, memo), len(spec.tolerances)
-                        )
-                        if left > 1:
-                            held[cell] = handle, left - 1
+                    key = cell, workers, seed
+                    handle, left = held.pop(key, None) or (Held(graph, memo), rows[cell])
+                    if left > 1:
+                        held[key] = handle, left - 1
                     result = run_one(
                         spec.algorithm, graph, mode=mode or "non-strict", held=handle,
                         workers=workers, seed=seed, **options,
@@ -189,7 +188,7 @@ def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[
                         workers=workers,
                         seed=seed,
                         iterations=result.iterations,
-                        elapsed_ms=(handle or result).elapsed * 1000.0,
+                        elapsed_ms=handle.elapsed * 1000.0,
                         modularity=result.modularity,
                         **used,
                     )

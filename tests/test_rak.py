@@ -66,9 +66,10 @@ class TestDetect:
 
     def test_empty_graph(self):
         g = lp.preprocess(lp.from_arcs(0, [], [], []))
-        result = lp.rak_detect(g)
-        assert result.iterations == 0
-        assert result.assignment.size == 0
+        for strict in (False, True):  # interpreted, strict runs level by level
+            result = lp.rak_detect(g, lp.RakParams(strict=strict))
+            assert result.iterations == 0
+            assert result.assignment.size == 0
 
     def test_result_reports_modularity(self, eight_cliques):
         result = lp.rak_detect(eight_cliques, lp.RakParams(strict=True, seed=1))

@@ -3,15 +3,15 @@
 The oracle is written here, independent of the kernels: a dict tally in
 CSR scan order, strict ties to the first maximum in first-seen order,
 non-strict ties to ``tied[rng.next() % len(tied)]`` on worker 0's stream.
-Three paths are checked against it: the strict level path (called
-directly, so it is checked whichever backend `rak_detect` picks),
+Three paths are checked against it: the strict level path (driven
+through `rak._run` with the level branch forced, so it is checked
+whichever backend `rak_detect` picks),
 non-strict `rak_detect`, and strict `_rak` through the launch, the path
 compiled runs take.
 """
 
 from unittest import mock
 
-import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -51,9 +51,13 @@ def oracle(graph, seed, tolerance, max_iterations, strict):
 
 
 def levels(graph, seed, tolerance, max_iterations):
-    labels = np.arange(graph.vertex_count, dtype=np.int64)
-    plan = rak._level_plan(graph, rak.shuffled_indices(graph.vertex_count, seed))
-    iterations, _ = rak._rak_levels(plan, labels, tolerance, max_iterations)
+    params = lp.RakParams(
+        tolerance=tolerance, strict=True, max_iterations=max_iterations, seed=seed
+    )
+    order = rak.shuffled_indices(graph.vertex_count, seed)
+    # the branch interpreted runs take: strict RAK level by level
+    with mock.patch.object(rak, "JIT_ENABLED", False):
+        labels, iterations = rak._run(graph, params, order, lp.Held(graph))
     return labels.tolist(), iterations
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ class TestDetect:
             g, lp.SlpaParams(memory_size=8, seed=3)
         )
         assert np.array_equal(labels, np.arange(6))
+        # every append repeats the last one, but first-iteration repeats never count
+        assert iterations == 2
         # every append was the fallback: the owner's current modal label
         for v in range(6):
             assert set(slots[v, : filled[v]].tolist()) == {v}
@@ -44,6 +47,19 @@ class TestDetect:
             )
             assert iterations <= ms - 1
             assert set((filled - 1).tolist()) == {iterations}
+
+    def test_tolerance_monotonic_and_prefix(self):
+        # a held run goes on from the loose run's memories, so the tight
+        # run's memories must begin with the loose run's filled slots
+        for g in (lp.gnp(400, 0.02, seed=2), lp.ring_of_cliques(8, 5)):
+            for strict in (True, False):
+                params = lp.SlpaParams(memory_size=16, strict=strict, seed=4)
+                _, loose_it, (loose, loose_filled) = _run(g, replace(params, tolerance=0.5))
+                _, tight_it, (tight, tight_filled) = _run(g, replace(params, tolerance=0.0001))
+                assert tight_it >= loose_it
+                assert (loose_filled == loose_it + 1).all()
+                assert (tight_filled == tight_it + 1).all()
+                assert np.array_equal(tight[:, : loose_it + 1], loose[:, : loose_it + 1]), strict
 
     def test_two_triangles_recovered(self, two_triangles):
         result = lp.slpa_detect(two_triangles, lp.SlpaParams(memory_size=20, strict=True, seed=2))

@@ -1,10 +1,10 @@
 """A sweep row continues its cell's held run, and equals a standalone run.
 
-Within a sweep, a RAK or COPRA row goes on from the run its cell's
-previous tolerance row left (`labelprop.result.Held`).  These tests
-compare every row with a fresh `run_one` call of the same cell, and the
-detectors' held calls with standalone calls, on grids that continue,
-repeat, and climb back to a looser tolerance.
+Within a sweep, a row goes on from the run its cell's previous tolerance
+row left (`labelprop.result.Held`); SLPA has one row per cell.  These
+tests compare every row with a fresh `run_one` call of the same cell,
+and the detectors' held calls with standalone calls, on grids that
+continue, repeat, and climb back to a looser tolerance.
 """
 
 from functools import partial
@@ -29,6 +29,7 @@ GRIDS = {
 SPECS = {
     "rak": dict(algorithm="rak"),
     "copra": dict(algorithm="copra", max_labels=(1, 3, 8)),
+    "slpa": dict(algorithm="slpa", memory_sizes=(2, 5)),
 }
 
 
@@ -56,9 +57,10 @@ def test_rows_equal_standalone_runs(monkeypatch, algorithm, grid):
     )
     graphs = [(name, make()) for name, make in GRAPHS.items()]
     rows = dispatched_rows(monkeypatch, spec, graphs)
-    assert len(rows) == len(graphs) * len(GRIDS[grid]) * 2 * 2 * (
-        2 if algorithm == "rak" else 3
-    )
+    # cells per graph, workers value and repetition; SLPA has no tolerance grid
+    tolerances = len(GRIDS[grid])
+    cells = {"rak": 2 * tolerances, "copra": 3 * tolerances, "slpa": 2 * 2}[algorithm]
+    assert len(rows) == len(graphs) * 2 * 2 * cells
     by_name = dict(graphs)
     # compared after the whole sweep: later rows, which go on with the held
     # state, must not have moved an earlier row's assignment
@@ -93,12 +95,23 @@ def test_sweep_shuffles_and_plans_once_per_seed(monkeypatch):
     assert counts == {"shuffle": 4, "plan": 0 if lp.JIT_ENABLED else 4}
 
 
+# (detect, parameters, the option that caps a run at one iteration)
 DETECTORS = {
-    "rak-strict": (lp.rak_detect, partial(lp.RakParams, strict=True)),
-    "rak-non-strict": (lp.rak_detect, partial(lp.RakParams, strict=False)),
-    "copra-ml1": (lp.copra_detect, partial(lp.CopraParams, max_labels=1)),
-    "copra-ml8": (lp.copra_detect, partial(lp.CopraParams, max_labels=8)),
+    "rak-strict": (lp.rak_detect, partial(lp.RakParams, strict=True), {"max_iterations": 1}),
+    "rak-non-strict": (lp.rak_detect, partial(lp.RakParams, strict=False), {"max_iterations": 1}),
+    "copra-ml1": (lp.copra_detect, partial(lp.CopraParams, max_labels=1), {"max_iterations": 1}),
+    "copra-ml8": (lp.copra_detect, partial(lp.CopraParams, max_labels=8), {"max_iterations": 1}),
+    "slpa-strict": (lp.slpa_detect, partial(lp.SlpaParams, strict=True), {"memory_size": 2}),
+    "slpa-non-strict": (lp.slpa_detect, partial(lp.SlpaParams, strict=False), {"memory_size": 2}),
 }
+
+
+def changed(held):
+    """The vertices the held run's last iteration moved, as the tolerance
+    bounds them: RAK and COPRA count changes, SLPA counts repeats."""
+    if isinstance(held.params, lp.SlpaParams):
+        return held.graph.vertex_count - held.count
+    return held.count
 
 
 def same(a, b):
@@ -109,13 +122,13 @@ def same(a, b):
 
 @pytest.mark.parametrize("name", list(DETECTORS))
 def test_loose_rung_at_max_iterations_runs_nothing_more(name):
-    detect, make = DETECTORS[name]
+    detect, make, one = DETECTORS[name]
     g = GRAPHS["gnp"]()
-    loose_params = make(tolerance=0.1, max_iterations=1, seed=5)
-    tight_params = make(tolerance=0.0001, max_iterations=1, seed=5)
+    loose_params = make(tolerance=0.1, seed=5, **one)
+    tight_params = make(tolerance=0.0001, seed=5, **one)
     held = lp.Held(g)
     loose = detect(g, loose_params, held)
-    assert loose.iterations == 1 and held.changed > 0.1 * g.vertex_count  # the cap stopped it
+    assert loose.iterations == 1 and changed(held) > 0.1 * g.vertex_count  # the cap stopped it
     run = held.run
     tight = detect(g, tight_params, held)
     assert held.run is run and held.iterations == 1
@@ -125,13 +138,15 @@ def test_loose_rung_at_max_iterations_runs_nothing_more(name):
 @pytest.mark.parametrize("graph", ["gnp", "cliques"])
 @pytest.mark.parametrize("name", list(DETECTORS))
 def test_loose_and_tight_stop_at_the_same_iteration(name, graph):
-    detect, make = DETECTORS[name]
+    detect, make, _ = DETECTORS[name]
     g = GRAPHS["gnp"]() if graph == "gnp" else lp.disjoint_cliques(6, 5)
+    # strict SLPA on the G(n, p) graph settles at 0.3 only at its memory's end
+    loose_tolerance = 0.5 if name.startswith("slpa") else 0.3
     held = lp.Held(g)
-    loose = detect(g, make(tolerance=0.3, seed=2), held)
-    # a smaller tolerance that the loose run's last changed count still meets
-    tolerance = (held.changed + 0.5) / g.vertex_count
-    assert tolerance < 0.3
+    loose = detect(g, make(tolerance=loose_tolerance, seed=2), held)
+    # a smaller tolerance that the loose run's last count still meets
+    tolerance = (changed(held) + 0.5) / g.vertex_count
+    assert tolerance < loose_tolerance
     run = held.run
     tight = detect(g, make(tolerance=tolerance, seed=2), held)
     assert held.run is run
@@ -142,7 +157,7 @@ def test_loose_and_tight_stop_at_the_same_iteration(name, graph):
 
 @pytest.mark.parametrize("name", list(DETECTORS))
 def test_held_calls_equal_standalone_calls(name):
-    detect, make = DETECTORS[name]
+    detect, make, _ = DETECTORS[name]
     g = GRAPHS["gnp"]()
     held = lp.Held(g)
     # continue down, repeat, climb back (a fresh run), then change the seed
@@ -155,5 +170,5 @@ def test_held_run_of_another_graph_is_rejected():
     held = lp.Held(GRAPHS["ring"]())
     with pytest.raises(ValueError, match="another graph"):
         lp.rak_detect(GRAPHS["ring"](), lp.RakParams(), held)
-    with pytest.raises(TypeError, match="SLPA"):
-        lp.run_one("slpa", held.graph, held=held)
+    with pytest.raises(ValueError, match="another graph"):
+        lp.run_one("slpa", GRAPHS["ring"](), held=held)
