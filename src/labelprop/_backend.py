@@ -71,6 +71,11 @@ PAD = 8
 CHUNK = 1024
 
 
+def threads_run(workers):
+    """The threads a kernel asked for ``workers`` runs on: the pool's size at most."""
+    return min(workers, MAX_THREADS)
+
+
 def kernel_args(*arrays):
     """The arrays to hand a kernel: unchanged when compiled, as lists otherwise.
 

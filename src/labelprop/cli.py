@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .sweep import (
     SweepSpec,
     run_one,
     run_sweep,
+    sweep_jobs,
 )
 
 ALGORITHMS = ("rak", "copra", "slpa")
@@ -198,25 +201,53 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"labelprop sweep: error: {exc}", file=sys.stderr)
         return 2
+    job = partial(_sweep_graph, args, spec)
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
         print(CSV_HEADER, file=out, flush=True)
-
-        def graphs():
-            for path in spec.graphs:
-                try:
-                    graph = _load(args, path)
-                except (OSError, GraphParseError) as exc:
-                    print(f"labelprop: skipping {path}: {exc}", file=sys.stderr)
-                    continue
-                yield path, graph
-
-        for record in run_sweep(spec, graphs()):
-            print(record.csv_row(), file=out, flush=True)
+        with _mapped(job, spec.graphs, sweep_jobs(spec, len(spec.graphs))) as results:
+            for rows, skipped in results:
+                out.write(rows)
+                out.flush()
+                sys.stderr.write(skipped)
     finally:
         if out is not sys.stdout:
             out.close()
     return 0
+
+
+def _sweep_graph(args, spec: SweepSpec, path: str) -> tuple[str, str]:
+    """One graph of a sweep: (its CSV rows, its ``skipping`` line), either may be empty."""
+    try:
+        graph = _load(args, path)
+    except (OSError, GraphParseError) as exc:
+        return "", f"labelprop: skipping {path}: {exc}\n"
+    return "".join(record.csv_row() + "\n" for record in run_sweep(spec, [(path, graph)])), ""
+
+
+@contextmanager
+def _mapped(job, items, jobs: int):
+    """``map(job, items)`` in order, on a pool of ``jobs`` forked processes
+    when ``jobs`` > 1 and the platform can fork, else in this process.
+
+    Leaving the block joins the pool's processes: closed after the last
+    result, terminated on any exception."""
+    if jobs > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            # Forked workers start with this process's imports and run every
+            # kernel; the CLI process runs none and starts no thread before
+            # the fork.  A worker flushes the standard streams it inherited
+            # when it exits, so nothing may be left in their buffers.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            with multiprocessing.get_context("fork").Pool(jobs) as pool:
+                yield pool.imap(job, items, chunksize=1)
+                pool.close()
+                pool.join()
+            return
+    yield map(job, items)
 
 
 def cmd_score(args) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._backend import CHUNK, MAX_THREADS, PAD, get_num_threads, kernel_args, set_num_threads
+from ._backend import CHUNK, PAD, get_num_threads, kernel_args, set_num_threads, threads_run
 from .prng import stream_rows, worker_states
 
 
@@ -62,7 +62,7 @@ class Launch:
         graph = held.graph
         self.kernel, self.scalars = kernel, scalars
         self.dtypes = tuple(s.dtype for s in state)
-        self.workers = min(params.workers, MAX_THREADS)
+        self.workers = threads_run(params.workers)
         n = graph.vertex_count
         size = max(min(draws, STREAM_CAP), int(np.diff(graph.offsets).max(initial=0)) + 1)
         self.graph = held.keep(

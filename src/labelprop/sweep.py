@@ -29,10 +29,12 @@ and one visit order and strict level plan per seed.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ._backend import threads_run
 from .copra import CopraParams, copra_detect
 from .graph import Graph
 from .rak import RakParams, rak_detect
@@ -155,40 +157,57 @@ def _combos(spec: SweepSpec) -> Iterator[tuple[str, dict]]:
                 yield mode, {"memory_size": ms}
 
 
-def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
-    """Yield one RunRecord per (graph x combo x workers x repetition)."""
+def graph_records(spec: SweepSpec, name: str, graph: Graph) -> Iterator[RunRecord]:
+    """Yield one RunRecord per (combo x workers x repetition) of one graph."""
     params = PARAMS[spec.algorithm]
     combos = list(_combos(spec))
     # a held run's cell: every grid value but the tolerance
     cells = [(mode, options.get("max_labels"), options.get("memory_size"))
              for mode, options in combos]
     rows = Counter(cells)
+    memo = {}  # what the runs of this graph share
+    held = {}  # cell, workers, seed -> (its run, rows left)
+    for cell, (mode, options) in zip(cells, combos):
+        # the value each run used; empty where the algorithm has no such field
+        used = {f: options.get(f, getattr(params, f, None))
+                for f in ("tolerance", "max_labels", "memory_size")}
+        for workers in spec.workers:
+            for rep in range(spec.repetitions):
+                seed = spec.seed + rep
+                key = cell, workers, seed
+                handle, left = held.pop(key, None) or (Held(graph, memo), rows[cell])
+                if left > 1:
+                    held[key] = handle, left - 1
+                result = run_one(
+                    spec.algorithm, graph, mode=mode or "non-strict", held=handle,
+                    workers=workers, seed=seed, **options,
+                )
+                yield RunRecord(
+                    graph=name,
+                    algorithm=spec.algorithm,
+                    mode=mode,
+                    workers=workers,
+                    seed=seed,
+                    iterations=result.iterations,
+                    elapsed_ms=handle.elapsed * 1000.0,
+                    modularity=result.modularity,
+                    **used,
+                )
+
+
+def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
+    """Yield one RunRecord per (graph x combo x workers x repetition), in this process."""
     for name, graph in graphs:
-        memo = {}  # what the runs of this graph share
-        held = {}  # cell, workers, seed -> (its run, rows left)
-        for cell, (mode, options) in zip(cells, combos):
-            # the value each run used; empty where the algorithm has no such field
-            used = {f: options.get(f, getattr(params, f, None))
-                    for f in ("tolerance", "max_labels", "memory_size")}
-            for workers in spec.workers:
-                for rep in range(spec.repetitions):
-                    seed = spec.seed + rep
-                    key = cell, workers, seed
-                    handle, left = held.pop(key, None) or (Held(graph, memo), rows[cell])
-                    if left > 1:
-                        held[key] = handle, left - 1
-                    result = run_one(
-                        spec.algorithm, graph, mode=mode or "non-strict", held=handle,
-                        workers=workers, seed=seed, **options,
-                    )
-                    yield RunRecord(
-                        graph=name,
-                        algorithm=spec.algorithm,
-                        mode=mode,
-                        workers=workers,
-                        seed=seed,
-                        iterations=result.iterations,
-                        elapsed_ms=handle.elapsed * 1000.0,
-                        modularity=result.modularity,
-                        **used,
-                    )
+        yield from graph_records(spec, name, graph)
+
+
+def sweep_jobs(spec: SweepSpec, graph_count: int) -> int:
+    """How many graphs of ``labelprop sweep`` run at once, each in its own process.
+
+    ``usable_cpus // threads per row``, the threads per row being the
+    most any ``spec.workers`` value runs on (`threads_run`), and at most
+    ``graph_count``; never fewer than 1.  Interpreted, every row runs on
+    one thread, so each usable CPU takes a graph.
+    """
+    per_row = max(threads_run(w) for w in spec.workers)
+    return max(1, min(graph_count, len(os.sched_getaffinity(0)) // per_row))
