@@ -2,7 +2,11 @@
 
 ``detect`` writes a ``vertex<TAB>community`` TSV (stdout by default) and a
 one-line summary on stderr.  ``sweep`` streams a CSV of runs over the
-parameter grids.  ``score`` recomputes modularity for a saved assignment.
+parameter grids, one graph's rows at a time in input order; with several
+graphs it runs them in forked worker processes, as many at once as
+`labelprop.sweep.sweep_jobs` allows (usable CPUs divided by the threads
+a row runs on), and only this process writes.  ``score`` recomputes
+modularity for a saved assignment.
 ``info`` prints vertex/edge counts and average degree per graph.  A file
 that cannot be read or parsed ends a command with one ``labelprop: ...``
 line and exit 1 (``sweep`` skips such a graph, ``info`` reports it and
@@ -222,6 +226,7 @@ def _sweep_graph(args, spec: SweepSpec, path: str) -> tuple[str, str]:
         graph = _load(args, path)
     except (OSError, GraphParseError) as exc:
         return "", f"labelprop: skipping {path}: {exc}\n"
+    # through run_sweep, the sweep layer that perfbench's traces wrap
     return "".join(record.csv_row() + "\n" for record in run_sweep(spec, [(path, graph)])), ""
 
 

@@ -8,9 +8,9 @@ A sweep crosses, per graph, the grids that apply to the chosen algorithm:
 
 Parameters outside an algorithm's grids keep their ``*Params`` defaults
 (SLPA's tolerance is ``SlpaParams.tolerance``).  Repetition r runs with
-seed ``seed + r`` so non-strict runs differ.  Records stream out as runs
-finish; grid fields that do not apply to an algorithm are left empty in
-the CSV.
+seed ``seed + r`` so non-strict runs differ.  `run_sweep` yields records
+as runs finish, in this process; grid fields that do not apply to an
+algorithm are left empty in the CSV.
 
 A row continues the run of its cell, every grid value but the
 tolerance (graph, mode, ``max_labels`` or ``memory_size``, workers,
@@ -25,6 +25,20 @@ or graph copy that several cells share counts in the row that builds
 it).  The sweep holds one live run per cell of the current graph, freed
 after the cell's last row, and per graph one kernel copy of the graph
 and one visit order and strict level plan per seed.
+
+``labelprop sweep`` runs each input graph's rows (`graph_records`) in a
+worker process, `sweep_jobs` graphs at a time: the usable CPUs
+(``os.sched_getaffinity``) divided by the most threads a row runs on
+(the largest ``workers`` value, clamped to the kernel thread pool), at
+most one job per graph and at least one.  Interpreted, every row runs on
+one thread, so each usable CPU takes a graph; compiled, a
+``workers`` grid that reaches the CPU count runs graphs one at a time,
+so thread-scaling rows never share CPUs.  Rows and skip messages still
+come out in input order, one graph's at a time.  A row's ``elapsed_ms``
+is then measured while other graphs run; for one-at-a-time timing, pass
+one graph per call or run on one CPU (``taskset -c 0``).  Memory grows
+with the job count, each job holding its graph and held runs, and a
+single graph gains nothing.
 """
 
 from __future__ import annotations
