@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--max-iterations", type=_positive_int,
                           help=f"iteration cap {_defaults('max_iterations')}")
     p_detect.add_argument("--threads", type=_positive_int, default=1,
-                          help="worker count (default: 1)")
+                          help="worker threads when compiled; interpreted runs use one "
+                          "(default: 1)")
     p_detect.add_argument("--seed", type=int, default=1)
     p_detect.add_argument("--output", default="-", help="TSV path, '-' for stdout")
     _add_mode_options(p_detect)

@@ -33,9 +33,8 @@ import numpy as np
 
 from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
-from .prng import XorShift32
 from .quality import modularity
-from .rak import _dense_tally, _pick_from_tally
+from .rak import _pick_from_tally
 from .result import DetectionResult, Held, Launch, hold
 
 
@@ -222,33 +221,3 @@ def copra_detect(
     elapsed = time.perf_counter() - start
     held.elapsed += elapsed
     return DetectionResult(best, iterations, elapsed, modularity(graph, best))
-
-
-def collect_and_threshold(labels, weights, max_labels: int, rng: XorShift32):
-    """Apply the normalize/threshold/fallback/renormalize step to one tally.
-
-    ``labels``/``weights`` give the accumulated (label, weight) pairs in
-    scan order.  Returns (labels, belongings) sorted by label id, with
-    belongings summing to 1.
-    """
-    if max_labels < 1:
-        raise ValueError("max_labels must be >= 1")
-    touched, tally, count = _dense_tally(labels, weights)
-    out_l = np.zeros(max_labels, dtype=np.int64)
-    out_b = np.zeros(max_labels, dtype=np.float64)
-    k = _select_labels(
-        touched, tally, count, max_labels, rng._row, rng._cursors, 0, out_l, out_b, 0
-    )
-    return out_l[:k].copy(), out_b[:k].copy()
-
-
-def best_label(labels, belongings) -> int:
-    """Maximum-belonging label; ties break to the smallest label id."""
-    labs = np.asarray(labels, dtype=np.int64)
-    bels = np.asarray(belongings, dtype=np.float64)
-    if labs.size == 0:
-        raise ValueError("empty label set")
-    if labs.size != bels.size:
-        raise ValueError("labels and belongings must have equal length")
-    by_label = np.argsort(labs, kind="stable")
-    return int(_best_of_row(labs[by_label], bels[by_label], 0, labs.size))

@@ -9,13 +9,14 @@ of the text means MatrixMarket, anything else is an edge list.
 expect: symmetric, unit arc weights by default, and exactly one weight-1
 self-loop per vertex.
 
-Files are UTF-8 text; one leading byte-order mark is dropped.  Both formats
-read their entry lines through `_entries`, so each rule (field count,
-numeric tokens, id range, finite positive weight) has one message.  A body
-whose rows are plain numbers of one width is parsed by numpy in one pass;
-anything else (comment lines, mixed widths, a value that fails a check)
-goes through a line-by-line loop that accepts the same inputs and names
-the line of the first error.  Vertex counts are bounded by `MAX_VERTICES`.
+Files are UTF-8 text; one leading byte-order mark is dropped.  Both
+formats read their entry lines through `_entries`, so each rule (field
+count, numeric tokens, id range, finite positive weight, whole weights in
+an ``integer`` MatrixMarket file) has one message.  A body whose rows are
+plain numbers of one width is parsed by numpy in one pass; anything else
+(comment lines, mixed widths, a value that fails a check) goes through a
+line-by-line loop that accepts the same inputs and names the line of the
+first error.  Vertex counts are bounded by `MAX_VERTICES`.
 
 Weight conventions, fixed once here and relied on everywhere else:
 
@@ -189,16 +190,17 @@ def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
 
 def _entries(
     stream: io.StringIO, lineno: int, comment: str, widths: tuple, lo: int, hi: tuple,
-    count: int | None = None,
+    count: int | None = None, integral: bool = False,
 ):
     """The entry lines left in ``stream`` as ``(u, v, w)`` arrays of 0-based arcs.
 
     An entry is ``u v`` or ``u v w`` (its width in ``widths``; a missing
     weight is 1) with ``lo <= u <= hi[0]``, ``lo <= v <= hi[1]`` and a
-    finite positive ``w``; ids are shifted down by ``lo``.  Blank lines and
-    lines that start with ``comment`` are skipped, and ``count``, when
-    given, is the number of entries the file declares.  ``lineno`` is the
-    number of lines before the stream's position.
+    finite positive ``w``, a whole number when ``integral``; ids are
+    shifted down by ``lo``.  Blank lines and lines that start with
+    ``comment`` are skipped, and ``count``, when given, is the number of
+    entries the file declares.  ``lineno`` is the number of lines before
+    the stream's position.
 
     A body of plain numbers whose first line has a width in ``widths`` is
     parsed by numpy in one pass and kept if every value passes the checks.
@@ -215,17 +217,18 @@ def _entries(
         and _in_range(parsed[0], lo, hi[0])
         and _in_range(parsed[1], lo, hi[1])
         and bool(((parsed[2] > 0) & (parsed[2] < np.inf)).all())
+        and not (integral and (parsed[2] % 1).any())
     ):
         u, v, w = parsed
     else:
         stream.seek(start)
-        u, v, w = _entry_loop(stream, lineno, comment, widths, lo, hi, count)
+        u, v, w = _entry_loop(stream, lineno, comment, widths, lo, hi, count, integral)
     u -= lo
     v -= lo
     return u, v, w
 
 
-def _entry_loop(lines, lineno, comment, widths, lo, hi, count):
+def _entry_loop(lines, lineno, comment, widths, lo, hi, count, integral):
     """`_entries` one line at a time, naming the line of the first error."""
     us, vs, ws = [], [], []
     for raw in lines:
@@ -251,6 +254,8 @@ def _entry_loop(lines, lineno, comment, widths, lo, hi, count):
                 raise GraphParseError(f"line {lineno}: vertex index {x} exceeds {top}")
         if not 0 < weight < math.inf:
             raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
+        if integral and not weight.is_integer():
+            raise GraphParseError(f"line {lineno}: non-integer weight {weight} in an integer file")
         us.append(ids[0])
         vs.append(ids[1])
         ws.append(weight)
@@ -300,7 +305,9 @@ def _matrix_market(stream: io.StringIO) -> Graph:
         raise GraphParseError(f"line {lineno}: missing size line")
 
     width = 2 if field == "pattern" else 3
-    us, vs, ws = _entries(stream, lineno, "%", (width,), 1, (rows, cols), count)
+    us, vs, ws = _entries(
+        stream, lineno, "%", (width,), 1, (rows, cols), count, field == "integer"
+    )
     if symmetry == "symmetric":
         off = us != vs
         us, vs, ws = (
@@ -320,9 +327,9 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
 
     MatrixMarket: header ``%%MatrixMarket matrix coordinate
     (pattern|real|integer) (general|symmetric)``, a ``rows cols entries``
-    line, 1-based indices; ``pattern`` entries get weight 1 and
-    ``symmetric`` storage is expanded to both arc directions (diagonal
-    entries kept single).  Edge list: ``u v [w]`` lines, 0-based, ``#``
+    line, 1-based indices; ``integer`` weights must be whole numbers,
+    ``pattern`` entries get weight 1 and ``symmetric`` storage is expanded
+    to both arc directions (diagonal entries kept single).  Edge list: ``u v [w]`` lines, 0-based, ``#``
     comments, weight 1 by default; the vertex count is the largest id plus
     one.  In both, vertex counts are at most `MAX_VERTICES`, weights must
     be finite and positive, and duplicate arcs merge by weight sum.
@@ -338,16 +345,6 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
         return _matrix_market(stream)
     us, vs, ws = _entries(stream, 0, "#", (2, 3), 0, (MAX_VERTICES - 1,) * 2)
     return from_arcs(1 + max(us.max(initial=-1), vs.max(initial=-1)), us, vs, ws)
-
-
-def load_matrix_market(source: Source) -> Graph:
-    """`load_graph` for a MatrixMarket coordinate file, whatever its name."""
-    return load_graph(source, "mtx")
-
-
-def load_edge_list(source: Source) -> Graph:
-    """`load_graph` for a whitespace edge list, whatever its name."""
-    return load_graph(source, "edgelist")
 
 
 def preprocess(
@@ -393,17 +390,6 @@ def preprocess(
         weights = np.maximum.reduceat(np.concatenate([rw, rw, loop_w])[order], starts)
     u, v = np.divmod(key[starts], n)
     return _csr(n, u, v, weights, symmetric=True)
-
-
-def degree_weight(graph: Graph, vertex: int) -> float:
-    """Weighted degree of one vertex; a self-loop counts twice."""
-    n = graph.vertex_count
-    if not 0 <= vertex < n:
-        raise ValueError(f"vertex {vertex} out of range [0, {n})")
-    lo, hi = graph.offsets[vertex], graph.offsets[vertex + 1]
-    row = graph.neighbors[lo:hi]
-    wts = graph.weights[lo:hi]
-    return float(wts.sum() + wts[row == vertex].sum())
 
 
 def degree_weights(graph: Graph) -> np.ndarray:

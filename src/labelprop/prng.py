@@ -205,34 +205,3 @@ def shuffled_indices(n: int, seed: int) -> np.ndarray:
     )
     _fisher_yates(order, stream)
     return np.asarray(order, dtype=np.int64)
-
-
-class XorShift32:
-    """Single-stream generator for sequential use and tests.
-
-    It reads one stream row, as a kernel worker does, so its draws follow
-    the kernels' draw rule exactly.
-    """
-
-    _ROW = 1024
-
-    def __init__(self, seed: int):
-        s = int(seed) & _MASK
-        if s == 0:
-            s = ZERO_SEED_REPLACEMENT
-        rows, self._cursors = kernel_args(*stream_rows([s], self._ROW))
-        self._row = rows[0]
-
-    @property
-    def state(self) -> int:
-        return int(self._row[self._cursors[0] - 1])
-
-    def next(self) -> int:
-        """Next 32-bit value; also the new state."""
-        return int(next_output(self._row, self._cursors, 0))
-
-    def next_bounded(self, n: int) -> int:
-        """Uniform-ish integer in [0, n) by modulo reduction."""
-        if n < 1:
-            raise ValueError("bound must be a positive integer")
-        return self.next() % n

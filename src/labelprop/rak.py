@@ -70,7 +70,7 @@ import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
-from .prng import XorShift32, next_output, shuffled_indices
+from .prng import next_output, shuffled_indices
 from .quality import modularity
 from .result import DetectionResult, Held, Launch, hold
 
@@ -313,35 +313,3 @@ def rak_detect(
     elapsed = time.perf_counter() - start
     held.elapsed += elapsed
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
-
-
-def _dense_tally(labels, weights):
-    """A tally given as parallel (label, weight) arrays in scan order, in
-    the kernels' form: (touched, tally, count), the distinct labels in
-    first-seen order and a dense accumulator indexed by label."""
-    labs = np.asarray(labels, dtype=np.int64)
-    wts = np.asarray(weights, dtype=np.float64)
-    if labs.size == 0:
-        raise ValueError("empty tally")
-    if labs.size != wts.size:
-        raise ValueError("labels and weights must have equal length")
-    tally = np.zeros(int(labs.max()) + 1, dtype=np.float64)
-    touched = np.empty(labs.size, dtype=np.int64)
-    count = 0
-    for lab, w in zip(labs, wts):
-        if tally[lab] == 0.0:
-            touched[count] = lab
-            count += 1
-        tally[lab] += w
-    return touched, tally, count
-
-
-def choose_max_label(labels, weights, strict: bool, rng: XorShift32) -> int:
-    """Pick the winning label from a tally given as parallel arrays.
-
-    ``labels``/``weights`` list the tally in scan order.  Strict mode
-    returns the first maximum-weight label; non-strict picks uniformly
-    among all tied maxima using ``rng``.
-    """
-    touched, tally, count = _dense_tally(labels, weights)
-    return int(_pick_from_tally(touched, tally, count, strict, rng._row, rng._cursors, 0))

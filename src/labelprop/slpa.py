@@ -178,11 +178,3 @@ def slpa_detect(
     elapsed = time.perf_counter() - start
     held.elapsed += elapsed
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))
-
-
-def most_popular_label(memory) -> int:
-    """Modal label of a memory; frequency ties break to the smallest id."""
-    arr = np.asarray(memory, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("empty memory")
-    return int(_modal_label(arr, 0, arr.size))

@@ -1,9 +1,4 @@
-"""Synthetic graphs and a brute-force modularity reference.
-
-These back the property suites: small generated graphs with known
-community structure, plus an O(|V|^2) modularity evaluation that is
-deliberately independent of the CSR single-pass implementation.
-"""
+"""Synthetic graphs with known community structure, for tests and examples."""
 
 from __future__ import annotations
 
@@ -73,59 +68,8 @@ def gnp(n: int, p: float, seed: int = 1, **pre) -> Graph:
     return _undirected(n, [i], [j], **pre)
 
 
-def star(n: int, **pre) -> Graph:
-    """Hub vertex 0 with n-1 leaves."""
-    if n < 2:
-        return _undirected(max(n, 0), [], [])
-    leaves = np.arange(1, n, dtype=np.int64)
-    return _undirected(n, [np.zeros(n - 1, dtype=np.int64)], [leaves], **pre)
-
-
-def path(n: int, **pre) -> Graph:
-    """Simple path 0 - 1 - ... - (n-1)."""
-    if n < 2:
-        return _undirected(max(n, 0), [], [])
-    idx = np.arange(n - 1, dtype=np.int64)
-    return _undirected(n, [idx], [idx + 1], **pre)
-
-
 def _undirected(n, us, vs, unit_weights=True, self_loops=True) -> Graph:
     u = np.concatenate([np.asarray(a, dtype=np.int64) for a in us]) if us else np.zeros(0, dtype=np.int64)
     v = np.concatenate([np.asarray(a, dtype=np.int64) for a in vs]) if vs else np.zeros(0, dtype=np.int64)
     raw = from_arcs(n, u, v, np.ones(u.size))
     return preprocess(raw, unit_weights=unit_weights, self_loops=self_loops)
-
-
-def brute_modularity(graph: Graph, assignment) -> float:
-    """Reference modularity by direct double loop over vertex pairs.
-
-    Builds the dense adjacency matrix (self-loops doubled, matching the
-    degree convention) and evaluates
-    ``sum_{c(u)=c(v)} (A[u,v] - d[u] d[v] / W) / W`` literally.  Guarded to
-    small graphs; this exists to cross-check the production scorer, so it
-    must stay independent of it.
-    """
-    n = graph.vertex_count
-    if n > 256:
-        raise ValueError("brute_modularity is limited to 256 vertices")
-    labels = np.asarray(assignment, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ValueError("assignment length must equal vertex_count")
-    if n == 0:
-        return 0.0
-    dense = np.zeros((n, n), dtype=np.float64)
-    for v in range(n):
-        for e in range(graph.offsets[v], graph.offsets[v + 1]):
-            u = int(graph.neighbors[e])
-            w = float(graph.weights[e])
-            dense[v, u] += 2.0 * w if u == v else w
-    degree = dense.sum(axis=1)
-    total = dense.sum()
-    if total <= 0:
-        return 0.0
-    q = 0.0
-    for u in range(n):
-        for v in range(n):
-            if labels[u] == labels[v]:
-                q += dense[u, v] - degree[u] * degree[v] / total
-    return q / total

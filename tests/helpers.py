@@ -1,0 +1,79 @@
+"""Oracles, small graphs and kernel arguments shared by the tests.
+
+`brute_modularity` cross-checks `labelprop.quality`, so it reads only the
+CSR arrays and never calls the scorer.  `dense_tally` and `stream_row`
+build the arguments of the kernels' njit helpers (`rak._pick_from_tally`,
+`copra._select_labels`), so tests call those helpers as the kernels do.
+"""
+
+import numpy as np
+
+import labelprop as lp
+from labelprop.prng import stream_rows
+from labelprop.synth import _undirected
+
+
+def star(n: int) -> lp.Graph:
+    """Hub vertex 0 with n - 1 leaves."""
+    return _undirected(n, [np.zeros(max(n - 1, 0))], [np.arange(1, n)])
+
+
+def path(n: int) -> lp.Graph:
+    """Simple path 0 - 1 - ... - (n - 1)."""
+    return _undirected(n, [np.arange(max(n - 1, 0))], [np.arange(1, n)])
+
+
+def brute_modularity(graph: lp.Graph, assignment) -> float:
+    """Reference modularity by direct double loop over vertex pairs.
+
+    Builds the dense adjacency matrix (self-loops doubled, matching the
+    degree convention) and evaluates
+    ``sum_{c(u)=c(v)} (A[u,v] - d[u] d[v] / W) / W`` literally.  Guarded to
+    small graphs.
+    """
+    n = graph.vertex_count
+    if n > 256:
+        raise ValueError("brute_modularity is limited to 256 vertices")
+    labels = np.asarray(assignment, dtype=np.int64)
+    if labels.shape != (n,):
+        raise ValueError("assignment length must equal vertex_count")
+    if n == 0:
+        return 0.0
+    dense = np.zeros((n, n), dtype=np.float64)
+    for v in range(n):
+        for e in range(graph.offsets[v], graph.offsets[v + 1]):
+            u = int(graph.neighbors[e])
+            w = float(graph.weights[e])
+            dense[v, u] += 2.0 * w if u == v else w
+    degree = dense.sum(axis=1)
+    total = dense.sum()
+    if total <= 0:
+        return 0.0
+    q = 0.0
+    for u in range(n):
+        for v in range(n):
+            if labels[u] == labels[v]:
+                q += dense[u, v] - degree[u] * degree[v] / total
+    return q / total
+
+
+def dense_tally(labels, weights):
+    """A tally given as parallel (label, weight) lists in scan order, in the
+    kernels' form: (touched, tally, count), the distinct labels in
+    first-seen order and a dense accumulator indexed by label."""
+    tally = np.zeros(max(labels) + 1, dtype=np.float64)
+    touched = np.empty(len(labels), dtype=np.int64)
+    count = 0
+    for lab, w in zip(labels, weights):
+        if tally[lab] == 0.0:
+            touched[count] = lab
+            count += 1
+        tally[lab] += w
+    return touched, tally, count
+
+
+def stream_row(state: int, size: int = 1024):
+    """(row, cursors): one worker's stream row whose first read is the
+    output after ``state``; read it as slot 0 (`prng.next_output`)."""
+    rows, cursors = stream_rows([state], size)
+    return rows[0], cursors

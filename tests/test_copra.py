@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import labelprop as lp
+from labelprop import copra
 from labelprop.copra import _run
 from conftest import copra_row_bounds, partition_matches
+from helpers import dense_tally, stream_row
 
 
 class TestDetect:
@@ -86,26 +88,39 @@ class TestDetect:
             assert par.assignment.min() >= 0 and par.assignment.max() < 2000
 
 
+def threshold(labels, weights, max_labels, stream=None):
+    """(labels, belongings) of the row the kernels' threshold step keeps
+    from one tally, drawing from ``stream`` (seed 1's row by default)."""
+    row, cursors = stream or stream_row(1)
+    out_l = np.zeros(max_labels, dtype=np.int64)
+    out_b = np.zeros(max_labels)
+    k = copra._select_labels(
+        *dense_tally(labels, weights), max_labels, row, cursors, 0, out_l, out_b, 0
+    )
+    return out_l[:k], out_b[:k]
+
+
+def best(labels, belongings):
+    """`_best_of_row` on one row, which the kernel keeps sorted by label id."""
+    return copra._best_of_row(np.array(labels), np.array(belongings), 0, len(labels))
+
+
 class TestCollectAndThreshold:
     def test_all_above_threshold_kept_as_is(self):
-        labels, bels = lp.collect_and_threshold([10, 20], [0.6, 0.4], 4, lp.XorShift32(1))
+        labels, bels = threshold([10, 20], [0.6, 0.4], 4)
         assert labels.tolist() == [10, 20]
         assert bels.tolist() == pytest.approx([0.6, 0.4])
 
     def test_below_threshold_dropped_and_renormalized(self):
-        labels, bels = lp.collect_and_threshold(
-            [1, 2, 3], [0.5, 0.3, 0.2], 4, lp.XorShift32(1)
-        )
+        labels, bels = threshold([1, 2, 3], [0.5, 0.3, 0.2], 4)
         assert labels.tolist() == [1, 2]
         assert bels.tolist() == pytest.approx([0.625, 0.375])
 
     def test_nothing_qualifies_falls_back_to_one_random_max(self):
         seen = set()
-        rng = lp.XorShift32(5)
+        stream = stream_row(5)
         for _ in range(200):
-            labels, bels = lp.collect_and_threshold(
-                [0, 1, 2, 3, 4], [0.2] * 5, 4, rng
-            )
+            labels, bels = threshold([0, 1, 2, 3, 4], [0.2] * 5, 4, stream)
             assert labels.size == 1
             assert bels.tolist() == [1.0]
             seen.add(int(labels[0]))
@@ -114,32 +129,24 @@ class TestCollectAndThreshold:
     def test_path_midpoint_first_update(self):
         # path 0-1-2: vertex 1 first accumulates {0: w, 2: w}; with a cap of
         # two labels both survive at belonging 0.5
-        labels, bels = lp.collect_and_threshold([0, 2], [1.0, 1.0], 2, lp.XorShift32(1))
+        labels, bels = threshold([0, 2], [1.0, 1.0], 2)
         assert labels.tolist() == [0, 2]
         assert bels.tolist() == pytest.approx([0.5, 0.5])
 
     def test_result_sorted_by_label_id(self):
-        labels, _ = lp.collect_and_threshold([9, 1, 5], [0.4, 0.3, 0.3], 4, lp.XorShift32(1))
+        labels, _ = threshold([9, 1, 5], [0.4, 0.3, 0.3], 4)
         assert labels.tolist() == sorted(labels.tolist())
-
-    def test_empty_tally_rejected(self):
-        with pytest.raises(ValueError):
-            lp.collect_and_threshold([], [], 4, lp.XorShift32(1))
 
 
 class TestBestLabel:
     def test_unique_max(self):
-        assert lp.best_label([7, 2], [0.6, 0.4]) == 7
+        assert best([2, 7], [0.4, 0.6]) == 7
 
     def test_tie_takes_smallest_id(self):
-        assert lp.best_label([7, 2], [0.5, 0.5]) == 2
+        assert best([2, 7], [0.5, 0.5]) == 2
 
     def test_singleton(self):
-        assert lp.best_label([3], [1.0]) == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lp.best_label([], [])
+        assert best([3], [1.0]) == 3
 
 
 class TestParams:

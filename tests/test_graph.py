@@ -9,11 +9,11 @@ from labelprop.graph import MAX_VERTICES, arc_rows, check_symmetric, graphs_equa
 
 
 def mm(text: str) -> lp.Graph:
-    return lp.load_matrix_market(io.StringIO(text))
+    return lp.load_graph(io.StringIO(text), "mtx")
 
 
 def el(text: str) -> lp.Graph:
-    return lp.load_edge_list(io.StringIO(text))
+    return lp.load_graph(io.StringIO(text), "edgelist")
 
 
 class TestMatrixMarket:
@@ -34,6 +34,15 @@ class TestMatrixMarket:
     def test_integer_field(self):
         g = mm("%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n")
         assert g.weights.tolist() == [3.0]
+
+    def test_integer_field_rejects_fractional_weight(self):
+        # a clean file takes the numpy parse, a comment line forces the line loop
+        for comment, line in (("", 4), ("% note\n", 5)):
+            text = f"%%MatrixMarket matrix coordinate integer general\n2 2 2\n{comment}1 2 3\n2 1 1.5\n"
+            with pytest.raises(lp.GraphParseError) as err:
+                mm(text)
+            assert str(err.value) == f"line {line}: non-integer weight 1.5 in an integer file"
+        assert mm(text.replace("integer", "real")).weights.tolist() == [3.0, 1.5]
 
     def test_duplicates_merge_by_sum(self):
         g = mm("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 1.5\n1 2 2.5\n")
@@ -118,12 +127,12 @@ class TestEdgeList:
         with pytest.raises(lp.GraphParseError, match="line 2: not valid UTF-8"):
             lp.load_graph(path)
         with pytest.raises(lp.GraphParseError, match="line 2: not valid UTF-8"):
-            lp.load_edge_list(path)
+            lp.load_graph(path, "edgelist")
 
     def test_crlf_file_matches_lf_text(self, tmp_path):
         path = tmp_path / "crlf.txt"
         path.write_bytes(b"0 1 2.0\r\n1 2 3.0\r2 0 1.0\r\n")
-        assert graphs_equal(lp.load_edge_list(path), el("0 1 2.0\n1 2 3.0\n2 0 1.0\n"))
+        assert graphs_equal(lp.load_graph(path, "edgelist"), el("0 1 2.0\n1 2 3.0\n2 0 1.0\n"))
 
     def test_mixed_widths_and_python_literals_use_the_line_loop(self):
         g = el("0 1\n1 2 2.5\n1_0 0\n")
@@ -365,22 +374,15 @@ class TestSortOnce:
 
 class TestDegreeWeight:
     def test_triangle_with_self_loops(self, two_triangles):
-        for v in range(6):
-            assert lp.degree_weight(two_triangles, v) == 4.0
+        assert lp.degree_weights(two_triangles).tolist() == [4.0] * 6
 
     def test_isolated_with_self_loop(self):
         g = lp.gnp(1, 0.0)
-        assert lp.degree_weight(g, 0) == 2.0
+        assert lp.degree_weights(g).tolist() == [2.0]
 
     def test_isolated_without_self_loop(self):
         g = lp.preprocess(lp.from_arcs(1, [], [], []), self_loops=False)
-        assert lp.degree_weight(g, 0) == 0.0
-
-    def test_out_of_range_vertex(self, two_triangles):
-        with pytest.raises(ValueError):
-            lp.degree_weight(two_triangles, 6)
-        with pytest.raises(ValueError):
-            lp.degree_weight(two_triangles, -1)
+        assert lp.degree_weights(g).tolist() == [0.0]
 
     def test_degree_sum_equals_total_weight(self):
         for g in (
@@ -389,7 +391,10 @@ class TestDegreeWeight:
         ):
             degs = lp.degree_weights(g)
             assert degs.sum() == pytest.approx(g.total_weight, abs=1e-9)
-            assert degs.tolist() == [lp.degree_weight(g, v) for v in range(g.vertex_count)]
+            for v in range(g.vertex_count):  # each row on its own, a self-loop twice
+                lo, hi = g.offsets[v], g.offsets[v + 1]
+                row, wts = g.neighbors[lo:hi], g.weights[lo:hi]
+                assert degs[v] == wts.sum() + wts[row == v].sum()
 
 
 class TestInvariants:

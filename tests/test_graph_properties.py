@@ -53,8 +53,8 @@ def test_edge_list_paths_agree(arcs, weighted, position):
         f"{a} {b} {c!r}\n" if weighted else f"{a} {b}\n" for a, b, c in zip(u, v, w)
     )
     assert graph_module._numeric_rows(io.StringIO(text), 3 if weighted else 2) is not None
-    fast = lp.load_edge_list(io.StringIO(text))
-    loop = lp.load_edge_list(io.StringIO(with_comment(text, "#", 0, position)))
+    fast = lp.load_graph(io.StringIO(text), "edgelist")
+    loop = lp.load_graph(io.StringIO(with_comment(text, "#", 0, position)), "edgelist")
     assert_same_graph(fast, loop)
     assert_same_graph(fast, lp.from_arcs(1 + max(u + v), u, v, w))
 
@@ -82,8 +82,8 @@ def test_matrix_market_paths_agree(arcs, field, symmetry, extra, position):
         for a, b, c in zip(u, v, w)
     )
     text = f"%%MatrixMarket matrix coordinate {field} {symmetry}\n{n} {n} {len(u)}\n{entries}"
-    fast = lp.load_matrix_market(io.StringIO(text))
-    loop = lp.load_matrix_market(io.StringIO(with_comment(text, "%", 2, position)))
+    fast = lp.load_graph(io.StringIO(text), "mtx")
+    loop = lp.load_graph(io.StringIO(with_comment(text, "%", 2, position)), "mtx")
     assert_same_graph(fast, loop)
     if symmetry == "symmetric":
         off = [a != b for a, b in zip(u, v)]

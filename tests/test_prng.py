@@ -1,10 +1,10 @@
 import numpy as np
-import pytest
 
-from labelprop import XorShift32
+from helpers import stream_row
 from labelprop.prng import (
     ZERO_SEED_REPLACEMENT,
     mix_seed,
+    next_output,
     shuffled_indices,
     worker_states,
     xs32_next,
@@ -20,30 +20,33 @@ def xorshift32_reference(x: int) -> int:
     return x
 
 
+def draws(state: int, count: int) -> list:
+    """The first ``count`` reads of a stream row after ``state``, as a kernel worker reads."""
+    row, cursors = stream_row(state)
+    return [int(next_output(row, cursors, 0)) for _ in range(count)]
+
+
 def test_first_step_from_seed_one():
     # 1 -> 8193 (after <<13 xor) -> 8193 (>>17 adds nothing) -> 270369
-    assert XorShift32(1).next() == 270369
+    assert draws(1, 1) == [270369]
     assert xorshift32_reference(1) == 270369
 
 
 def test_matches_reference_on_varied_states():
     for seed in (1, 2, 12345, 0x80000000, 0xFFFFFFFF):
-        rng = XorShift32(seed)
+        got = draws(seed, 50)
         x = seed
-        for _ in range(50):
+        for value in got:
             x = xorshift32_reference(x)
-            assert rng.next() == x
+            assert value == x
 
 
 def test_same_seed_same_sequence():
-    a = XorShift32(99)
-    b = XorShift32(99)
-    assert [a.next() for _ in range(1000)] == [b.next() for _ in range(1000)]
+    assert draws(99, 1000) == draws(99, 1000)
 
 
 def test_no_zero_in_long_run():
-    rng = XorShift32(1)
-    assert all(rng.next() != 0 for _ in range(100_000))
+    assert 0 not in draws(1, 100_000)
 
 
 def test_no_state_repeat_short_horizon():
@@ -56,23 +59,19 @@ def test_no_state_repeat_short_horizon():
 
 
 def test_bounded_draw_basics():
-    assert XorShift32(1).next_bounded(1) == 0
+    # a draw in [0, n) is the next output modulo n
+    assert draws(1, 1)[0] % 1 == 0
     # first draw from seed 1 is 270369, so 270369 % 10
-    assert XorShift32(1).next_bounded(10) == 9
-    rng = XorShift32(7)
-    hits = set(rng.next_bounded(4) for _ in range(100_000))
+    assert draws(1, 1)[0] % 10 == 9
+    hits = set(x % 4 for x in draws(7, 100_000))
     assert hits == {0, 1, 2, 3}
 
 
-def test_bounded_draw_rejects_zero_bound():
-    with pytest.raises(ValueError):
-        XorShift32(1).next_bounded(0)
-
-
 def test_zero_seed_is_replaced():
-    rng = XorShift32(0)
-    assert rng.state == ZERO_SEED_REPLACEMENT
-    assert rng.next() != 0
+    # seed 0 of worker 0 mixes to state 0, on which xorshift32 would stay
+    state = mix_seed(0, 0)
+    assert state == ZERO_SEED_REPLACEMENT
+    assert draws(state, 1) != [0]
 
 
 def test_worker_states_distinct_and_nonzero():

@@ -3,6 +3,7 @@ import pytest
 
 import labelprop as lp
 from conftest import partition_matches
+from helpers import dense_tally, star, stream_row
 from labelprop import rak
 
 
@@ -19,7 +20,7 @@ class TestDetect:
         assert result.iterations == 1
 
     def test_star_collapses_to_one_community(self):
-        g = lp.star(5)
+        g = star(5)
         result = lp.rak_detect(g, lp.RakParams(strict=True, seed=1))
         assert len(set(result.assignment.tolist())) == 1
         assert result.iterations <= 2
@@ -189,28 +190,29 @@ def partition_labels(communities, graph):
     return labels
 
 
+def pick(labels, weights, strict, stream=None):
+    """The kernels' pick on one tally, drawing from ``stream`` (a fresh
+    stream row for seed 1 by default)."""
+    row, cursors = stream or stream_row(1)
+    return rak._pick_from_tally(*dense_tally(labels, weights), strict, row, cursors, 0)
+
+
 class TestChooseMaxLabel:
     def test_unique_maximum_wins_in_both_modes(self):
-        assert lp.choose_max_label([5, 9], [2.0, 1.0], True, lp.XorShift32(1)) == 5
-        assert lp.choose_max_label([5, 9], [2.0, 1.0], False, lp.XorShift32(1)) == 5
+        assert pick([5, 9], [2.0, 1.0], True) == 5
+        assert pick([5, 9], [2.0, 1.0], False) == 5
 
     def test_strict_takes_first_in_scan_order(self):
-        assert lp.choose_max_label([3, 7], [2.0, 2.0], True, lp.XorShift32(1)) == 3
-        assert lp.choose_max_label([7, 3], [2.0, 2.0], True, lp.XorShift32(1)) == 7
+        assert pick([3, 7], [2.0, 2.0], True) == 3
+        assert pick([7, 3], [2.0, 2.0], True) == 7
 
     def test_non_strict_tie_is_fair(self):
-        rng = lp.XorShift32(42)
-        picks = sum(
-            lp.choose_max_label([3, 7], [2.0, 2.0], False, rng) == 3 for _ in range(10_000)
-        )
+        stream = stream_row(42)
+        picks = sum(pick([3, 7], [2.0, 2.0], False, stream) == 3 for _ in range(10_000))
         assert abs(picks / 10_000 - 0.5) <= 0.02
 
-    def test_empty_tally_rejected(self):
-        with pytest.raises(ValueError):
-            lp.choose_max_label([], [], True, lp.XorShift32(1))
-
     def test_duplicate_labels_accumulate(self):
-        assert lp.choose_max_label([4, 9, 4], [1.0, 1.5, 1.0], True, lp.XorShift32(1)) == 4
+        assert pick([4, 9, 4], [1.0, 1.5, 1.0], True) == 4
 
 
 class TestParams:

@@ -2,7 +2,8 @@
 
 The oracle is written here, independent of the kernels: a dict tally in
 CSR scan order, strict ties to the first maximum in first-seen order,
-non-strict ties to ``tied[rng.next() % len(tied)]`` on worker 0's stream.
+non-strict ties to ``tied[x % len(tied)]``, x the next `xs32_next` state
+of worker 0's sequence.
 Three paths are checked against it: the strict level path (driven
 through `rak._run` with the level branch forced, so it is checked
 whichever backend `rak_detect` picks),
@@ -27,7 +28,7 @@ def oracle(graph, seed, tolerance, max_iterations, strict):
     weights = graph.weights.tolist()
     labels = list(range(n))
     order = rak.shuffled_indices(n, seed).tolist()
-    rng = prng.XorShift32(prng.mix_seed(seed, 0))
+    x = prng.mix_seed(seed, 0)
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
@@ -41,7 +42,11 @@ def oracle(graph, seed, tolerance, max_iterations, strict):
                 continue
             top = max(tally.values())
             tied = [lab for lab, w in tally.items() if w == top]
-            best = tied[0] if strict or len(tied) == 1 else tied[rng.next() % len(tied)]
+            if strict or len(tied) == 1:
+                best = tied[0]
+            else:
+                x = prng.xs32_next(x)
+                best = tied[x % len(tied)]
             if best != labels[v]:
                 labels[v] = best
                 changed += 1

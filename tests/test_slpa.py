@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import labelprop as lp
+from labelprop import slpa
+from labelprop._backend import kernel_args
 from labelprop.slpa import _run
 from conftest import partition_matches, requires_jit
 
@@ -61,6 +63,21 @@ class TestDetect:
                 assert (tight_filled == tight_it + 1).all()
                 assert np.array_equal(tight[:, : loose_it + 1], loose[:, : loose_it + 1]), strict
 
+    def test_a_larger_memory_extends_the_run(self):
+        # speakers draw stream[k] % filled[u] and never read memory_size, so
+        # a run with memory M' > M makes the M run's iterations first: every
+        # memory of the M' run begins with the M run's filled slots
+        graphs = (lp.ring_of_cliques(8, 5), lp.gnp(300, 0.03, seed=2), lp.disjoint_cliques(6, 4))
+        for g in graphs:
+            for strict in (True, False):
+                params = lp.SlpaParams(strict=strict, workers=1, seed=3)
+                for small, large in ((2, 3), (4, 16), (8, 9)):
+                    _, it, (short, short_filled) = _run(g, replace(params, memory_size=small))
+                    _, _, (long, long_filled) = _run(g, replace(params, memory_size=large))
+                    assert (short_filled == it + 1).all()
+                    assert (long_filled >= it + 1).all()
+                    assert np.array_equal(long[:, : it + 1], short[:, : it + 1]), (small, strict)
+
     def test_two_triangles_recovered(self, two_triangles):
         result = lp.slpa_detect(two_triangles, lp.SlpaParams(memory_size=20, strict=True, seed=2))
         assert partition_matches(result.assignment, 2, 3)
@@ -116,19 +133,22 @@ class TestDetect:
             lp.slpa_detect(lp.from_arcs(2, [0], [1], [1.0]))
 
 
+def modal(memory, before=(), after=()):
+    """`_modal_label` on ``memory``, stored between other slots in one flat
+    row and handed over as the kernels get their state."""
+    (slots,) = kernel_args(np.array([*before, *memory, *after], dtype=np.int64))
+    return slpa._modal_label(slots, len(before), len(memory))
+
+
 class TestMostPopularLabel:
     def test_majority(self):
-        assert lp.most_popular_label([5, 5, 3]) == 5
+        assert modal([5, 5, 3]) == 5
 
     def test_tie_takes_smallest_id(self):
-        assert lp.most_popular_label([5, 3]) == 3
+        assert modal([5, 3]) == 3
 
     def test_single_entry(self):
-        assert lp.most_popular_label([7]) == 7
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            lp.most_popular_label([])
+        assert modal([7]) == 7
 
     def test_matches_counter_oracle(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -152,8 +172,8 @@ class TestMostPopularLabel:
         @hypothesis.given(memory=memories)
         def check(memory):
             want = oracle(memory)
-            assert lp.most_popular_label(memory) == want
-            assert lp.most_popular_label(np.array(memory, dtype=np.int64)) == want
+            assert modal(memory) == want
+            assert modal(memory, before=[-60] * 3, after=[60] * 5) == want  # one row of many
 
         check()
 

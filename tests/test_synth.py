@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
+from helpers import brute_modularity, path, star
 from labelprop.graph import arc_rows, check_symmetric, graphs_equal
 
 
@@ -70,27 +71,27 @@ def test_gnp_complete_when_p_is_one():
 
 
 def test_star_and_path_shapes():
-    star = lp.star(5)
-    assert star.vertex_count == 5
-    assert star.edge_count == 4 * 2 + 5
-    path = lp.path(4)
-    assert path.vertex_count == 4
-    assert path.edge_count == 3 * 2 + 4
-    assert_canonical(star)
-    assert_canonical(path)
-    assert graphs_equal(star, lp.star(5))
-    assert graphs_equal(path, lp.path(4))
+    hub = star(5)
+    assert hub.vertex_count == 5
+    assert hub.edge_count == 4 * 2 + 5
+    line = path(4)
+    assert line.vertex_count == 4
+    assert line.edge_count == 3 * 2 + 4
+    assert_canonical(hub)
+    assert_canonical(line)
+    assert graphs_equal(hub, star(5))
+    assert graphs_equal(line, path(4))
 
 
 def test_brute_modularity_guard():
     with pytest.raises(ValueError):
-        lp.brute_modularity(lp.gnp(257, 0.01, seed=1), np.zeros(257, dtype=np.int64))
+        brute_modularity(lp.gnp(257, 0.01, seed=1), np.zeros(257, dtype=np.int64))
 
 
 def test_brute_matches_fast_on_generated_graphs():
     rng = np.random.default_rng(21)
-    for g in (lp.disjoint_cliques(3, 4), lp.star(10), lp.gnp(50, 0.2, seed=3)):
+    for g in (lp.disjoint_cliques(3, 4), star(10), lp.gnp(50, 0.2, seed=3)):
         labels = rng.integers(0, g.vertex_count, size=g.vertex_count)
-        assert lp.brute_modularity(g, labels) == pytest.approx(
+        assert brute_modularity(g, labels) == pytest.approx(
             lp.modularity(g, labels), abs=1e-9
         )

@@ -1,0 +1,55 @@
+"""The benchmark's tracer finds every package name it patches.
+
+``perfbench/spans.py`` `instrument` looks up by name, and replaces, the
+functions that the CLI and the detect drivers call through their module
+globals (``load_graph``, ``shuffled_indices``, ``modularity``, ...).  A
+refactor that drops or renames one of them makes a traced benchmark run
+(``perfbench/run.py --trace 1``) fail, and one that stops calling it
+through the module global makes its layer read 0.  These tests run
+traced CLI commands and check that every layer shows up and that leaving
+the tracer puts every name back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from labelprop import cli, copra, rak, slpa, sweep
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_traced_commands_record_every_layer_and_restore_every_name(spans, tmp_path):
+    graph = tmp_path / "two-triangles.txt"
+    graph.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+    modules = (cli, copra, rak, slpa, sweep)
+    before = [dict(vars(m)) for m in modules]
+    recorder = spans.Recorder()
+    with spans.instrument(recorder):
+        assert cli.main(["detect", "--input", str(graph), "--algorithm", "rak", "--strict",
+                         "--output", str(tmp_path / "rak.tsv")]) == 0
+        for alg in ("copra", "slpa"):
+            assert cli.main(["sweep", "--input", str(graph), "--algorithm", alg,
+                             "--output", str(tmp_path / f"{alg}.csv")]) == 0
+    names = {s.name for s in recorder.spans}
+    assert names >= {
+        "graph.parse", "graph.preprocess", "prng.shuffle", "quality.modularity",
+        "sweep.run_sweep", "sweep.run_one", "rak.detect", "copra.detect", "slpa.detect",
+    }, names
+    for module, names_before in zip(modules, before):
+        for name, value in names_before.items():
+            assert vars(module)[name] is value, (module.__name__, name)
