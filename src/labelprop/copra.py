@@ -26,7 +26,6 @@ this down its tolerance grid for each ``max_labels`` cell.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +34,7 @@ from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, Held, Launch, hold
+from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,7 @@ class CopraParams:
     seed: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance <= 1.0:
-            raise ValueError("tolerance must be in (0, 1]")
-        if self.max_labels < 1:
-            raise ValueError("max_labels must be >= 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_ranges(self)
 
 
 @njit(cache=True)
@@ -181,10 +173,15 @@ def _copra(
     return changed
 
 
-def _run(graph: Graph, params: CopraParams, held: Held | None = None):
-    """(best labels, iterations, (labs, bels, sizes)) of the COPRA run in
-    ``held`` (continued, or started afresh), or of a run of its own; the
-    state is each vertex's published label row, belongings and live count."""
+def copra_detect(
+    graph: Graph, params: CopraParams | None = None, held: Held | None = None
+) -> DetectionResult:
+    """Run COPRA on a preprocessed graph, continuing the run in ``held``
+    where it can (`labelprop.result.Held`); the assignment is each best label."""
+    if params is None:
+        params = CopraParams()
+    if __debug__ and not graph.symmetric:
+        check_symmetric(graph)
     held = hold(held, graph)
     n, L = graph.vertex_count, params.max_labels
 
@@ -199,25 +196,8 @@ def _run(graph: Graph, params: CopraParams, held: Held | None = None):
         state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
         return Launch(_copra, held, params, state, (L,), n)
 
-    iterations, run = held.go(
-        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n
+    best, iterations, elapsed = held.go(
+        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
+        lambda run: np.array(run.state[-1], dtype=np.int64),
     )
-    labs, bels, sizes, pub, best = run.read()
-    return best, iterations, (labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub])
-
-
-def copra_detect(
-    graph: Graph, params: CopraParams | None = None, held: Held | None = None
-) -> DetectionResult:
-    """Run COPRA on a preprocessed graph, continuing the run in ``held``
-    where it can (`labelprop.result.Held`); the assignment is each best label."""
-    if params is None:
-        params = CopraParams()
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    held = hold(held, graph)
-    start = time.perf_counter()
-    best, iterations, _ = _run(graph, params, held)
-    elapsed = time.perf_counter() - start
-    held.elapsed += elapsed
     return DetectionResult(best, iterations, elapsed, modularity(graph, best))

@@ -102,8 +102,9 @@ def from_arcs(vertex_count: int, u, v, w) -> Graph:
 
     Duplicates are summed in input order: when some ``u * n + v`` key
     repeats, the arcs are sorted again, stably.  ``vertex_count`` may not
-    exceed `MAX_VERTICES`, and every endpoint must lie in
-    ``[0, vertex_count)``.
+    exceed `MAX_VERTICES`, every endpoint must lie in ``[0, vertex_count)``,
+    ``u``, ``v`` and ``w`` must have one length and every weight must be
+    finite and positive.
     """
     n = int(vertex_count)
     if n > MAX_VERTICES:
@@ -111,6 +112,10 @@ def from_arcs(vertex_count: int, u, v, w) -> Graph:
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
+    if not u.shape == v.shape == w.shape:
+        raise ValueError("u, v and w must have the same length")
+    if not ((0 < w) & (w < np.inf)).all():
+        raise ValueError("arc weights must be finite and positive")
     if not u.size:
         return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
     if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:

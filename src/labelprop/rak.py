@@ -62,7 +62,6 @@ per seed among a graph's cells.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,7 +71,7 @@ from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
 from .prng import next_output, shuffled_indices
 from .quality import modularity
-from .result import DetectionResult, Held, Launch, hold
+from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 
 @dataclass(frozen=True)
@@ -84,12 +83,7 @@ class RakParams:
     seed: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance <= 1.0:
-            raise ValueError("tolerance must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_ranges(self)
 
 
 @njit(cache=True)
@@ -264,35 +258,13 @@ def _update_level(lv: _Level, labels: np.ndarray) -> int:
 
 
 class _Levels:
-    """A level-by-level strict run, called and read as a `Launch` is."""
+    """A level-by-level strict run, called as a `Launch` is; its state is the labels."""
 
     def __init__(self, plan: list[_Level], labels: np.ndarray):
-        self.plan, self.labels = plan, labels
+        self.plan, self.state = plan, (labels,)
 
     def __call__(self) -> int:
-        return sum(_update_level(lv, self.labels) for lv in self.plan)
-
-    def read(self):
-        return (self.labels.copy(),)
-
-
-def _run(graph: Graph, params: RakParams, order: np.ndarray, held: Held) -> tuple[np.ndarray, int]:
-    """(labels, iterations) of the RAK run in ``held``, continued or
-    started afresh to visit in ``order``."""
-    n = graph.vertex_count
-
-    def start():
-        labels = np.arange(n, dtype=np.int64)
-        if params.strict and not JIT_ENABLED:
-            plan = held.keep(("plan", params.seed), lambda: _level_plan(graph, order))
-            return _Levels(plan, labels)
-        state = labels, order, np.ones(n, dtype=bool)
-        return Launch(_rak, held, params, state, (params.strict,), n)
-
-    iterations, run = held.go(
-        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n
-    )
-    return run.read()[0], iterations
+        return sum(_update_level(lv, self.state[0]) for lv in self.plan)
 
 
 def rak_detect(
@@ -305,11 +277,19 @@ def rak_detect(
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
     held = hold(held, graph)
-    order = held.keep(
-        ("order", params.seed), lambda: shuffled_indices(graph.vertex_count, params.seed)
+    n = graph.vertex_count
+    order = held.keep(("order", params.seed), lambda: shuffled_indices(n, params.seed))
+
+    def start():
+        labels = np.arange(n, dtype=np.int64)
+        if params.strict and not JIT_ENABLED:
+            plan = held.keep(("plan", params.seed), lambda: _level_plan(graph, order))
+            return _Levels(plan, labels)
+        state = labels, order, np.ones(n, dtype=bool)
+        return Launch(_rak, held, params, state, (params.strict,), n)
+
+    labels, iterations, elapsed = held.go(
+        params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
+        lambda run: np.array(run.state[0], dtype=np.int64),
     )
-    start = time.perf_counter()
-    labels, iterations = _run(graph, params, order, held)
-    elapsed = time.perf_counter() - start
-    held.elapsed += elapsed
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))

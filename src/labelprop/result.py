@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,21 +15,35 @@ from .prng import stream_rows, worker_states
 class DetectionResult:
     """Outcome of one detection call.
 
-    ``elapsed`` is the call's own work: setting up the detector's state
-    (when the call starts a run), the kernel and reading the state back;
-    it excludes the symmetry check, RAK's visit-order shuffle and
-    scoring.  A call that continues a held run (`Held`) counts only the
-    iterations it adds, while ``iterations`` is the run's total, as a
-    standalone call with the same parameters reports it.  ``modularity``
-    is computed on the final assignment.  A graph without vertices runs
-    no kernel: its assignment is empty and ``iterations`` and
-    ``modularity`` are 0.
+    ``elapsed`` is the call's own work, as `Held.go` times it: setting up
+    the detector's state (when the call starts a run), the kernel and
+    reading the assignment back; it excludes the symmetry check, RAK's
+    visit-order shuffle and scoring.  A call that continues a held run
+    (`Held`) counts only the iterations it adds, while ``iterations`` is
+    the run's total, as a standalone call with the same parameters
+    reports it.  ``modularity`` is computed on the final assignment.  A
+    graph without vertices runs no kernel: its assignment is empty and
+    ``iterations`` and ``modularity`` are 0.
     """
 
     assignment: np.ndarray
     iterations: int
     elapsed: float
     modularity: float
+
+
+# The least value of each integer field of the ``*Params`` classes.
+LEAST = {"max_iterations": 1, "max_labels": 1, "memory_size": 2, "workers": 1}
+
+
+def check_ranges(params):
+    """Raise ValueError for the first field of a ``*Params`` out of its
+    range: ``tolerance`` in (0, 1], the integer fields at least `LEAST`."""
+    if not 0.0 < params.tolerance <= 1.0:
+        raise ValueError("tolerance must be in (0, 1]")
+    for name, least in LEAST.items():
+        if getattr(params, name, least) < least:
+            raise ValueError(f"{name} must be >= {least}")
 
 
 # Largest stream row a worker holds, so that rows stay O(max degree), not O(arcs).
@@ -91,9 +106,9 @@ class Launch:
 class Held:
     """A run of one graph that later detect calls may continue.
 
-    `go` is the one iteration loop of every detector: it calls the run,
-    one iteration per call, until a cap or the detector's stopping rule
-    ends it.  The tolerance only decides when a run stops, so a run with
+    `go` is the one driver of every detector: it times the call, calls
+    the run, one iteration per call, until a cap or the detector's
+    stopping rule ends it, and reads the assignment back.  The tolerance only decides when a run stops, so a run with
     a smaller tolerance makes the same first iterations and then goes on
     (the prefix property).  Given the handle of an earlier call on the
     same graph whose parameters differ at most by a tolerance at least as
@@ -128,12 +143,14 @@ class Held:
             self.memo[key] = make()
         return self.memo[key]
 
-    def go(self, params, start, cap, settled):
-        """(iterations, run) once the run, continued or restarted by
-        ``start()`` (a `Launch`, or an object called and read like one),
-        has made ``cap`` iterations or ``settled(iterations, count)`` holds
-        after its last one.  A fresh run makes at least one iteration,
-        unless the graph has no vertices."""
+    def go(self, params, start, cap, settled, read):
+        """(read(run), iterations, seconds) once the run, continued or
+        restarted by ``start()`` (a `Launch`, or an object called like
+        one), has made ``cap`` iterations or ``settled(iterations, count)``
+        holds after its last one.  ``seconds`` is the call's time from the
+        restart check through ``read``, added to ``elapsed``.  A fresh run
+        makes at least one iteration, unless the graph has no vertices."""
+        began = time.perf_counter()
         last = self.params
         if (last is None or last.tolerance < params.tolerance
                 or replace(last, tolerance=params.tolerance) != params):
@@ -148,7 +165,10 @@ class Held:
             self.count = self.run()
             self.iterations += 1
         self.params = params
-        return self.iterations, self.run
+        out = read(self.run)
+        seconds = time.perf_counter() - began
+        self.elapsed += seconds
+        return out, self.iterations, seconds
 
 
 def hold(held, graph):

@@ -27,7 +27,6 @@ broken by the smallest label id.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .graph import Graph, check_symmetric
 from .prng import refill
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, Held, Launch, hold
+from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 
 @dataclass(frozen=True)
@@ -49,12 +48,7 @@ class SlpaParams:
     seed: int = 1
 
     def __post_init__(self):
-        if self.memory_size < 2:
-            raise ValueError("memory_size must be >= 2")
-        if not 0.0 < self.tolerance <= 1.0:
-            raise ValueError("tolerance must be in (0, 1]")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_ranges(self)
 
 
 @njit(cache=True)
@@ -140,29 +134,6 @@ def _modal_labels(slots, filled, memory_size):
     return labels
 
 
-def _run(graph: Graph, params: SlpaParams, held: Held | None = None):
-    """(labels, iterations, (slots, filled)) of the SLPA run in ``held``
-    (continued, or started afresh), or of a run of its own; the state is
-    every memory, one row per vertex, and its fill count."""
-    held = hold(held, graph)
-    n, M = graph.vertex_count, params.memory_size
-
-    def start():
-        slots = np.zeros(n * M, dtype=np.int64)
-        slots[::M] = np.arange(n)
-        state = slots, np.ones(n, dtype=np.int64)
-        return Launch(_slpa, held, params, state, (M, params.strict), graph.edge_count + n)
-
-    # first-iteration repeats compare with the seeded own id and never stop the run
-    iterations, run = held.go(
-        params, start, M - 1,
-        lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
-    )
-    labels = _modal_labels(*run.state, M)  # on the kernel's own state, lists when interpreted
-    slots, filled = run.read()
-    return labels, iterations, (slots.reshape(n, M), filled)
-
-
 def slpa_detect(
     graph: Graph, params: SlpaParams | None = None, held: Held | None = None
 ) -> DetectionResult:
@@ -173,8 +144,19 @@ def slpa_detect(
     if __debug__ and not graph.symmetric:
         check_symmetric(graph)
     held = hold(held, graph)
-    start = time.perf_counter()
-    labels, iterations, _ = _run(graph, params, held)
-    elapsed = time.perf_counter() - start
-    held.elapsed += elapsed
+    n, M = graph.vertex_count, params.memory_size
+
+    def start():
+        slots = np.zeros(n * M, dtype=np.int64)
+        slots[::M] = np.arange(n)
+        state = slots, np.ones(n, dtype=np.int64)
+        return Launch(_slpa, held, params, state, (M, params.strict), graph.edge_count + n)
+
+    # first-iteration repeats compare with the seeded own id and never stop the run;
+    # the modal labels are read on the kernel's own state, lists when interpreted
+    labels, iterations, elapsed = held.go(
+        params, start, M - 1,
+        lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
+        lambda run: _modal_labels(*run.state, M),
+    )
     return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))

@@ -28,17 +28,17 @@ and one visit order and strict level plan per seed.
 
 ``labelprop sweep`` runs each input graph's rows (`graph_records`) in a
 worker process, `sweep_jobs` graphs at a time: the usable CPUs
-(``os.sched_getaffinity``) divided by the most threads a row runs on
-(the largest ``workers`` value, clamped to the kernel thread pool), at
-most one job per graph and at least one.  Interpreted, every row runs on
-one thread, so each usable CPU takes a graph; compiled, a
-``workers`` grid that reaches the CPU count runs graphs one at a time,
-so thread-scaling rows never share CPUs.  Rows and skip messages still
-come out in input order, one graph's at a time.  A row's ``elapsed_ms``
-is then measured while other graphs run; for one-at-a-time timing, pass
-one graph per call or run on one CPU (``taskset -c 0``).  Memory grows
-with the job count, each job holding its graph and held runs, and a
-single graph gains nothing.
+(``os.sched_getaffinity``, or ``os.cpu_count()`` where that is missing)
+divided by the most threads a row runs on (the largest ``workers``
+value, clamped to the kernel thread pool), at most one job per graph and
+at least one.  Interpreted, every row runs on one thread, so each usable
+CPU takes a graph; compiled, a ``workers`` grid that reaches the CPU
+count runs graphs one at a time, so thread-scaling rows never share
+CPUs.  Rows and skip messages still come out in input order, one
+graph's at a time.  A row's ``elapsed_ms`` is then measured while other
+graphs run; for one-at-a-time timing, pass one graph per call or run on
+one CPU (``taskset -c 0``).  Memory grows with the job count, each job
+holding its graph and held runs, and a single graph gains nothing.
 """
 
 from __future__ import annotations
@@ -224,4 +224,5 @@ def sweep_jobs(spec: SweepSpec, graph_count: int) -> int:
     one thread, so each usable CPU takes a graph.
     """
     per_row = max(threads_run(w) for w in spec.workers)
-    return max(1, min(graph_count, len(os.sched_getaffinity(0)) // per_row))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(graph_count, (cpus or 1) // per_row))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.copra import _run as copra_run
+from helpers import copra_run
 
 # Tests that start `python -m labelprop` need the package under test on the
 # child's path as well; pyproject's pytest `pythonpath` reaches this process only.

@@ -4,6 +4,8 @@
 CSR arrays and never calls the scorer.  `dense_tally` and `stream_row`
 build the arguments of the kernels' njit helpers (`rak._pick_from_tally`,
 `copra._select_labels`), so tests call those helpers as the kernels do.
+`copra_run` and `slpa_run` run a detector and read its final kernel
+state back from the `Held` handle.
 """
 
 import numpy as np
@@ -11,6 +13,27 @@ import numpy as np
 import labelprop as lp
 from labelprop.prng import stream_rows
 from labelprop.synth import _undirected
+
+
+def copra_run(graph: lp.Graph, params: lp.CopraParams):
+    """(best labels, iterations, (labs, bels, sizes)) of a COPRA run: each
+    vertex's published label row, belongings and live count."""
+    held = lp.Held(graph)
+    r = lp.copra_detect(graph, params, held)
+    labs, bels, sizes, pub, _ = held.run.read()
+    n, L = graph.vertex_count, params.max_labels
+    return r.assignment, r.iterations, (
+        labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub]
+    )
+
+
+def slpa_run(graph: lp.Graph, params: lp.SlpaParams):
+    """(modal labels, iterations, (slots, filled)) of an SLPA run: every
+    memory, one row per vertex, and its fill count."""
+    held = lp.Held(graph)
+    r = lp.slpa_detect(graph, params, held)
+    slots, filled = held.run.read()
+    return r.assignment, r.iterations, (slots.reshape(graph.vertex_count, params.memory_size), filled)
 
 
 def star(n: int) -> lp.Graph:

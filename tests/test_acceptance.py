@@ -16,11 +16,10 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop.slpa import _run as slpa_run
 from labelprop.prng import next_output, xs32_next
 from labelprop.rak import _pick_from_tally
 from conftest import copra_row_bounds, partition_matches, requires_jit
-from helpers import brute_modularity, dense_tally, path, star, stream_row
+from helpers import brute_modularity, dense_tally, path, slpa_run, star, stream_row
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

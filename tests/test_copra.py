@@ -5,9 +5,8 @@ import pytest
 
 import labelprop as lp
 from labelprop import copra
-from labelprop.copra import _run
 from conftest import copra_row_bounds, partition_matches
-from helpers import dense_tally, stream_row
+from helpers import copra_run, dense_tally, stream_row
 
 
 class TestDetect:
@@ -27,7 +26,7 @@ class TestDetect:
         assert result.iterations == 0
         assert result.assignment.size == 0
         assert result.modularity == 0.0
-        best, iterations, (labs, bels, sizes) = _run(g, lp.CopraParams(max_labels=3))
+        best, iterations, (labs, bels, sizes) = copra_run(g, lp.CopraParams(max_labels=3))
         assert iterations == 0 and best.size == 0
         assert labs.shape == bels.shape == (0, 3)
         assert sizes.shape == (0,)
@@ -62,10 +61,10 @@ class TestDetect:
         for g in (lp.gnp(400, 0.02, seed=2), lp.ring_of_cliques(8, 5)):
             for max_labels in (1, 8):
                 params = lp.CopraParams(max_labels=max_labels, seed=4)
-                loose = _run(g, replace(params, tolerance=0.1))
-                tight = _run(g, replace(params, tolerance=0.0001))
+                loose = copra_run(g, replace(params, tolerance=0.1))
+                tight = copra_run(g, replace(params, tolerance=0.0001))
                 assert tight[1] >= loose[1]
-                replay = _run(g, replace(params, tolerance=0.0001, max_iterations=loose[1]))
+                replay = copra_run(g, replace(params, tolerance=0.0001, max_iterations=loose[1]))
                 assert replay[1] == loose[1]
                 for a, b in zip((loose[0], *loose[2]), (replay[0], *replay[2])):
                     assert np.array_equal(a, b), max_labels

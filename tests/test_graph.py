@@ -160,6 +160,23 @@ def test_from_arcs_rejects_endpoints_outside_the_vertex_range(u, v):
         lp.from_arcs(3, u, v, [1.0])
 
 
+@pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
+def test_from_arcs_rejects_weights_that_are_not_finite_and_positive(weight):
+    # a zero, negative or NaN weight made rak_detect score modularity nan
+    with pytest.raises(ValueError, match="arc weights must be finite and positive"):
+        lp.from_arcs(3, [0, 1], [1, 2], [1.0, weight])
+
+
+@pytest.mark.parametrize("u, v, w", [
+    ([0], [1], [1.0, 2.0]),  # an extra weight was ignored
+    ([0, 1], [1, 2], [1.0]),
+    ([0, 1], [1], [1.0, 1.0]),
+])
+def test_from_arcs_rejects_arrays_of_different_lengths(u, v, w):
+    with pytest.raises(ValueError, match="u, v and w must have the same length"):
+        lp.from_arcs(3, u, v, w)
+
+
 @pytest.mark.parametrize("comment", [False, True], ids=["clean", "after-comment"])
 @pytest.mark.parametrize("mtx, edge", [
     (("1 2 3 4", "expected 3 fields, got '1 2 3 4'"),

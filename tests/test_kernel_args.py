@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import copra, prng, result, slpa
+from labelprop import prng, result, slpa
 from labelprop._backend import kernel_args
+from helpers import copra_run, slpa_run
 
 
 def digest(*arrays) -> str:
@@ -52,11 +53,11 @@ def full_state(algorithm, graph, **kw):
         r = lp.rak_detect(graph, lp.RakParams(strict=True, seed=3, **kw))
         return r.iterations, digest(r.assignment)
     if algorithm == "slpa":
-        labels, it, (slots, filled) = slpa._run(
+        labels, it, (slots, filled) = slpa_run(
             graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
         )
         return it, digest(labels, slots, filled)
-    best, it, (labs, bels, sizes) = copra._run(graph, lp.CopraParams(seed=3, **kw))
+    best, it, (labs, bels, sizes) = copra_run(graph, lp.CopraParams(seed=3, **kw))
     return it, digest(best, labs, bels, sizes)
 
 
@@ -120,7 +121,7 @@ def test_golden_non_strict_state(key):
         r = lp.rak_detect(graph, lp.RakParams(strict=False, seed=3))
         got = r.iterations, digest(r.assignment)
     else:
-        labels, it, (slots, filled) = slpa._run(
+        labels, it, (slots, filled) = slpa_run(
             graph, lp.SlpaParams(memory_size=10, strict=False, seed=3)
         )
         got = it, digest(labels, slots, filled)
@@ -155,12 +156,12 @@ def _every_run():
             for strict in (True, False):
                 r = lp.rak_detect(g, lp.RakParams(strict=strict, seed=4, workers=workers))
                 runs[name, "rak", workers, strict] = (r.iterations, digest(r.assignment))
-                labels, it, (slots, filled) = slpa._run(
+                labels, it, (slots, filled) = slpa_run(
                     g, lp.SlpaParams(memory_size=7, strict=strict, seed=4, workers=workers)
                 )
                 runs[name, "slpa", workers, strict] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
-                best, it, (labs, bels, sizes) = copra._run(
+                best, it, (labs, bels, sizes) = copra_run(
                     g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
                 )
                 runs[name, "copra", workers, max_labels] = (it, digest(best, labs, bels, sizes))

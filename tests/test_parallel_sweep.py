@@ -166,3 +166,18 @@ def test_sweep_jobs(monkeypatch, max_threads, cpus, workers, graphs, jobs):
     monkeypatch.setattr(_backend, "MAX_THREADS", max_threads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert sweep_jobs(lp.SweepSpec(algorithm="rak", workers=workers), graphs) == jobs
+
+
+@pytest.mark.parametrize("cpus, jobs", [(None, 1), (2, 2)])
+def test_sweep_without_sched_getaffinity(monkeypatch, inputs, cpus, jobs):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count may be None
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sweep_jobs(lp.SweepSpec(algorithm="rak"), 2) == jobs
+    graphs = inputs[:2]
+    code, text = run_main(["sweep", "--algorithm", "rak", "--input", *graphs,
+                           "--tolerances", "0.1", "--modes", "strict"])
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[0] for line in lines[1:]] == graphs

@@ -4,11 +4,10 @@ The oracle is written here, independent of the kernels: a dict tally in
 CSR scan order, strict ties to the first maximum in first-seen order,
 non-strict ties to ``tied[x % len(tied)]``, x the next `xs32_next` state
 of worker 0's sequence.
-Three paths are checked against it: the strict level path (driven
-through `rak._run` with the level branch forced, so it is checked
-whichever backend `rak_detect` picks),
-non-strict `rak_detect`, and strict `_rak` through the launch, the path
-compiled runs take.
+Three paths are checked against it: the strict level path (`rak_detect`
+with ``JIT_ENABLED`` patched to False, so it is checked whichever
+backend `rak_detect` would pick), non-strict `rak_detect`, and strict
+`_rak` through the launch, the path compiled runs take.
 """
 
 from unittest import mock
@@ -56,14 +55,9 @@ def oracle(graph, seed, tolerance, max_iterations, strict):
 
 
 def levels(graph, seed, tolerance, max_iterations):
-    params = lp.RakParams(
-        tolerance=tolerance, strict=True, max_iterations=max_iterations, seed=seed
-    )
-    order = rak.shuffled_indices(graph.vertex_count, seed)
     # the branch interpreted runs take: strict RAK level by level
     with mock.patch.object(rak, "JIT_ENABLED", False):
-        labels, iterations = rak._run(graph, params, order, lp.Held(graph))
-    return labels.tolist(), iterations
+        return detect(graph, seed, tolerance, max_iterations, strict=True)
 
 
 def detect(graph, seed, tolerance, max_iterations, strict):

@@ -7,14 +7,14 @@ import pytest
 import labelprop as lp
 from labelprop import slpa
 from labelprop._backend import kernel_args
-from labelprop.slpa import _run
 from conftest import partition_matches, requires_jit
+from helpers import slpa_run
 
 
 class TestDetect:
     def test_isolated_vertices_fall_back_to_own_label(self):
         g = lp.gnp(6, 0.0)
-        labels, iterations, (slots, filled) = _run(
+        labels, iterations, (slots, filled) = slpa_run(
             g, lp.SlpaParams(memory_size=8, seed=3)
         )
         assert np.array_equal(labels, np.arange(6))
@@ -30,13 +30,13 @@ class TestDetect:
         assert result.iterations == 0
         assert result.assignment.size == 0
         assert result.modularity == 0.0
-        labels, iterations, (slots, filled) = _run(g, lp.SlpaParams(memory_size=5))
+        labels, iterations, (slots, filled) = slpa_run(g, lp.SlpaParams(memory_size=5))
         assert iterations == 0 and labels.size == 0
         assert slots.shape == (0, 5)
         assert filled.shape == (0,)
 
     def test_memory_size_two_forces_single_iteration(self, two_triangles):
-        labels, iterations, (slots, filled) = _run(
+        labels, iterations, (slots, filled) = slpa_run(
             two_triangles, lp.SlpaParams(memory_size=2, seed=1)
         )
         assert iterations == 1
@@ -44,7 +44,7 @@ class TestDetect:
 
     def test_memory_law(self, two_triangles):
         for ms in (2, 5, 20):
-            _, iterations, (_, filled) = _run(
+            _, iterations, (_, filled) = slpa_run(
                 two_triangles, lp.SlpaParams(memory_size=ms, tolerance=0.001, seed=1)
             )
             assert iterations <= ms - 1
@@ -56,8 +56,8 @@ class TestDetect:
         for g in (lp.gnp(400, 0.02, seed=2), lp.ring_of_cliques(8, 5)):
             for strict in (True, False):
                 params = lp.SlpaParams(memory_size=16, strict=strict, seed=4)
-                _, loose_it, (loose, loose_filled) = _run(g, replace(params, tolerance=0.5))
-                _, tight_it, (tight, tight_filled) = _run(g, replace(params, tolerance=0.0001))
+                _, loose_it, (loose, loose_filled) = slpa_run(g, replace(params, tolerance=0.5))
+                _, tight_it, (tight, tight_filled) = slpa_run(g, replace(params, tolerance=0.0001))
                 assert tight_it >= loose_it
                 assert (loose_filled == loose_it + 1).all()
                 assert (tight_filled == tight_it + 1).all()
@@ -72,8 +72,8 @@ class TestDetect:
             for strict in (True, False):
                 params = lp.SlpaParams(strict=strict, workers=1, seed=3)
                 for small, large in ((2, 3), (4, 16), (8, 9)):
-                    _, it, (short, short_filled) = _run(g, replace(params, memory_size=small))
-                    _, _, (long, long_filled) = _run(g, replace(params, memory_size=large))
+                    _, it, (short, short_filled) = slpa_run(g, replace(params, memory_size=small))
+                    _, _, (long, long_filled) = slpa_run(g, replace(params, memory_size=large))
                     assert (short_filled == it + 1).all()
                     assert (long_filled >= it + 1).all()
                     assert np.array_equal(long[:, : it + 1], short[:, : it + 1]), (small, strict)
@@ -84,7 +84,7 @@ class TestDetect:
 
     def test_appended_labels_were_spoken_or_own(self, two_triangles):
         g = two_triangles
-        labels, iterations, (slots, filled) = _run(
+        labels, iterations, (slots, filled) = slpa_run(
             g, lp.SlpaParams(memory_size=10, tolerance=0.001, seed=4)
         )
         neighbors = [

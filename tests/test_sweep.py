@@ -160,10 +160,17 @@ def test_held_calls_equal_standalone_calls(name):
     detect, make, _ = DETECTORS[name]
     g = GRAPHS["gnp"]()
     held = lp.Held(g)
+    since_fresh = []  # the elapsed of each call since the run last started afresh
     # continue down, repeat, climb back (a fresh run), then change the seed
     for tolerance, seed in ((0.2, 4), (0.01, 4), (0.01, 4), (0.0001, 4), (0.05, 4), (0.0001, 6)):
         params = make(tolerance=tolerance, seed=seed)
-        assert same(detect(g, params, held), detect(g, params)), (tolerance, seed)
+        result = detect(g, params, held)
+        assert same(result, detect(g, params)), (tolerance, seed)
+        if (tolerance, seed) in ((0.05, 4), (0.0001, 6)):
+            since_fresh = []
+        since_fresh.append(result.elapsed)
+        # the sweep's elapsed_ms column: summed in call order from a fresh run's 0
+        assert held.elapsed == sum(since_fresh, 0.0), (tolerance, seed)
 
 
 def test_held_run_of_another_graph_is_rejected():

@@ -6,8 +6,10 @@ globals (``load_graph``, ``shuffled_indices``, ``modularity``, ...).  A
 refactor that drops or renames one of them makes a traced benchmark run
 (``perfbench/run.py --trace 1``) fail, and one that stops calling it
 through the module global makes its layer read 0.  These tests run
-traced CLI commands and check that every layer shows up and that leaving
-the tracer puts every name back.
+traced CLI commands and check that every layer shows up, that leaving
+the tracer puts every name back, and that ``on_run_one`` sees the
+keyword arguments ``perfbench/run.py`` selects the strict assignment
+hashes by.
 """
 
 import importlib.util
@@ -33,9 +35,14 @@ def spans():
         del sys.modules[spec.name]
 
 
-def test_traced_commands_record_every_layer_and_restore_every_name(spans, tmp_path):
-    graph = tmp_path / "two-triangles.txt"
-    graph.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+@pytest.fixture()
+def graph(tmp_path):
+    path = tmp_path / "two-triangles.txt"
+    path.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+    return path
+
+
+def test_traced_commands_record_every_layer_and_restore_every_name(spans, graph, tmp_path):
     modules = (cli, copra, rak, slpa, sweep)
     before = [dict(vars(m)) for m in modules]
     recorder = spans.Recorder()
@@ -53,3 +60,13 @@ def test_traced_commands_record_every_layer_and_restore_every_name(spans, tmp_pa
     for module, names_before in zip(modules, before):
         for name, value in names_before.items():
             assert vars(module)[name] is value, (module.__name__, name)
+
+
+def test_run_one_hook_sees_mode_and_workers_by_keyword(spans, graph, tmp_path):
+    # passed positionally or renamed, they would leave the traced hash list
+    # empty without an error
+    seen = []
+    with spans.instrument(spans.Recorder(), lambda span, result, args, kwargs: seen.append(kwargs)):
+        assert cli.main(["detect", "--input", str(graph), "--algorithm", "rak", "--strict",
+                         "--threads", "1", "--output", str(tmp_path / "rak.tsv")]) == 0
+    assert [(kwargs.get("mode"), kwargs.get("workers")) for kwargs in seen] == [("strict", 1)]
