@@ -7,6 +7,7 @@ and the detectors' held calls with standalone calls, on grids that
 continue, repeat, and climb back to a looser tolerance.
 """
 
+import re
 from functools import partial
 
 import numpy as np
@@ -73,6 +74,31 @@ def test_rows_equal_standalone_runs(monkeypatch, algorithm, grid):
         assert np.array_equal(result.assignment, alone.assignment), cell
         # the row reports the run's time so far, at least this call's own
         assert rec.elapsed_ms >= result.elapsed * 1000.0
+
+
+# one row per algorithm on a ring of 5 cliques of 4, with its elapsed_ms cell cut out
+PINNED_ROWS = {
+    "rak": (dict(tolerances=(0.01,), modes=("strict",)),
+            "ring,rak,strict,0.01,,,1,1,3", "0.709090909"),
+    "copra": (dict(tolerances=(0.01,), max_labels=(4,)),
+              "ring,copra,,0.01,4,,1,1,3", "0.709090909"),
+    "slpa": (dict(memory_sizes=(8,), modes=("strict",)),
+             f"ring,slpa,strict,{lp.SlpaParams.tolerance},,8,1,1,7", "0.462479339"),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(PINNED_ROWS))
+def test_csv_row_cells_and_formats(algorithm):
+    # the cells a run's algorithm lacks are empty (RAK: max_labels and
+    # memory_size; COPRA: mode and memory_size; SLPA: max_labels), SLPA's
+    # tolerance is its default, elapsed_ms has 3 decimals, modularity 9
+    grids, head, modularity = PINNED_ROWS[algorithm]
+    spec = lp.SweepSpec(algorithm=algorithm, **grids)
+    [record] = lp.run_sweep(spec, [("ring", lp.ring_of_cliques(5, 4))])
+    *cells, elapsed, q = record.csv_row().split(",")
+    assert ",".join(cells) == head
+    assert re.fullmatch(r"\d+\.\d{3}", elapsed), elapsed
+    assert q == modularity
 
 
 def test_sweep_shuffles_and_plans_once_per_seed(monkeypatch):
