@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from .sweep import (
     DEFAULT_MAX_LABELS,
     DEFAULT_MEMORY_SIZES,
     DEFAULT_TOLERANCES,
+    MODES,
     PARAMS,
     SweepSpec,
     run_one,
@@ -135,14 +137,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_options(p_sweep, nargs="*", default=[], help="graph files")
     p_sweep.add_argument("--tolerances", type=_grid(_tolerance),
                          default=DEFAULT_TOLERANCES, metavar="T1,T2,...")
-    p_sweep.add_argument("--max-labels-grid", type=_grid(_positive_int),
+    p_sweep.add_argument("--max-labels-grid", type=_grid(_positive_int), dest="max_labels",
                          default=DEFAULT_MAX_LABELS, metavar="L1,L2,...")
     p_sweep.add_argument("--memory-sizes", type=_grid(_memory_size),
                          default=DEFAULT_MEMORY_SIZES, metavar="M1,M2,...")
-    p_sweep.add_argument("--modes", default="strict,non-strict", metavar="MODE1,MODE2",
+    p_sweep.add_argument("--modes", type=_grid(str.strip), default=MODES, metavar="MODE1,MODE2",
                          help="comma-separated: strict, non-strict")
-    p_sweep.add_argument("--workers-grid", type=_grid(_positive_int), default=(1,),
-                         metavar="W1,W2,...")
+    p_sweep.add_argument("--workers-grid", type=_grid(_positive_int), dest="workers",
+                         default=(1,), metavar="W1,W2,...")
     p_sweep.add_argument("--repetitions", type=_positive_int, default=1)
     p_sweep.add_argument("--seed", type=int, default=1)
     p_sweep.add_argument("--output", default="-", help="CSV path, '-' for stdout")
@@ -192,17 +194,7 @@ def cmd_detect(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        spec = SweepSpec(
-            algorithm=args.algorithm,
-            graphs=tuple(args.input),
-            tolerances=tuple(args.tolerances),
-            max_labels=tuple(args.max_labels_grid),
-            memory_sizes=tuple(args.memory_sizes),
-            modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
-            workers=tuple(args.workers_grid),
-            repetitions=args.repetitions,
-            seed=args.seed,
-        )
+        spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
     except ValueError as exc:
         print(f"labelprop sweep: error: {exc}", file=sys.stderr)
         return 2
@@ -210,7 +202,7 @@ def cmd_sweep(args) -> int:
     out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
     try:
         print(CSV_HEADER, file=out, flush=True)
-        with _mapped(job, spec.graphs, sweep_jobs(spec, len(spec.graphs))) as results:
+        with _mapped(job, args.input, sweep_jobs(spec, len(args.input))) as results:
             for rows, skipped in results:
                 out.write(rows)
                 out.flush()

@@ -76,7 +76,6 @@ class Launch:
     def __init__(self, kernel, held, params, state, scalars, draws):
         graph = held.graph
         self.kernel, self.scalars = kernel, scalars
-        self.dtypes = tuple(s.dtype for s in state)
         self.workers = threads_run(params.workers)
         n = graph.vertex_count
         size = max(min(draws, STREAM_CAP), int(np.diff(graph.offsets).max(initial=0)) + 1)
@@ -97,10 +96,6 @@ class Launch:
             return int(self.kernel(*self.graph, *self.state, *self.scalars, *self.rows, CHUNK))
         finally:
             set_num_threads(previous)
-
-    def read(self):
-        """The state as new numpy arrays of the input dtypes."""
-        return tuple(np.array(a, dtype=d) for a, d in zip(self.state, self.dtypes))
 
 
 class Held:
@@ -151,14 +146,14 @@ class Held:
         restart check through ``read``, added to ``elapsed``.  A fresh run
         makes at least one iteration, unless the graph has no vertices."""
         began = time.perf_counter()
-        last = self.params
+        # a run cut short by an error, even in start(), starts afresh next time
+        last, self.params = self.params, None
         if (last is None or last.tolerance < params.tolerance
                 or replace(last, tolerance=params.tolerance) != params):
             self.run = None  # freed before the new run is built
             self.run = start()
             self.iterations = self.count = 0
             self.elapsed = 0.0
-        self.params = None  # a run cut short by an error starts afresh next time
         while self.graph.vertex_count and self.iterations < cap and not (
             self.iterations and settled(self.iterations, self.count)
         ):

@@ -26,26 +26,28 @@ it).  The sweep holds one live run per cell of the current graph, freed
 after the cell's last row, and per graph one kernel copy of the graph
 and one visit order and strict level plan per seed.
 
-``labelprop sweep`` runs each input graph's rows (`graph_records`) in a
-worker process, `sweep_jobs` graphs at a time: the usable CPUs
-(``os.sched_getaffinity``, or ``os.cpu_count()`` where that is missing)
-divided by the most threads a row runs on (the largest ``workers``
-value, clamped to the kernel thread pool), at most one job per graph and
-at least one.  Interpreted, every row runs on one thread, so each usable
-CPU takes a graph; compiled, a ``workers`` grid that reaches the CPU
-count runs graphs one at a time, so thread-scaling rows never share
-CPUs.  Rows and skip messages still come out in input order, one
-graph's at a time.  A row's ``elapsed_ms`` is then measured while other
-graphs run; for one-at-a-time timing, pass one graph per call or run on
-one CPU (``taskset -c 0``).  Memory grows with the job count, each job
-holding its graph and held runs, and a single graph gains nothing.
+``labelprop sweep`` runs each input graph's rows (`run_sweep` on that
+graph alone) in a worker process, `sweep_jobs` graphs at a time: the
+usable CPUs (``os.sched_getaffinity``, or ``os.cpu_count()`` where that
+is missing) divided by the most threads a row runs on (the largest
+``workers`` value, clamped to the kernel thread pool), at most one job
+per graph and at least one.  Interpreted, every row runs on one thread,
+so each usable CPU takes a graph; compiled, a ``workers`` grid that
+reaches the CPU count runs graphs one at a time, so thread-scaling rows
+never share CPUs.  Rows and skip messages still come out in input
+order, one graph's at a time.  A row's ``elapsed_ms`` is then measured
+while other graphs run; for one-at-a-time timing, pass one graph per
+call or run on one CPU (``taskset -c 0``).  Memory grows with the job
+count, each job holding its graph and held runs, and a single graph
+gains nothing.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from ._backend import threads_run
@@ -55,8 +57,6 @@ from .rak import RakParams, rak_detect
 from .result import Held
 from .slpa import SlpaParams, slpa_detect
 
-CSV_HEADER = "graph,algorithm,mode,tolerance,max_labels,memory_size,workers,seed,iterations,elapsed_ms,modularity"
-
 DEFAULT_TOLERANCES = (0.1, 0.05, 0.01, 0.001, 0.0001)
 DEFAULT_MAX_LABELS = (1, 2, 4, 8, 16, 32)
 DEFAULT_MEMORY_SIZES = (4, 8, 16, 32)
@@ -65,11 +65,17 @@ MODES = ("strict", "non-strict")
 # Each algorithm's parameter dataclass, where its defaults are written.
 PARAMS = {"rak": RakParams, "copra": CopraParams, "slpa": SlpaParams}
 
+# Each algorithm's two grid axes, outer one first: (SweepSpec field, run_one keyword).
+AXES = {
+    "rak": (("tolerances", "tolerance"), ("modes", "mode")),
+    "copra": (("tolerances", "tolerance"), ("max_labels", "max_labels")),
+    "slpa": (("memory_sizes", "memory_size"), ("modes", "mode")),
+}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     algorithm: str
-    graphs: tuple = ()
     tolerances: tuple = DEFAULT_TOLERANCES
     max_labels: tuple = DEFAULT_MAX_LABELS
     memory_sizes: tuple = DEFAULT_MEMORY_SIZES
@@ -81,15 +87,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.algorithm not in PARAMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for grid, name in (
-            (self.tolerances, "tolerances"),
-            (self.max_labels, "max_labels"),
-            (self.memory_sizes, "memory_sizes"),
-            (self.modes, "modes"),
-            (self.workers, "workers"),
-        ):
-            if len(grid) == 0:
-                raise ValueError(f"{name} grid must be non-empty")
+        for f in fields(self):
+            if f.type == "tuple" and len(getattr(self, f.name)) == 0:
+                raise ValueError(f"{f.name} grid must be non-empty")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
@@ -99,37 +99,43 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One sweep row; its fields, in order, are the CSV columns."""
+
     graph: str
     algorithm: str
-    mode: str
+    mode: Optional[str]
+    # tolerance through seed are the run's *Params fields, None where it has none
     tolerance: Optional[float]
     max_labels: Optional[int]
     memory_size: Optional[int]
     workers: int
     seed: int
     iterations: int
-    elapsed_ms: float
-    modularity: float
+    elapsed_ms: float = field(metadata={"format": ".3f"})
+    modularity: float = field(metadata={"format": ".9f"})
+
+    @classmethod
+    def of(cls, graph: str, algorithm: str, params, result, elapsed: float) -> RunRecord:
+        """The row of a run that used ``params`` (a ``*Params``), returned
+        ``result`` and has taken ``elapsed`` seconds; ``mode`` is read from
+        ``strict`` and is None for COPRA, which has no tie mode."""
+        strict = getattr(params, "strict", None)
+        mode = None if strict is None else "strict" if strict else "non-strict"
+        used = (getattr(params, f.name, None) for f in fields(cls)[3:8])
+        return cls(graph, algorithm, mode, *used, result.iterations, elapsed * 1000.0,
+                   result.modularity)
 
     def csv_row(self) -> str:
-        def cell(x):
-            return "" if x is None else str(x)
+        """The fields in order, each in its ``format``; None is an empty cell."""
 
-        return ",".join(
-            [
-                self.graph,
-                self.algorithm,
-                cell(self.mode or None),
-                cell(self.tolerance),
-                cell(self.max_labels),
-                cell(self.memory_size),
-                str(self.workers),
-                str(self.seed),
-                str(self.iterations),
-                f"{self.elapsed_ms:.3f}",
-                f"{self.modularity:.9f}",
-            ]
-        )
+        def cell(f):
+            value = getattr(self, f.name)
+            return "" if value is None else format(value, f.metadata.get("format", ""))
+
+        return ",".join(map(cell, fields(self)))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
 def run_one(
@@ -155,64 +161,28 @@ def run_one(
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _combos(spec: SweepSpec) -> Iterator[tuple[str, dict]]:
-    """(mode, grid options) of every cell; COPRA's mode is empty."""
-    if spec.algorithm == "rak":
-        for tol in spec.tolerances:
-            for mode in spec.modes:
-                yield mode, {"tolerance": tol}
-    elif spec.algorithm == "copra":
-        for tol in spec.tolerances:
-            for ml in spec.max_labels:
-                yield "", {"tolerance": tol, "max_labels": ml}
-    else:
-        for ms in spec.memory_sizes:
-            for mode in spec.modes:
-                yield mode, {"memory_size": ms}
-
-
-def graph_records(spec: SweepSpec, name: str, graph: Graph) -> Iterator[RunRecord]:
-    """Yield one RunRecord per (combo x workers x repetition) of one graph."""
-    params = PARAMS[spec.algorithm]
-    combos = list(_combos(spec))
-    # a held run's cell: every grid value but the tolerance
-    cells = [(mode, options.get("max_labels"), options.get("memory_size"))
-             for mode, options in combos]
-    rows = Counter(cells)
-    memo = {}  # what the runs of this graph share
-    held = {}  # cell, workers, seed -> (its run, rows left)
-    for cell, (mode, options) in zip(cells, combos):
-        # the value each run used; empty where the algorithm has no such field
-        used = {f: options.get(f, getattr(params, f, None))
-                for f in ("tolerance", "max_labels", "memory_size")}
-        for workers in spec.workers:
-            for rep in range(spec.repetitions):
-                seed = spec.seed + rep
-                key = cell, workers, seed
-                handle, left = held.pop(key, None) or (Held(graph, memo), rows[cell])
-                if left > 1:
-                    held[key] = handle, left - 1
-                result = run_one(
-                    spec.algorithm, graph, mode=mode or "non-strict", held=handle,
-                    workers=workers, seed=seed, **options,
-                )
-                yield RunRecord(
-                    graph=name,
-                    algorithm=spec.algorithm,
-                    mode=mode,
-                    workers=workers,
-                    seed=seed,
-                    iterations=result.iterations,
-                    elapsed_ms=handle.elapsed * 1000.0,
-                    modularity=result.modularity,
-                    **used,
-                )
-
-
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
-    """Yield one RunRecord per (graph x combo x workers x repetition), in this process."""
+    """Yield one RunRecord per (graph x cell x workers x repetition), in this process."""
+    grids, keywords = zip(*AXES[spec.algorithm])
+    cells = [dict(zip(keywords, values))
+             for values in product(*(getattr(spec, grid) for grid in grids))]
+    # a held run continues down the tolerance grid, keyed by its cell's
+    # other values, its workers and its seed
+    runs = [tuple(v for k, v in cell.items() if k != "tolerance") for cell in cells]
+    rows = Counter(runs)
     for name, graph in graphs:
-        yield from graph_records(spec, name, graph)
+        memo = {}  # what the runs of this graph share
+        held = {}  # held run key -> (its handle, rows left)
+        for cell, run in zip(cells, runs):
+            for workers in spec.workers:
+                for seed in range(spec.seed, spec.seed + spec.repetitions):
+                    key = run, workers, seed
+                    handle, left = held.pop(key, None) or (Held(graph, memo), rows[run])
+                    if left > 1:
+                        held[key] = handle, left - 1
+                    result = run_one(spec.algorithm, graph, held=handle, workers=workers,
+                                     seed=seed, **cell)
+                    yield RunRecord.of(name, spec.algorithm, handle.params, result, handle.elapsed)
 
 
 def sweep_jobs(spec: SweepSpec, graph_count: int) -> int:

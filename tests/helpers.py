@@ -20,7 +20,10 @@ def copra_run(graph: lp.Graph, params: lp.CopraParams):
     vertex's published label row, belongings and live count."""
     held = lp.Held(graph)
     r = lp.copra_detect(graph, params, held)
-    labs, bels, sizes, pub, _ = held.run.read()
+    labs, bels, sizes, pub, _ = held.run.state
+    # explicit dtypes: the interpreted state is lists, and np.asarray([]) is float64
+    labs, sizes, pub = (np.array(a, dtype=np.int64) for a in (labs, sizes, pub))
+    bels = np.array(bels, dtype=np.float64)
     n, L = graph.vertex_count, params.max_labels
     return r.assignment, r.iterations, (
         labs.reshape(2 * n, L)[pub], bels.reshape(2 * n, L)[pub], sizes[pub]
@@ -32,7 +35,7 @@ def slpa_run(graph: lp.Graph, params: lp.SlpaParams):
     memory, one row per vertex, and its fill count."""
     held = lp.Held(graph)
     r = lp.slpa_detect(graph, params, held)
-    slots, filled = held.run.read()
+    slots, filled = (np.array(a, dtype=np.int64) for a in held.run.state)
     return r.assignment, r.iterations, (slots.reshape(graph.vertex_count, params.memory_size), filled)
 
 

@@ -88,8 +88,7 @@ def without_elapsed(text):
 @pytest.mark.parametrize("algorithm", list(GRIDS))
 def test_cli_sweep_equals_in_process_run_sweep(inputs, pools, algorithm):
     flags, grids = GRIDS[algorithm]
-    spec = lp.SweepSpec(algorithm=algorithm, graphs=tuple(inputs), workers=(1, 2),
-                        repetitions=2, seed=3, **grids)
+    spec = lp.SweepSpec(algorithm=algorithm, workers=(1, 2), repetitions=2, seed=3, **grids)
     assert sweep_jobs(spec, len(inputs)) > 1
     code, text = run_main(["sweep", "--algorithm", algorithm, "--input", *inputs, *flags,
                            "--workers-grid", "1,2", "--repetitions", "2", "--seed", "3"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import rak, sweep
+from labelprop import copra, rak, sweep
 
 GRAPHS = {
     "gnp": lambda: lp.gnp(300, 0.03, seed=2),
@@ -197,6 +197,23 @@ def test_held_calls_equal_standalone_calls(name):
         since_fresh.append(result.elapsed)
         # the sweep's elapsed_ms column: summed in call order from a fresh run's 0
         assert held.elapsed == sum(since_fresh, 0.0), (tolerance, seed)
+
+
+def test_a_run_whose_start_failed_starts_afresh(monkeypatch):
+    g = GRAPHS["gnp"]()
+    params = lp.CopraParams(tolerance=0.1, seed=1)
+    held = lp.Held(g)
+    lp.copra_detect(g, params, held)
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    with monkeypatch.context() as m:
+        m.setattr(copra, "Launch", out_of_memory)
+        with pytest.raises(MemoryError):
+            lp.copra_detect(g, lp.CopraParams(tolerance=0.1, seed=2), held)
+    # the failed start left no run to continue, so the retry starts afresh
+    assert same(lp.copra_detect(g, params, held), lp.copra_detect(g, params))
 
 
 def test_held_run_of_another_graph_is_rejected():

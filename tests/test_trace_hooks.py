@@ -70,3 +70,18 @@ def test_run_one_hook_sees_mode_and_workers_by_keyword(spans, graph, tmp_path):
         assert cli.main(["detect", "--input", str(graph), "--algorithm", "rak", "--strict",
                          "--threads", "1", "--output", str(tmp_path / "rak.tsv")]) == 0
     assert [(kwargs.get("mode"), kwargs.get("workers")) for kwargs in seen] == [("strict", 1)]
+
+
+def test_sweep_rows_follow_the_run_one_keywords(spans, graph, tmp_path):
+    # perfbench/run.py pairs the dispatched calls with the CSV rows, in
+    # order, and keeps the strict single-worker ones
+    seen = []
+    out = tmp_path / "rak.csv"
+    with spans.instrument(spans.Recorder(), lambda span, result, args, kwargs: seen.append(kwargs)):
+        assert cli.main(["sweep", "--input", str(graph), "--algorithm", "rak",
+                         "--modes", "strict,non-strict", "--workers-grid", "1,2",
+                         "--output", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    cells = [(row[header.index("mode")], row[header.index("workers")]) for row in rows]
+    assert len(rows) == len(sweep.DEFAULT_TOLERANCES) * 2 * 2
+    assert [(kwargs["mode"], str(kwargs["workers"])) for kwargs in seen] == cells
