@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from labelprop.cli import main
+from labelprop.graph import load_graph, preprocess
 from labelprop.slpa import SlpaParams
-from labelprop.sweep import SweepSpec, run_one
+from labelprop.sweep import SweepSpec, run_one, run_sweep
 from labelprop.synth import ring_of_cliques
 
 TRI2_MTX = """%%MatrixMarket matrix coordinate pattern symmetric
@@ -295,6 +296,43 @@ class TestSweep:
     def test_run_one_rejects_an_option_of_another_algorithm(self, algorithm, option):
         with pytest.raises(TypeError):
             run_one(algorithm, ring_of_cliques(4, 5), **{option: 3})
+
+
+class TestLibraryDefaults:
+    """With no tuning, grid, seed, workers or repetitions flag, the CLI runs
+    what the library runs with its own defaults."""
+
+    @pytest.fixture()
+    def ring(self, tmp_path):
+        graph = ring_of_cliques(5, 4, self_loops=False)
+        path = tmp_path / "ring.txt"
+        path.write_text("".join(
+            f"{u} {v}\n" for u in range(graph.vertex_count)
+            for v in graph.neighbors[graph.offsets[u]:graph.offsets[u + 1]].tolist() if u < v
+        ))
+        return path, preprocess(load_graph(path))
+
+    @pytest.mark.parametrize("algorithm", ["rak", "copra", "slpa"])
+    def test_sweep(self, ring, capsys, algorithm):
+        path, graph = ring
+        assert main(["sweep", "--algorithm", algorithm, "--input", str(path)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        elapsed = header.split(",").index("elapsed_ms")
+
+        def cut(row):
+            return row.split(",")[:elapsed] + row.split(",")[elapsed + 1:]
+
+        library = run_sweep(SweepSpec(algorithm), [(str(path), graph)])
+        assert [cut(row) for row in rows] == [cut(r.csv_row()) for r in library]
+
+    @pytest.mark.parametrize("algorithm", ["rak", "copra", "slpa"])
+    def test_detect(self, ring, capsys, algorithm):
+        path, graph = ring
+        assert main(["detect", "--algorithm", algorithm, "--input", str(path)]) == 0
+        out, err = capsys.readouterr()
+        library = run_one(algorithm, graph)
+        assert parse_tsv(out) == dict(enumerate(library.assignment.tolist()))
+        assert f" iterations={library.iterations} " in err
 
 
 class TestInfo:
