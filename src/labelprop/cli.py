@@ -23,43 +23,24 @@ from functools import partial
 
 import numpy as np
 
-from .graph import Graph, GraphParseError, load_graph, preprocess, read_text
+from .graph import FORMATS, Graph, GraphParseError, load_graph, preprocess, read_text
 from .quality import modularity
-from .sweep import (
-    CSV_HEADER,
-    DEFAULT_MAX_LABELS,
-    DEFAULT_MEMORY_SIZES,
-    DEFAULT_TOLERANCES,
-    MODES,
-    PARAMS,
-    SweepSpec,
-    run_one,
-    run_sweep,
-    sweep_jobs,
-)
+from .result import LEAST
+from .sweep import CSV_HEADER, MODES, PARAMS, SweepSpec, run_one, run_sweep, sweep_jobs
 
-ALGORITHMS = ("rak", "copra", "slpa")
+ALGORITHMS = tuple(PARAMS)
 
-# detect options that set a field of the algorithm's *Params; None = not given
-TUNING = ("tolerance", "max_labels", "memory_size", "max_iterations", "strict")
+# run_one's keywords: the *Params fields, with mode in place of strict
+RUN_OPTIONS = {f.name for p in PARAMS.values() for f in fields(p)} - {"strict"} | {"mode"}
 
 
 def _add_graph_options(p: argparse.ArgumentParser, **input_spec) -> None:
     p.add_argument("--input", **input_spec)
-    p.add_argument("--graph-format", choices=("auto", "mtx", "edgelist"), default="auto")
+    p.add_argument("--graph-format", choices=FORMATS, default="auto")
     p.add_argument("--no-self-loops", action="store_true",
                    help="skip the one-self-loop-per-vertex preprocessing step")
     p.add_argument("--keep-weights", action="store_true",
                    help="keep file weights instead of forcing unit weights")
-
-
-def _add_mode_options(p: argparse.ArgumentParser) -> None:
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--strict", dest="strict", action="store_true",
-                      help="break weight ties by first label in scan order")
-    mode.add_argument("--non-strict", dest="strict", action="store_false",
-                      help="break weight ties uniformly at random (default)")
-    p.set_defaults(strict=None)
 
 
 def _load(args, path: str) -> Graph:
@@ -69,6 +50,11 @@ def _load(args, path: str) -> Graph:
         unit_weights=not args.keep_weights,
         self_loops=not args.no_self_loops,
     )
+
+
+def _given(args, names) -> dict:
+    """The options named in ``names`` that were given (not None), in parser order."""
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def _checked(convert, ok, expected: str):
@@ -95,16 +81,24 @@ def _grid(item):
     return parse
 
 
-_positive_int = _checked(int, lambda x: x >= 1, "an integer >= 1")
-_memory_size = _checked(int, lambda x: x >= 2, "an integer >= 2")
+def _at_least(name: str):
+    """An argparse type for an integer at least ``LEAST[name]``."""
+    least = LEAST[name]
+    return _checked(int, lambda x: x >= least, f"an integer >= {least}")
+
+
 _tolerance = _checked(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
 
 
 def _defaults(field: str) -> str:
-    """The field's default in each algorithm that has it, for help texts."""
-    found = [f"{alg} {getattr(PARAMS[alg], field)}" for alg in ALGORITHMS
-             if hasattr(PARAMS[alg], field)]
-    return f"(default: {', '.join(found)})"
+    """The field's default in each algorithm that has it, for help texts;
+    one value when every algorithm has the same."""
+    found = {alg: getattr(params, field) for alg, params in PARAMS.items()
+             if hasattr(params, field)}
+    values = set(found.values())
+    if len(found) == len(PARAMS) and len(values) == 1:
+        return f"(default: {values.pop()})"
+    return f"(default: {', '.join(f'{alg} {value}' for alg, value in found.items())})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,39 +108,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # detect and sweep options default to None, "not given": the library's
+    # defaults apply (the *Params fields and SweepSpec)
     p_detect = sub.add_parser("detect", help="run one detection and emit a community TSV")
     _add_graph_options(p_detect, required=True, help="graph file (MatrixMarket or edge list)")
     p_detect.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     p_detect.add_argument("--tolerance", type=_tolerance,
                           help=f"convergence fraction {_defaults('tolerance')}")
-    p_detect.add_argument("--max-labels", type=_positive_int,
+    p_detect.add_argument("--max-labels", type=_at_least("max_labels"),
                           help=f"labels kept per vertex {_defaults('max_labels')}")
-    p_detect.add_argument("--memory-size", type=_memory_size,
+    p_detect.add_argument("--memory-size", type=_at_least("memory_size"),
                           help=f"memory capacity {_defaults('memory_size')}")
-    p_detect.add_argument("--max-iterations", type=_positive_int,
+    p_detect.add_argument("--max-iterations", type=_at_least("max_iterations"),
                           help=f"iteration cap {_defaults('max_iterations')}")
-    p_detect.add_argument("--threads", type=_positive_int, default=1,
-                          help="worker threads when compiled; interpreted runs use one "
-                          "(default: 1)")
-    p_detect.add_argument("--seed", type=int, default=1)
+    p_detect.add_argument("--threads", type=_at_least("workers"), dest="workers",
+                          metavar="THREADS", help="worker threads when compiled; interpreted "
+                          f"runs use one {_defaults('workers')}")
+    p_detect.add_argument("--seed", type=int)
     p_detect.add_argument("--output", default="-", help="TSV path, '-' for stdout")
-    _add_mode_options(p_detect)
+    mode = p_detect.add_mutually_exclusive_group()
+    mode.add_argument("--strict", dest="mode", action="store_const", const=MODES[0],
+                      help="break weight ties by first label in scan order")
+    mode.add_argument("--non-strict", dest="mode", action="store_const", const=MODES[1],
+                      help="break weight ties uniformly at random (default)")
 
     p_sweep = sub.add_parser("sweep", help="cross parameter grids and stream a CSV of runs")
     p_sweep.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     _add_graph_options(p_sweep, nargs="*", default=[], help="graph files")
-    p_sweep.add_argument("--tolerances", type=_grid(_tolerance),
-                         default=DEFAULT_TOLERANCES, metavar="T1,T2,...")
-    p_sweep.add_argument("--max-labels-grid", type=_grid(_positive_int), dest="max_labels",
-                         default=DEFAULT_MAX_LABELS, metavar="L1,L2,...")
-    p_sweep.add_argument("--memory-sizes", type=_grid(_memory_size),
-                         default=DEFAULT_MEMORY_SIZES, metavar="M1,M2,...")
-    p_sweep.add_argument("--modes", type=_grid(str.strip), default=MODES, metavar="MODE1,MODE2",
+    p_sweep.add_argument("--tolerances", type=_grid(_tolerance), metavar="T1,T2,...")
+    p_sweep.add_argument("--max-labels-grid", type=_grid(_at_least("max_labels")),
+                         dest="max_labels", metavar="L1,L2,...")
+    p_sweep.add_argument("--memory-sizes", type=_grid(_at_least("memory_size")),
+                         metavar="M1,M2,...")
+    p_sweep.add_argument("--modes", type=_grid(str.strip), metavar="MODE1,MODE2",
                          help="comma-separated: strict, non-strict")
-    p_sweep.add_argument("--workers-grid", type=_grid(_positive_int), dest="workers",
-                         default=(1,), metavar="W1,W2,...")
-    p_sweep.add_argument("--repetitions", type=_positive_int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=1)
+    p_sweep.add_argument("--workers-grid", type=_grid(_at_least("workers")), dest="workers",
+                         metavar="W1,W2,...")
+    p_sweep.add_argument("--repetitions", type=_at_least("repetitions"))
+    p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--output", default="-", help="CSV path, '-' for stdout")
 
     p_score = sub.add_parser("score", help="modularity of a saved community TSV")
@@ -155,29 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="per-graph vertex/edge counts and average degree")
     p_info.add_argument("paths", nargs="+", help="graph files")
-    p_info.add_argument("--graph-format", choices=("auto", "mtx", "edgelist"), default="auto")
+    p_info.add_argument("--graph-format", choices=FORMATS, default="auto")
 
     return parser
 
 
 def cmd_detect(args) -> int:
-    options = {k: getattr(args, k) for k in TUNING if getattr(args, k) is not None}
-    for name in options:
-        if not hasattr(PARAMS[args.algorithm], name):
-            flag = "--" + ("non-strict" if options[name] is False else name.replace("_", "-"))
-            print(f"labelprop detect: error: {flag} does not apply to "
+    options = _given(args, RUN_OPTIONS)
+    for name, value in options.items():
+        if not hasattr(PARAMS[args.algorithm], "strict" if name == "mode" else name):
+            flag = value if name == "mode" else name.replace("_", "-")
+            print(f"labelprop detect: error: --{flag} does not apply to "
                   f"--algorithm {args.algorithm}", file=sys.stderr)
             return 2
-    strict = options.pop("strict", False)
     graph = _load(args, args.input)
-    result = run_one(
-        args.algorithm,
-        graph,
-        mode="strict" if strict else "non-strict",
-        workers=args.threads,
-        seed=args.seed,
-        **options,
-    )
+    result = run_one(args.algorithm, graph, **options)
     lines = "".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist()))
     if args.output == "-":
         sys.stdout.write(lines)
@@ -194,7 +185,7 @@ def cmd_detect(args) -> int:
 
 def cmd_sweep(args) -> int:
     try:
-        spec = SweepSpec(**{f.name: getattr(args, f.name) for f in fields(SweepSpec)})
+        spec = SweepSpec(**_given(args, {f.name for f in fields(SweepSpec)}))
     except ValueError as exc:
         print(f"labelprop sweep: error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,9 @@ Source = Union[str, os.PathLike, IO[str]]
 MAX_VERTICES = 3_037_000_499
 """Largest vertex count for which the ``u * n + v`` arc keys fit in int64."""
 
+FORMATS = ("auto", "mtx", "edgelist")
+"""The ``fmt`` values `load_graph` takes."""
+
 
 class GraphParseError(ValueError):
     """Malformed graph file; the message names the offending line."""
@@ -339,7 +342,7 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
     one.  In both, vertex counts are at most `MAX_VERTICES`, weights must
     be finite and positive, and duplicate arcs merge by weight sum.
     """
-    if fmt not in ("auto", "mtx", "edgelist"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}")
     text = read_text(path)
     if fmt == "auto":

@@ -32,8 +32,9 @@ class DetectionResult:
     modularity: float
 
 
-# The least value of each integer field of the ``*Params`` classes.
-LEAST = {"max_iterations": 1, "max_labels": 1, "memory_size": 2, "workers": 1}
+# The least value of each integer field of the ``*Params`` classes, and of
+# ``SweepSpec.repetitions``.
+LEAST = {"max_iterations": 1, "max_labels": 1, "memory_size": 2, "workers": 1, "repetitions": 1}
 
 
 def check_ranges(params):

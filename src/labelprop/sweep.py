@@ -6,11 +6,15 @@ A sweep crosses, per graph, the grids that apply to the chosen algorithm:
 * ``copra``: tolerance x max_labels x workers x repetitions
 * ``slpa``:  memory_size x mode x workers x repetitions
 
-Parameters outside an algorithm's grids keep their ``*Params`` defaults
-(SLPA's tolerance is ``SlpaParams.tolerance``).  Repetition r runs with
-seed ``seed + r`` so non-strict runs differ.  `run_sweep` yields records
-as runs finish, in this process; grid fields that do not apply to an
-algorithm are left empty in the CSV.
+A graph's rows come in the order of this one product, its first factor
+outermost.  The grids' defaults are `SweepSpec`'s fields, and building a
+spec checks every value a row runs with (a mode against `MODES`, the
+rest by the algorithm's ``*Params``), so a bad value fails before the
+first row.  Parameters outside an algorithm's grids keep their
+``*Params`` defaults (SLPA's tolerance is ``SlpaParams.tolerance``).
+Repetition r runs with seed ``seed + r`` so non-strict runs differ.
+`run_sweep` yields records as runs finish, in this process; grid fields
+that do not apply to an algorithm are left empty in the CSV.
 
 A row continues the run of its cell, every grid value but the
 tolerance (graph, mode, ``max_labels`` or ``memory_size``, workers,
@@ -54,12 +58,9 @@ from ._backend import threads_run
 from .copra import CopraParams, copra_detect
 from .graph import Graph
 from .rak import RakParams, rak_detect
-from .result import Held
+from .result import LEAST, Held
 from .slpa import SlpaParams, slpa_detect
 
-DEFAULT_TOLERANCES = (0.1, 0.05, 0.01, 0.001, 0.0001)
-DEFAULT_MAX_LABELS = (1, 2, 4, 8, 16, 32)
-DEFAULT_MEMORY_SIZES = (4, 8, 16, 32)
 MODES = ("strict", "non-strict")
 
 # Each algorithm's parameter dataclass, where its defaults are written.
@@ -76,9 +77,9 @@ AXES = {
 @dataclass(frozen=True)
 class SweepSpec:
     algorithm: str
-    tolerances: tuple = DEFAULT_TOLERANCES
-    max_labels: tuple = DEFAULT_MAX_LABELS
-    memory_sizes: tuple = DEFAULT_MEMORY_SIZES
+    tolerances: tuple = (0.1, 0.05, 0.01, 0.001, 0.0001)
+    max_labels: tuple = (1, 2, 4, 8, 16, 32)
+    memory_sizes: tuple = (4, 8, 16, 32)
     modes: tuple = MODES
     workers: tuple = (1,)
     repetitions: int = 1
@@ -93,8 +94,13 @@ class SweepSpec:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if self.repetitions < LEAST["repetitions"]:
+            raise ValueError(f"repetitions must be >= {LEAST['repetitions']}")
+        # the algorithm's *Params checks every other value a row runs with
+        for grid, keyword in (*AXES[self.algorithm], ("workers", "workers")):
+            if keyword != "mode":
+                for value in getattr(self, grid):
+                    PARAMS[self.algorithm](**{keyword: value})
 
 
 @dataclass(frozen=True)
@@ -120,7 +126,7 @@ class RunRecord:
         ``result`` and has taken ``elapsed`` seconds; ``mode`` is read from
         ``strict`` and is None for COPRA, which has no tie mode."""
         strict = getattr(params, "strict", None)
-        mode = None if strict is None else "strict" if strict else "non-strict"
+        mode = None if strict is None else MODES[not strict]
         used = (getattr(params, f.name, None) for f in fields(cls)[3:8])
         return cls(graph, algorithm, mode, *used, result.iterations, elapsed * 1000.0,
                    result.modularity)
@@ -162,27 +168,28 @@ def run_one(
 
 
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:
-    """Yield one RunRecord per (graph x cell x workers x repetition), in this process."""
+    """Yield one RunRecord per graph and row, in this process.
+
+    A graph's rows are ``product(outer axis, inner axis, workers,
+    repetition seeds)`` in that order, the axes being the algorithm's
+    `AXES`.
+    """
     grids, keywords = zip(*AXES[spec.algorithm])
-    cells = [dict(zip(keywords, values))
-             for values in product(*(getattr(spec, grid) for grid in grids))]
-    # a held run continues down the tolerance grid, keyed by its cell's
-    # other values, its workers and its seed
+    seeds = range(spec.seed, spec.seed + spec.repetitions)
+    cells = [dict(zip((*keywords, "workers", "seed"), values)) for values in
+             product(*(getattr(spec, grid) for grid in grids), spec.workers, seeds)]
+    # a held run continues down the tolerance grid, keyed by the row's other values
     runs = [tuple(v for k, v in cell.items() if k != "tolerance") for cell in cells]
     rows = Counter(runs)
     for name, graph in graphs:
         memo = {}  # what the runs of this graph share
         held = {}  # held run key -> (its handle, rows left)
         for cell, run in zip(cells, runs):
-            for workers in spec.workers:
-                for seed in range(spec.seed, spec.seed + spec.repetitions):
-                    key = run, workers, seed
-                    handle, left = held.pop(key, None) or (Held(graph, memo), rows[run])
-                    if left > 1:
-                        held[key] = handle, left - 1
-                    result = run_one(spec.algorithm, graph, held=handle, workers=workers,
-                                     seed=seed, **cell)
-                    yield RunRecord.of(name, spec.algorithm, handle.params, result, handle.elapsed)
+            handle, left = held.pop(run, None) or (Held(graph, memo), rows[run])
+            if left > 1:
+                held[run] = handle, left - 1
+            result = run_one(spec.algorithm, graph, held=handle, **cell)
+            yield RunRecord.of(name, spec.algorithm, handle.params, result, handle.elapsed)
 
 
 def sweep_jobs(spec: SweepSpec, graph_count: int) -> int:

@@ -7,20 +7,18 @@ import numpy as np
 from .graph import Graph, from_arcs, preprocess
 
 
-def _clique_arcs(first: int, size: int):
-    idx = np.arange(first, first + size, dtype=np.int64)
-    i, j = np.triu_indices(size, k=1)
-    return idx[i], idx[j]
+def _clique_arcs(cliques: int, clique_size: int):
+    """The arcs ``u < v`` of ``cliques`` disjoint cliques of ``clique_size``
+    vertices, clique by clique."""
+    i, j = np.triu_indices(clique_size, k=1)
+    first = np.arange(cliques, dtype=np.int64)[:, None] * clique_size
+    return (first + i).ravel(), (first + j).ravel()
 
 
 def disjoint_cliques(cliques: int, clique_size: int, **pre) -> Graph:
     """``cliques`` disconnected cliques of ``clique_size`` vertices each."""
-    us, vs = [], []
-    for c in range(cliques):
-        u, v = _clique_arcs(c * clique_size, clique_size)
-        us.append(u)
-        vs.append(v)
-    return _undirected(cliques * clique_size, us, vs, **pre)
+    u, v = _clique_arcs(cliques, clique_size)
+    return _undirected(cliques * clique_size, [u], [v], **pre)
 
 
 def ring_of_cliques(cliques: int, clique_size: int, **pre) -> Graph:
@@ -29,16 +27,11 @@ def ring_of_cliques(cliques: int, clique_size: int, **pre) -> Graph:
     The classic stress case for label propagation: a healthy run keeps one
     community per clique instead of flooding the whole ring.
     """
-    us, vs = [], []
-    n = cliques * clique_size
-    for c in range(cliques):
-        u, v = _clique_arcs(c * clique_size, clique_size)
-        us.append(u)
-        vs.append(v)
-        # bridge: last vertex of this clique to first vertex of the next
-        us.append(np.array([(c + 1) * clique_size - 1], dtype=np.int64))
-        vs.append(np.array([((c + 1) * clique_size) % n], dtype=np.int64))
-    return _undirected(n, us, vs, **pre)
+    u, v = _clique_arcs(cliques, clique_size)
+    # bridges: the last vertex of each clique to the first vertex of the next
+    first = np.arange(cliques, dtype=np.int64) * clique_size
+    return _undirected(cliques * clique_size, [u, first + clique_size - 1],
+                       [v, np.roll(first, -1)], **pre)
 
 
 def gnp(n: int, p: float, seed: int = 1, **pre) -> Graph:

@@ -87,6 +87,21 @@ PINNED_ROWS = {
 }
 
 
+@pytest.mark.parametrize("grids, message", [
+    (dict(algorithm="rak", tolerances=(0.1, 0.0), modes=("strict",)), "tolerance must be in (0, 1]"),
+    (dict(algorithm="copra", max_labels=(4, 0), tolerances=(0.1,)), "max_labels must be >= 1"),
+    (dict(algorithm="copra", tolerances=(0.1, 1.5)), "tolerance must be in (0, 1]"),
+    (dict(algorithm="slpa", memory_sizes=(8, 1)), "memory_size must be >= 2"),
+    (dict(algorithm="rak", workers=(0,)), "workers must be >= 1"),
+    (dict(algorithm="slpa", workers=(1, 0)), "workers must be >= 1"),
+], ids=["rak-tolerance", "copra-max-labels", "copra-tolerance", "slpa-memory-size",
+        "rak-workers", "slpa-workers"])
+def test_spec_checks_every_grid_value_with_the_params(grids, message):
+    # rejected when the spec is built, not partway through its sweep
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lp.SweepSpec(**grids)
+
+
 @pytest.mark.parametrize("algorithm", list(PINNED_ROWS))
 def test_csv_row_cells_and_formats(algorithm):
     # the cells a run's algorithm lacks are empty (RAK: max_labels and

@@ -83,5 +83,5 @@ def test_sweep_rows_follow_the_run_one_keywords(spans, graph, tmp_path):
                          "--output", str(out)]) == 0
     header, *rows = [line.split(",") for line in out.read_text().splitlines()]
     cells = [(row[header.index("mode")], row[header.index("workers")]) for row in rows]
-    assert len(rows) == len(sweep.DEFAULT_TOLERANCES) * 2 * 2
+    assert len(rows) == len(sweep.SweepSpec("rak").tolerances) * 2 * 2
     assert [(kwargs["mode"], str(kwargs["workers"])) for kwargs in seen] == cells
