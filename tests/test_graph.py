@@ -303,7 +303,7 @@ def lexsort_merge(n, u, v, w):
     u, v, w = (np.asarray(a) for a in (u, v, w))
     order = np.lexsort((v, u))
     u, v, w = u[order], v[order], w[order]
-    starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])])
+    starts = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]) | (v[1:] != v[:-1])][: u.size])
     w = np.add.reduceat(w, starts)
     u, v = u[starts], v[starts]
     offsets = np.r_[0, np.cumsum(np.bincount(u, minlength=n))]
@@ -388,6 +388,16 @@ class TestSortOnce:
             got = lp.preprocess(raw, unit_weights=unit_weights, self_loops=self_loops)
             assert_same_csr(csr_parts(got), two_sort_preprocess(raw, unit_weights, self_loops))
 
+    @pytest.mark.parametrize("n", [0, 3])
+    @pytest.mark.parametrize("self_loops", [True, False])
+    @pytest.mark.parametrize("unit_weights", [True, False])
+    def test_graphs_without_arcs_match_the_oracles(self, n, unit_weights, self_loops):
+        raw = lp.from_arcs(n, [], [], [])
+        none = np.empty(0, np.int64)
+        assert_same_csr(csr_parts(raw), lexsort_merge(n, none, none, np.empty(0)))
+        got = lp.preprocess(raw, unit_weights=unit_weights, self_loops=self_loops)
+        assert_same_csr(csr_parts(got), two_sort_preprocess(raw, unit_weights, self_loops))
+
 
 class TestDegreeWeight:
     def test_triangle_with_self_loops(self, two_triangles):
@@ -433,6 +443,21 @@ class TestInvariants:
     def test_check_symmetric_rejects_raw_directed(self):
         with pytest.raises(ValueError):
             check_symmetric(lp.from_arcs(2, [0], [1], [1.0]))
+
+    def test_check_symmetric_rejects_reverse_weights_that_differ(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(lp.from_arcs(2, [0, 1], [1, 0], [1.0, 2.0]))
+
+    def test_check_symmetric_accepts_reverse_weights_that_differ_by_rounding(self):
+        # duplicates sum in input order: 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1
+        g = lp.from_arcs(2, [0, 0, 0, 1, 1, 1], [1, 1, 1, 0, 0, 0], [0.1, 0.2, 0.3, 0.3, 0.2, 0.1])
+        assert g.weights[0] != g.weights[1]
+        check_symmetric(g)
+
+    @pytest.mark.parametrize("n, u, v", [(0, [], []), (3, [], []), (2, [1], [1])],
+                             ids=["empty", "no-arcs", "self-loop"])
+    def test_check_symmetric_accepts_graphs_without_unpaired_arcs(self, n, u, v):
+        check_symmetric(lp.from_arcs(n, u, v, [2.0] * len(u)))
 
     def test_only_preprocess_marks_graphs_symmetric(self):
         raw = lp.from_arcs(3, [0, 1], [1, 0], [1.0, 1.0])
