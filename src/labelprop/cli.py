@@ -10,7 +10,7 @@ modularity for a saved assignment.
 ``info`` prints vertex/edge counts and average degree per graph.  A file
 that cannot be read or parsed ends a command with one ``labelprop: ...``
 line and exit 1 (``sweep`` skips such a graph, ``info`` reports it and
-goes on).
+goes on), and so does a run whose state is too large to allocate.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (OSError, GraphParseError) as exc:
+    except (OSError, GraphParseError, MemoryError) as exc:
         print(f"labelprop: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,12 @@ streams: a ``.mtx``/``.mm`` name or ``%%MatrixMarket`` at the very start
 of the text means MatrixMarket, anything else is an edge list.
 `preprocess` turns any loaded graph into the canonical form the detectors
 expect: symmetric, unit arc weights by default, and exactly one weight-1
-self-loop per vertex.
+self-loop per vertex.  `_merge` is the one sort-and-merge step: it sorts
+``u * n + v`` arc keys, merges each run of equal keys (`from_arcs` sums
+duplicates, `preprocess` keeps a pair's larger weight) and builds every
+CSR graph.  `check_symmetric` merges a graph's reversed arcs the same way
+and requires the same arcs with close weights, so it also rejects rows
+out of neighbour order and repeated arcs, which no constructor builds.
 
 Files are UTF-8 text; one leading byte-order mark is dropped.  Both
 formats read their entry lines through `_entries`, so each rule (field
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -72,44 +78,43 @@ class Graph:
     symmetric: bool = False
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: bool = False) -> Graph:
+    """The CSR graph of arcs with keys ``key = u * n + v`` and weights ``w``.
 
-
-def _csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray, symmetric: bool = False) -> Graph:
-    """Wrap arcs already sorted by (u, v) and free of duplicates as a Graph."""
+    One sort of ``key`` groups the arcs; each run of equal keys becomes one
+    arc, weighted by ``reduce.reduceat`` over the run (``w=None``: weight
+    1).  With `np.add` the sum is taken in input order, so the arcs are
+    sorted again, stably, only when a key repeats.
+    """
+    order = np.argsort(key)
+    sorted_key = key[order]
+    fresh = np.empty(key.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    if w is not None and reduce is np.add and starts.size < key.size:
+        order = np.argsort(key, kind="stable")
+    w = np.ones(starts.size) if w is None else reduce.reduceat(w[order], starts)
+    u, v = np.divmod(sorted_key[starts], n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
-    return Graph(
-        vertex_count=n,
-        edge_count=int(u.size),
-        offsets=_freeze(offsets),
-        neighbors=_freeze(v),
-        weights=_freeze(w),
-        total_weight=float(w.sum() + w[u == v].sum()),
-        symmetric=symmetric,
-    )
-
-
-def _group_starts(key: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values in sorted ``key``."""
-    fresh = np.empty(key.size, dtype=bool)
-    fresh[0] = True
-    np.not_equal(key[1:], key[:-1], out=fresh[1:])
-    return np.flatnonzero(fresh)
+    for a in (offsets, v, w):
+        a.setflags(write=False)
+    return Graph(vertex_count=n, edge_count=int(v.size), offsets=offsets, neighbors=v, weights=w,
+                 total_weight=float(w.sum() + w[u == v].sum()), symmetric=symmetric)
 
 
 def from_arcs(vertex_count: int, u, v, w) -> Graph:
     """Build a CSR graph from arc arrays, merging duplicate arcs by weight sum.
 
-    Duplicates are summed in input order: when some ``u * n + v`` key
-    repeats, the arcs are sorted again, stably.  ``vertex_count`` may not
-    exceed `MAX_VERTICES`, every endpoint must lie in ``[0, vertex_count)``,
-    ``u``, ``v`` and ``w`` must have one length and every weight must be
-    finite and positive.
+    Duplicates are summed in input order (`_merge` with `np.add`).
+    ``vertex_count`` is an integer in ``[0, MAX_VERTICES]``, every endpoint
+    must lie in ``[0, vertex_count)``, ``u``, ``v`` and ``w`` must have one
+    length and every weight must be finite and positive.
     """
-    n = int(vertex_count)
+    n = operator.index(vertex_count)
+    if n < 0:
+        raise ValueError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
     u = np.asarray(u, dtype=np.int64)
@@ -119,19 +124,9 @@ def from_arcs(vertex_count: int, u, v, w) -> Graph:
         raise ValueError("u, v and w must have the same length")
     if not ((0 < w) & (w < np.inf)).all():
         raise ValueError("arc weights must be finite and positive")
-    if not u.size:
-        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-    if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+    if not (_in_range(u, 0, n - 1) and _in_range(v, 0, n - 1)):
         raise ValueError(f"arc endpoints must lie in [0, {n})")
-    key = u * n + v
-    order = np.argsort(key)
-    sorted_key = key[order]
-    starts = _group_starts(sorted_key)
-    if starts.size < key.size:
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-    u, v = np.divmod(sorted_key[starts], n)
-    return _csr(n, u, v, np.add.reduceat(w[order], starts))
+    return _merge(n, u * n + v, w, np.add)
 
 
 def arc_rows(graph: Graph) -> np.ndarray:
@@ -337,10 +332,11 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
     (pattern|real|integer) (general|symmetric)``, a ``rows cols entries``
     line, 1-based indices; ``integer`` weights must be whole numbers,
     ``pattern`` entries get weight 1 and ``symmetric`` storage is expanded
-    to both arc directions (diagonal entries kept single).  Edge list: ``u v [w]`` lines, 0-based, ``#``
-    comments, weight 1 by default; the vertex count is the largest id plus
-    one.  In both, vertex counts are at most `MAX_VERTICES`, weights must
-    be finite and positive, and duplicate arcs merge by weight sum.
+    to both arc directions (diagonal entries kept single).  Edge list:
+    ``u v [w]`` lines, 0-based, ``#`` comments, weight 1 by default; the
+    vertex count is the largest id plus one.  In both, vertex counts are
+    at most `MAX_VERTICES`, weights must be finite and positive, and
+    duplicate arcs merge by weight sum.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}")
@@ -370,9 +366,9 @@ def preprocess(
     pass through untouched.
 
     Every off-diagonal arc is emitted in both directions, next to the
-    self-loops, and one sort by ``row * n + col`` groups each arc with its
-    reverse; a group keeps its largest weight.  The input's arcs are taken
-    to be distinct, as in every graph `from_arcs` builds.
+    self-loops, and `_merge` groups each arc with its reverse; a group
+    keeps its largest weight.  The input's arcs are taken to be distinct,
+    as in every graph `from_arcs` builds.
     """
     n = graph.vertex_count
     rows = arc_rows(graph)
@@ -387,17 +383,8 @@ def preprocess(
         loops = rows[~off]
         loop_w = w[~off]
     key = np.concatenate([ru * n + rv, rv * n + ru, loops * (n + 1)])
-    if not key.size:
-        return _csr(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0), symmetric=True)
-    order = np.argsort(key)  # a group's maximum does not depend on its order
-    key = key[order]
-    starts = _group_starts(key)
-    if unit_weights:
-        weights = np.ones(starts.size)
-    else:
-        weights = np.maximum.reduceat(np.concatenate([rw, rw, loop_w])[order], starts)
-    u, v = np.divmod(key[starts], n)
-    return _csr(n, u, v, weights, symmetric=True)
+    weights = None if unit_weights else np.concatenate([rw, rw, loop_w])
+    return _merge(n, key, weights, np.maximum, symmetric=True)
 
 
 def degree_weights(graph: Graph) -> np.ndarray:
@@ -411,19 +398,13 @@ def degree_weights(graph: Graph) -> np.ndarray:
 
 
 def check_symmetric(graph: Graph) -> None:
-    """Raise if any arc lacks its equal-weight reverse (debug guard)."""
+    """Raise unless the graph with every arc reversed has the same arcs
+    and close weights (debug guard)."""
     n = graph.vertex_count
-    if n == 0:
-        return
-    rows = arc_rows(graph)
-    cols = graph.neighbors
-    k_fwd = rows * n + cols
-    k_rev = cols * n + rows
-    o1 = np.argsort(k_fwd)
-    o2 = np.argsort(k_rev)
-    if not np.array_equal(k_fwd[o1], k_rev[o2]) or not np.allclose(
-        graph.weights[o1], graph.weights[o2]
-    ):
+    reverse = _merge(n, graph.neighbors * n + arc_rows(graph), graph.weights, np.maximum)
+    if not (np.array_equal(reverse.offsets, graph.offsets)
+            and np.array_equal(reverse.neighbors, graph.neighbors)
+            and np.allclose(reverse.weights, graph.weights)):
         raise ValueError("graph is not symmetric; run preprocess() before detecting")
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -37,9 +38,22 @@ class DetectionResult:
 LEAST = {"max_iterations": 1, "max_labels": 1, "memory_size": 2, "workers": 1, "repetitions": 1}
 
 
+def check_integers(obj, names):
+    """Raise TypeError unless each of ``names`` that ``obj`` has is an
+    integer: a `numbers.Integral` (numpy's too) other than bool."""
+    for name in names:
+        value = getattr(obj, name, 0)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_ranges(params):
-    """Raise ValueError for the first field of a ``*Params`` out of its
-    range: ``tolerance`` in (0, 1], the integer fields at least `LEAST`."""
+    """Raise TypeError for the first field of a ``*Params`` of the wrong type
+    (``strict`` not a bool, `check_integers`), then ValueError for the first
+    out of range: ``tolerance`` in (0, 1], the integer fields at least `LEAST`."""
+    if not isinstance(getattr(params, "strict", False), (bool, np.bool_)):
+        raise TypeError(f"strict must be True or False, got {params.strict!r}")
+    check_integers(params, (*LEAST, "seed"))
     if not 0.0 < params.tolerance <= 1.0:
         raise ValueError("tolerance must be in (0, 1]")
     for name, least in LEAST.items():
@@ -104,15 +118,16 @@ class Held:
 
     `go` is the one driver of every detector: it times the call, calls
     the run, one iteration per call, until a cap or the detector's
-    stopping rule ends it, and reads the assignment back.  The tolerance only decides when a run stops, so a run with
-    a smaller tolerance makes the same first iterations and then goes on
-    (the prefix property).  Given the handle of an earlier call on the
-    same graph whose parameters differ at most by a tolerance at least as
-    large, `rak_detect`, `copra_detect` and `slpa_detect` go on from the
+    stopping rule ends it, and reads the assignment back.  The tolerance
+    only decides when a run stops, so a run with a smaller tolerance
+    makes the same first iterations and then goes on (the prefix
+    property).  Given the handle of an earlier call on the same graph
+    whose parameters differ at most by a tolerance at least as large,
+    `rak_detect`, `copra_detect` and `slpa_detect` go on from the
     iteration where that call stopped, and run nothing if its last
-    iteration already meets the new tolerance or it reached the cap.  Any
-    other call (the first, other parameters, a larger tolerance) starts
-    the run afresh in the handle.  Either way the result equals a
+    iteration already meets the new tolerance or it reached the cap.
+    Any other call (the first, other parameters, a larger tolerance)
+    starts the run afresh in the handle.  Either way the result equals a
     standalone call's.
 
     ``iterations`` and ``count`` are the run's iterations and the count

@@ -8,10 +8,11 @@ A sweep crosses, per graph, the grids that apply to the chosen algorithm:
 
 A graph's rows come in the order of this one product, its first factor
 outermost.  The grids' defaults are `SweepSpec`'s fields, and building a
-spec checks every value a row runs with (a mode against `MODES`, the
-rest by the algorithm's ``*Params``), so a bad value fails before the
-first row.  Parameters outside an algorithm's grids keep their
-``*Params`` defaults (SLPA's tolerance is ``SlpaParams.tolerance``).
+spec checks every value a row runs with as `run_one` does, by the
+algorithm's ``*Params`` (a mode must be one of `MODES`), so a bad value
+fails before the first row.  Parameters outside an algorithm's grids
+keep their ``*Params`` defaults (SLPA's tolerance is
+``SlpaParams.tolerance``).
 Repetition r runs with seed ``seed + r`` so non-strict runs differ.
 `run_sweep` yields records as runs finish, in this process; grid fields
 that do not apply to an algorithm are left empty in the CSV.
@@ -58,7 +59,7 @@ from ._backend import threads_run
 from .copra import CopraParams, copra_detect
 from .graph import Graph
 from .rak import RakParams, rak_detect
-from .result import LEAST, Held
+from .result import LEAST, Held, check_integers
 from .slpa import SlpaParams, slpa_detect
 
 MODES = ("strict", "non-strict")
@@ -86,21 +87,17 @@ class SweepSpec:
     seed: int = 1
 
     def __post_init__(self):
-        if self.algorithm not in PARAMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _params(self.algorithm)  # an unknown algorithm is a ValueError
         for f in fields(self):
             if f.type == "tuple" and len(getattr(self, f.name)) == 0:
                 raise ValueError(f"{f.name} grid must be non-empty")
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+        check_integers(self, ("repetitions", "seed"))
         if self.repetitions < LEAST["repetitions"]:
             raise ValueError(f"repetitions must be >= {LEAST['repetitions']}")
-        # the algorithm's *Params checks every other value a row runs with
+        # the algorithm's *Params checks every value a row runs with
         for grid, keyword in (*AXES[self.algorithm], ("workers", "workers")):
-            if keyword != "mode":
-                for value in getattr(self, grid):
-                    PARAMS[self.algorithm](**{keyword: value})
+            for value in getattr(self, grid):
+                _params(self.algorithm, **{keyword: value})
 
 
 @dataclass(frozen=True)
@@ -144,8 +141,19 @@ class RunRecord:
 CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 
+def _params(algorithm: str, mode: str | None = None, **options):
+    """The algorithm's ``*Params`` from `run_one`'s keywords."""
+    if algorithm not in PARAMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if mode not in (None, *MODES):
+        raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
+    if mode is not None:
+        options["strict"] = mode == MODES[0]
+    return PARAMS[algorithm](**{k: v for k, v in options.items() if v is not None})
+
+
 def run_one(
-    algorithm: str, graph: Graph, *, mode: str = "non-strict", held: Held | None = None, **options
+    algorithm: str, graph: Graph, *, mode: str | None = None, held: Held | None = None, **options
 ):
     """Dispatch one detection run; returns a DetectionResult.
 
@@ -153,18 +161,13 @@ def run_one(
     ``max_labels``, ``workers``, ...); a field not given, or given as
     None, keeps its default.  A non-None option the algorithm lacks (say
     ``max_labels`` for RAK, or ``max_iterations`` for SLPA) is a
-    TypeError.  ``mode`` sets ``strict`` for RAK and SLPA; COPRA has no
-    tie mode.  ``held`` is a run to continue where it can.
+    TypeError.  ``mode``, one of `MODES`, sets ``strict`` for RAK and
+    SLPA (non-strict by default); COPRA has no tie mode, so a mode given
+    to it is a TypeError too.  ``held`` is a run to continue where it can.
     """
-    options = {k: v for k, v in options.items() if v is not None}
-    strict = mode == "strict"
-    if algorithm == "rak":
-        return rak_detect(graph, RakParams(strict=strict, **options), held)
-    if algorithm == "copra":
-        return copra_detect(graph, CopraParams(**options), held)
-    if algorithm == "slpa":
-        return slpa_detect(graph, SlpaParams(strict=strict, **options), held)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    params = _params(algorithm, mode, **options)
+    # looked up when called, so a wrapped detector (a trace) is the one run
+    return globals()[f"{algorithm}_detect"](graph, params, held)
 
 
 def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[RunRecord]:

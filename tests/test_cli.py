@@ -298,6 +298,23 @@ class TestSweep:
             run_one(algorithm, ring_of_cliques(4, 5), **{option: 3})
 
 
+PETA = "100000000000000"  # a state of this many labels per vertex needs petabytes
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--algorithm", "copra", "--max-labels", PETA],
+    ["detect", "--algorithm", "slpa", "--memory-size", PETA],
+    ["sweep", "--algorithm", "copra", "--max-labels-grid", PETA],
+    ["sweep", "--algorithm", "slpa", "--memory-sizes", PETA],
+], ids=["detect-copra", "detect-slpa", "sweep-copra", "sweep-slpa"])
+def test_a_state_too_large_to_allocate_ends_with_one_line(tri2, capsys, argv):
+    # the request fails before anything is allocated
+    assert main([*argv, "--input", str(tri2)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("labelprop: Unable to allocate")
+
+
 class TestLibraryDefaults:
     """With no tuning, grid, seed, workers or repetitions flag, the CLI runs
     what the library runs with its own defaults."""

@@ -153,6 +153,17 @@ def test_vertex_bound_is_the_largest_safe_for_int64_keys():
         lp.from_arcs(MAX_VERTICES + 1, [], [], [])
 
 
+def test_from_arcs_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count -1 is negative"):
+        lp.from_arcs(-1, [], [], [])
+
+
+def test_from_arcs_rejects_a_vertex_count_that_is_not_an_integer():
+    with pytest.raises(TypeError):
+        lp.from_arcs(2.7, [0], [1], [1.0])
+    assert lp.from_arcs(np.int64(2), [0], [1], [1.0]).vertex_count == 2
+
+
 @pytest.mark.parametrize("u, v", [([0], [3]), ([3], [0]), ([-1], [0]), ([0], [-1])])
 def test_from_arcs_rejects_endpoints_outside_the_vertex_range(u, v):
     # an out-of-range endpoint would otherwise fold into another arc's u * n + v key

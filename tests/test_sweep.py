@@ -102,6 +102,45 @@ def test_spec_checks_every_grid_value_with_the_params(grids, message):
         lp.SweepSpec(**grids)
 
 
+@pytest.mark.parametrize("params", [
+    partial(lp.RakParams, strict="no"),
+    partial(lp.SlpaParams, strict=1),
+    partial(lp.RakParams, seed=2.7),
+    partial(lp.CopraParams, seed=True),
+    partial(lp.RakParams, max_iterations=10.0),
+    partial(lp.CopraParams, max_labels=4.5),
+    partial(lp.SlpaParams, memory_size=8.0),
+    partial(lp.SlpaParams, workers=1.5),
+    partial(lp.SweepSpec, "rak", repetitions=1.5),
+    partial(lp.SweepSpec, "rak", seed=1.5),
+    partial(lp.SweepSpec, "rak", workers=(1.5,)),
+    partial(lp.SweepSpec, "copra", max_labels=(4, True)),
+], ids=["rak-strict", "slpa-strict", "seed-float", "seed-bool", "max-iterations", "max-labels",
+        "memory-size", "workers", "spec-repetitions", "spec-seed", "spec-workers",
+        "spec-max-labels"])
+def test_values_of_the_wrong_type_fail_when_built(params):
+    with pytest.raises(TypeError, match="must be (an integer|True or False)"):
+        params()
+
+
+def test_numpy_integers_are_integers():
+    params = lp.CopraParams(max_labels=np.int32(4), max_iterations=np.int64(5), seed=np.uint8(3))
+    assert params.max_labels == 4
+    assert lp.SweepSpec("rak", repetitions=np.int64(2), seed=np.int64(7)).seed == 7
+
+
+@pytest.mark.parametrize("algorithm", ["rak", "slpa"])
+def test_run_one_rejects_an_unknown_mode(algorithm):
+    with pytest.raises(ValueError, match="unknown mode 'bogus'; expected one of strict, non-strict"):
+        lp.run_one(algorithm, GRAPHS["ring"](), mode="bogus")
+
+
+def test_run_one_rejects_a_mode_for_copra():
+    # COPRA has no tie mode: a mode is an option it lacks
+    with pytest.raises(TypeError):
+        lp.run_one("copra", GRAPHS["ring"](), mode="strict")
+
+
 @pytest.mark.parametrize("algorithm", list(PINNED_ROWS))
 def test_csv_row_cells_and_formats(algorithm):
     # the cells a run's algorithm lacks are empty (RAK: max_labels and
