@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from functools import partial
 
@@ -26,7 +26,7 @@ import numpy as np
 from .graph import FORMATS, Graph, GraphParseError, load_graph, preprocess, read_text
 from .quality import modularity
 from .result import LEAST
-from .sweep import CSV_HEADER, MODES, PARAMS, SweepSpec, run_one, run_sweep, sweep_jobs
+from .sweep import AXES, CSV_HEADER, MODES, PARAMS, SweepSpec, run_one, run_sweep, sweep_jobs
 
 ALGORITHMS = tuple(PARAMS)
 
@@ -159,22 +159,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(args, message) -> int:
+    """Exit status 2, after one ``labelprop <command>: error: <message>`` line."""
+    print(f"labelprop {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _output(path: str):
+    """The stream to write to, as a context: stdout, left open, for ``-``,
+    else the file at ``path``, closed on leaving."""
+    if path == "-":
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def cmd_detect(args) -> int:
     options = _given(args, RUN_OPTIONS)
     for name, value in options.items():
         if not hasattr(PARAMS[args.algorithm], "strict" if name == "mode" else name):
             flag = value if name == "mode" else name.replace("_", "-")
-            print(f"labelprop detect: error: --{flag} does not apply to "
-                  f"--algorithm {args.algorithm}", file=sys.stderr)
-            return 2
+            return _usage_error(args, f"--{flag} does not apply to --algorithm {args.algorithm}")
     graph = _load(args, args.input)
     result = run_one(args.algorithm, graph, **options)
-    lines = "".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist()))
-    if args.output == "-":
-        sys.stdout.write(lines)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(lines)
+    with _output(args.output) as out:
+        out.write("".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist())))
     print(
         f"vertices={graph.vertex_count} iterations={result.iterations} "
         f"elapsed_ms={result.elapsed * 1000.0:.3f} modularity={result.modularity:.12f}",
@@ -184,23 +192,24 @@ def cmd_detect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    given = _given(args, {f.name for f in fields(SweepSpec)})
+    applies = {"algorithm", "workers", "repetitions", "seed", *(g for g, _ in AXES[args.algorithm])}
+    for name in given:
+        if name not in applies:
+            flag = "max-labels-grid" if name == "max_labels" else name.replace("_", "-")
+            return _usage_error(args, f"--{flag} does not apply to --algorithm {args.algorithm}")
     try:
-        spec = SweepSpec(**_given(args, {f.name for f in fields(SweepSpec)}))
+        spec = SweepSpec(**given)
     except ValueError as exc:
-        print(f"labelprop sweep: error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(args, exc)
     job = partial(_sweep_graph, args, spec)
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8", newline="\n")
-    try:
+    with _output(args.output) as out:
         print(CSV_HEADER, file=out, flush=True)
         with _mapped(job, args.input, sweep_jobs(spec, len(args.input))) as results:
             for rows, skipped in results:
                 out.write(rows)
                 out.flush()
                 sys.stderr.write(skipped)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -15,13 +15,10 @@ The disjoint projection is each vertex's best label (maximum belonging,
 ties to the smallest label id).
 
 The kernel makes one iteration per call and returns its changed count;
-`labelprop.result.Held.go` loops over it and stops once ``changed <=
-tolerance * n`` or at ``max_iterations``.  The run's whole state (both
-label rows of every vertex, the best labels, stream rows and cursors)
-stays in the `Held` handle between calls, so a call with a smaller
-tolerance goes on from where the held run stopped; the tolerance only
-decides when to stop, so this equals a run started afresh.  A sweep does
-this down its tolerance grid for each ``max_labels`` cell.
+`labelprop.result.Held` runs it, stops once ``changed <= tolerance * n``
+or at ``max_iterations``, and keeps the run's state (both label rows of
+every vertex, the best labels, stream rows and cursors) for a later call
+to continue.
 """
 
 from __future__ import annotations
@@ -180,9 +177,7 @@ def copra_detect(
     where it can (`labelprop.result.Held`); the assignment is each best label."""
     if params is None:
         params = CopraParams()
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    held = hold(held, graph)
+    held = hold(held, graph, check_symmetric)
     n, L = graph.vertex_count, params.max_labels
 
     def start():
@@ -196,8 +191,7 @@ def copra_detect(
         state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
         return Launch(_copra, held, params, state, (L,), n)
 
-    best, iterations, elapsed = held.go(
+    return held.go(
         params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
-        lambda run: np.array(run.state[-1], dtype=np.int64),
+        lambda run: np.array(run.state[-1], dtype=np.int64), modularity,
     )
-    return DetectionResult(best, iterations, elapsed, modularity(graph, best))

@@ -399,7 +399,7 @@ def degree_weights(graph: Graph) -> np.ndarray:
 
 def check_symmetric(graph: Graph) -> None:
     """Raise unless the graph with every arc reversed has the same arcs
-    and close weights (debug guard)."""
+    and close weights; the detectors run it once per unmarked graph."""
     n = graph.vertex_count
     reverse = _merge(n, graph.neighbors * n + arc_rows(graph), graph.weights, np.maximum)
     if not (np.array_equal(reverse.offsets, graph.offsets)

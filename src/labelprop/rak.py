@@ -48,16 +48,12 @@ pruned: almost every level of the planted sweep graphs keeps a stale
 vertex, and sub-plans of the stale vertices or skipping clean levels
 made strict rows about 40% or 30% slower.
 
-Continuing a run.  Both paths make one iteration per call and return
-its changed count; `labelprop.result.Held.go` loops over them and stops
-once ``changed <= tolerance * n`` or at ``max_iterations``.  A run's
-whole state (labels, stale flags, stream rows and cursors, or the level
-plan) stays in the `Held` handle between calls, so a call with a smaller
-tolerance goes on from where the held run stopped, which is exact: the
-tolerance only decides when to stop, so a tight run's first iterations
-are the loose run's (tested as the prefix property).  A sweep uses this
-down its tolerance grid, and shares one visit order and one level plan
-per seed among a graph's cells.
+Both paths make one iteration per call and return its changed count;
+`labelprop.result.Held` runs them, stops once ``changed <= tolerance *
+n`` or at ``max_iterations``, and keeps the run's state (labels, stale
+flags, stream rows and cursors, or the level plan) for a later call to
+continue.  A graph's handles share one visit order and one level plan
+per seed.
 """
 
 from __future__ import annotations
@@ -274,9 +270,7 @@ def rak_detect(
     where it can (`labelprop.result.Held`)."""
     if params is None:
         params = RakParams()
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    held = hold(held, graph)
+    held = hold(held, graph, check_symmetric)
     n = graph.vertex_count
     order = held.keep(("order", params.seed), lambda: shuffled_indices(n, params.seed))
 
@@ -288,8 +282,7 @@ def rak_detect(
         state = labels, order, np.ones(n, dtype=bool)
         return Launch(_rak, held, params, state, (params.strict,), n)
 
-    labels, iterations, elapsed = held.go(
+    return held.go(
         params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
-        lambda run: np.array(run.state[0], dtype=np.int64),
+        lambda run: np.array(run.state[0], dtype=np.int64), modularity,
     )
-    return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))

@@ -14,7 +14,7 @@ from .prng import stream_rows, worker_states
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Outcome of one detection call.
+    """Outcome of one detection call; `Held.go` builds and scores it.
 
     ``elapsed`` is the call's own work, as `Held.go` times it: setting up
     the detector's state (when the call starts a run), the kernel and
@@ -116,16 +116,17 @@ class Launch:
 class Held:
     """A run of one graph that later detect calls may continue.
 
-    `go` is the one driver of every detector: it times the call, calls
-    the run, one iteration per call, until a cap or the detector's
-    stopping rule ends it, and reads the assignment back.  The tolerance
-    only decides when a run stops, so a run with a smaller tolerance
-    makes the same first iterations and then goes on (the prefix
-    property).  Given the handle of an earlier call on the same graph
-    whose parameters differ at most by a tolerance at least as large,
-    `rak_detect`, `copra_detect` and `slpa_detect` go on from the
-    iteration where that call stopped, and run nothing if its last
-    iteration already meets the new tolerance or it reached the cap.
+    `hold` gives every detect call its handle and checks the graph.  `go`
+    is the one driver of every detector: it times the call, calls the
+    run, one iteration per call, until a cap or the detector's stopping
+    rule ends it, reads the assignment back and returns it scored, as a
+    `DetectionResult`.  The tolerance only decides when a run stops, so a
+    run with a smaller tolerance makes the same first iterations and then
+    goes on (the prefix property).  Given the handle of an earlier call
+    on the same graph whose parameters differ at most by a tolerance at
+    least as large, `rak_detect`, `copra_detect` and `slpa_detect` go on
+    from the iteration where that call stopped, and run nothing if its
+    last iteration already meets the new tolerance or it reached the cap.
     Any other call (the first, other parameters, a larger tolerance)
     starts the run afresh in the handle.  Either way the result equals a
     standalone call's.
@@ -135,9 +136,9 @@ class Held:
     ``DetectionResult.elapsed`` of the calls since the run started: what
     one standalone run to the current tolerance takes.  ``memo``, a dict
     the handles of one graph may share, keeps what their runs have in
-    common (`keep`): the graph's kernel copy and RAK's visit order and
-    level plan per seed.  A handle holds its run's whole kernel state
-    until it is dropped.
+    common (`keep`): the graph's symmetry check, its kernel copy, and
+    RAK's visit order and level plan per seed.  A handle holds its run's
+    whole kernel state until it is dropped.
     """
 
     def __init__(self, graph, memo=None):
@@ -154,13 +155,14 @@ class Held:
             self.memo[key] = make()
         return self.memo[key]
 
-    def go(self, params, start, cap, settled, read):
-        """(read(run), iterations, seconds) once the run, continued or
-        restarted by ``start()`` (a `Launch`, or an object called like
-        one), has made ``cap`` iterations or ``settled(iterations, count)``
-        holds after its last one.  ``seconds`` is the call's time from the
-        restart check through ``read``, added to ``elapsed``.  A fresh run
-        makes at least one iteration, unless the graph has no vertices."""
+    def go(self, params, start, cap, settled, read, score):
+        """The `DetectionResult` of ``read(run)``, scored by ``score(graph,
+        assignment)``, once the run, continued or restarted by ``start()``
+        (a `Launch`, or an object called like one), has made ``cap``
+        iterations or ``settled(iterations, count)`` holds after its last
+        one.  Its ``elapsed`` (the call's time from the restart check
+        through ``read``) is added to the handle's.  A fresh run makes at
+        least one iteration, unless the graph has no vertices."""
         began = time.perf_counter()
         # a run cut short by an error, even in start(), starts afresh next time
         last, self.params = self.params, None
@@ -176,16 +178,21 @@ class Held:
             self.count = self.run()
             self.iterations += 1
         self.params = params
-        out = read(self.run)
+        assignment = read(self.run)
         seconds = time.perf_counter() - began
         self.elapsed += seconds
-        return out, self.iterations, seconds
+        return DetectionResult(assignment, self.iterations, seconds, score(self.graph, assignment))
 
 
-def hold(held, graph):
-    """``held``, or a new handle when it is None; a handle of another graph is an error."""
+def hold(held, graph, check):
+    """``held``, or a new handle of ``graph`` when it is None; a handle of
+    another graph is an error.  Unless `preprocess` marked the graph
+    symmetric, ``check(graph)`` runs once per memo: the detector's own
+    ``check_symmetric``, passed in so that a trace's wrapper of it runs."""
     if held is None:
-        return Held(graph)
-    if held.graph is not graph:
+        held = Held(graph)
+    elif held.graph is not graph:
         raise ValueError("the held run belongs to another graph")
+    if not graph.symmetric:
+        held.keep("symmetric", lambda: check(graph))
     return held

@@ -14,12 +14,10 @@ first iteration the slot holds the vertex's own id, but repeats are
 counted toward stopping only from the second iteration on.
 
 The kernel makes one speaking iteration per call and returns its repeat
-count; `labelprop.result.Held.go` loops over it, at most ``memory_size -
-1`` times, and stops once ``repeats >= (1 - tolerance) * n`` from the
-second iteration on.  A smaller tolerance only stops later, so a call
-with one goes on from the run held in a `Held` handle (memories, stream
-rows and cursors): its memories begin with the looser run's.  A sweep
-has no SLPA tolerance grid, so each of its SLPA rows is a run of its own.
+count; `labelprop.result.Held` runs it, at most ``memory_size - 1``
+times, stops once ``repeats >= (1 - tolerance) * n`` from the second
+iteration on, and keeps the memories, stream rows and cursors for a
+later call to continue.
 
 The disjoint projection is the modal label of each memory, frequency ties
 broken by the smallest label id.
@@ -141,9 +139,7 @@ def slpa_detect(
     where it can (`labelprop.result.Held`); the assignment is each modal label."""
     if params is None:
         params = SlpaParams()
-    if __debug__ and not graph.symmetric:
-        check_symmetric(graph)
-    held = hold(held, graph)
+    held = hold(held, graph, check_symmetric)
     n, M = graph.vertex_count, params.memory_size
 
     def start():
@@ -154,9 +150,8 @@ def slpa_detect(
 
     # first-iteration repeats compare with the seeded own id and never stop the run;
     # the modal labels are read on the kernel's own state, lists when interpreted
-    labels, iterations, elapsed = held.go(
+    return held.go(
         params, start, M - 1,
         lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
-        lambda run: _modal_labels(*run.state, M),
+        lambda run: _modal_labels(*run.state, M), modularity,
     )
-    return DetectionResult(labels, iterations, elapsed, modularity(graph, labels))

@@ -262,6 +262,24 @@ class TestSweep:
             "labelprop sweep: error: unknown mode 'strct'; expected one of strict, non-strict"
         ]
 
+    @pytest.mark.parametrize("algorithm, option, value", [
+        ("rak", "--memory-sizes", "5"),
+        ("copra", "--modes", "bogus"),
+        ("slpa", "--tolerances", "0.1"),
+    ])
+    def test_grid_flag_the_algorithm_never_crosses_is_a_usage_error(
+        self, tmp_path, capsys, algorithm, option, value
+    ):
+        # rejected before any graph is read: the input does not exist
+        missing = tmp_path / "missing.mtx"
+        assert main(["sweep", "--algorithm", algorithm, option, value,
+                     "--input", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"labelprop sweep: error: {option} does not apply to --algorithm {algorithm}"
+        ]
+
     def test_copra_grid_uses_max_labels(self, tri2):
         proc = run_cli(
             "sweep", "--algorithm", "copra", "--input", str(tri2),

@@ -1,4 +1,6 @@
 import io
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -491,3 +493,20 @@ class TestInvariants:
         lp.copra_detect(g, lp.CopraParams(seed=1))
         with pytest.raises(AssertionError, match="preprocessed"):
             lp.rak_detect(lp.from_arcs(2, [0, 1], [1, 0], [1.0, 1.0]))
+
+    @pytest.mark.parametrize("detect", ["rak_detect", "copra_detect", "slpa_detect"])
+    def test_detectors_check_symmetry_under_python_optimize(self, detect):
+        # python -O compiles out assert and __debug__ blocks; the check is neither
+        code = (
+            "import labelprop as lp\n"
+            "try:\n"
+            f"    lp.{detect}(lp.from_arcs(3, [0, 1], [1, 2], [1.0, 1.0]))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "print(__debug__)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "graph is not symmetric; run preprocess() before detecting", "False"
+        ]

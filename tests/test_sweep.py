@@ -8,13 +8,14 @@ continue, repeat, and climb back to a looser tolerance.
 """
 
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import copra, rak, sweep
+from labelprop import copra, rak, slpa, sweep
 
 GRAPHS = {
     "gnp": lambda: lp.gnp(300, 0.03, seed=2),
@@ -173,6 +174,21 @@ def test_sweep_shuffles_and_plans_once_per_seed(monkeypatch):
     assert len(records) == 2 * 2 * 2 * 2 * 2
     # two graphs, two seeds each; only strict runs build plans, and only interpreted
     assert counts == {"shuffle": 4, "plan": 0 if lp.JIT_ENABLED else 4}
+
+
+@pytest.mark.parametrize("algorithm", list(SPECS))
+def test_a_sweep_checks_an_unmarked_graph_once(monkeypatch, algorithm):
+    # the handles of one graph share its check (their memo), so a graph
+    # that preprocess did not mark is checked once, not once per row
+    module = {"rak": rak, "copra": copra, "slpa": slpa}[algorithm]
+    checked = []
+    check = module.check_symmetric
+    monkeypatch.setattr(module, "check_symmetric", lambda g: checked.append(g) or check(g))
+    graph = replace(GRAPHS["ring"](), symmetric=False)
+    spec = lp.SweepSpec(tolerances=(0.1, 0.01), **SPECS[algorithm])
+    records = list(lp.run_sweep(spec, [("ring", graph)]))
+    assert len(records) == {"rak": 4, "copra": 6, "slpa": 4}[algorithm]
+    assert len(checked) == 1 and checked[0] is graph
 
 
 # (detect, parameters, the option that caps a run at one iteration)

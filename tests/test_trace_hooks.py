@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import labelprop as lp
 from labelprop import cli, copra, rak, slpa, sweep
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -85,3 +86,25 @@ def test_sweep_rows_follow_the_run_one_keywords(spans, graph, tmp_path):
     cells = [(row[header.index("mode")], row[header.index("workers")]) for row in rows]
     assert len(rows) == len(sweep.SweepSpec("rak").tolerances) * 2 * 2
     assert [(kwargs["mode"], str(kwargs["workers"])) for kwargs in seen] == cells
+
+
+def unmarked_graph():
+    """A symmetric graph that `preprocess` did not mark, so detectors check it."""
+    return lp.from_arcs(4, [0, 1, 1, 2, 2, 3], [1, 0, 2, 1, 3, 2], [1.0] * 6)
+
+
+def test_check_and_score_are_spans_inside_the_detector(spans):
+    recorder = spans.Recorder()
+    with spans.instrument(recorder):
+        sweep.run_one("rak", unmarked_graph())
+    (detect,) = [i for i, s in enumerate(recorder.spans) if s.name == "rak.detect"]
+    for name in ("graph.check_symmetric", "quality.modularity"):
+        assert [s.parent for s in recorder.spans if s.name == name] == [detect], name
+
+
+def test_a_traced_sweep_checks_its_graph_once(spans):
+    recorder = spans.Recorder()
+    spec = sweep.SweepSpec("rak", tolerances=(0.1, 0.01), modes=("strict",))
+    with spans.instrument(recorder):
+        assert len(list(sweep.run_sweep(spec, [("path", unmarked_graph())]))) == 2
+    assert [s.name for s in recorder.spans].count("graph.check_symmetric") == 1
