@@ -5,6 +5,7 @@ import labelprop as lp
 from conftest import partition_matches
 from helpers import dense_tally, star, stream_row
 from labelprop import rak
+from labelprop.graph import arc_rows
 
 
 class TestDetect:
@@ -155,6 +156,95 @@ class TestLevels:
         two = lp.rak_detect(g, lp.RakParams(strict=True, seed=2, tolerance=0.001, workers=2))
         assert np.array_equal(one.assignment, two.assignment)
         assert one.iterations == two.iterations
+
+
+def two_pass_plan(graph, order):
+    """The level plan as two passes built it: Kahn's frontier over a CSR of
+    the later arcs gave every vertex a level, then a stable sort by level,
+    one gather of every arc and a scan for the level bounds cut the plan."""
+    n = graph.vertex_count
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    rows = arc_rows(graph)
+    later = pos[graph.neighbors] > pos[rows]
+    succ = graph.neighbors[later]
+    succ_count = np.bincount(rows[later], minlength=n)
+    succ_start = np.cumsum(succ_count) - succ_count
+    waiting = np.bincount(succ, minlength=n)
+    level = np.empty(n, dtype=np.int64)
+    frontier = np.flatnonzero(waiting == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        targets = succ[rak._concat_ranges(succ_start[frontier], succ_count[frontier])]
+        np.subtract.at(waiting, targets, 1)
+        ready = np.sort(targets[waiting[targets] == 0])
+        frontier = ready[np.diff(ready, prepend=-1) != 0]
+        depth += 1
+    degree = np.diff(graph.offsets)
+    vertices = np.flatnonzero(degree)
+    vertices = vertices[np.argsort(level[vertices], kind="stable")]
+    counts = degree[vertices]
+    arcs = rak._concat_ranges(graph.offsets[vertices], counts)
+    neighbors, weights = graph.neighbors[arcs], graph.weights[arcs]
+    arc_end = np.cumsum(counts)
+    arc_start = arc_end - counts
+    plan = []
+    bounds = np.flatnonzero(np.diff(level[vertices], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first, end = arc_start[lo], arc_end[hi - 1]
+        plan.append(rak._Level(
+            vertices[lo:hi], neighbors[first:end], weights[first:end],
+            np.repeat(np.arange(hi - lo, dtype=np.int64) * n, counts[lo:hi]),
+            counts[lo:hi], arc_start[lo:hi] - first,
+        ))
+    return plan
+
+
+def assert_same_plan(got, want):
+    assert len(got) == len(want)
+    for lv, ref in zip(got, want):
+        for field, a, b in zip(rak._Level._fields, lv, ref):
+            assert a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+
+
+class TestOnePass:
+    """_level_plan gives the plan the two-pass construction gave, field by field."""
+
+    def test_matches_the_two_pass_plan(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(0, 30))
+            m = draw(st.integers(0, 3 * n))
+            ids = st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)
+            u, v = draw(ids), draw(ids)
+            loops = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))  # (v, v) arcs
+            w = draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0]),
+                              min_size=m + len(loops), max_size=m + len(loops)))
+            unit = draw(st.booleans())
+            # self-loops off: some vertices keep no arc, or only their drawn loop
+            graph = lp.preprocess(lp.from_arcs(n, u + loops, v + loops, w), unit_weights=unit,
+                                  self_loops=draw(st.booleans()))
+            return graph, draw(st.integers(0, 2**32 - 1))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            graph, seed = case
+            order = rak.shuffled_indices(graph.vertex_count, seed)
+            assert_same_plan(rak._level_plan(graph, order), two_pass_plan(graph, order))
+
+        check()
+
+    @pytest.mark.parametrize("name", sorted(level_graphs()))
+    def test_level_graphs(self, name):
+        g = level_graphs()[name]
+        order = rak.shuffled_indices(g.vertex_count, 3)
+        assert_same_plan(rak._level_plan(g, order), two_pass_plan(g, order))
 
 
 # Planted partitions (groups, group size, p_in, p_out, graph seed) and the
