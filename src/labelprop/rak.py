@@ -26,7 +26,8 @@ for any ``workers`` (the interpreted kernel has one worker, which visits
 in the sequential order).  A vertex's level is 1 + the highest level
 among its neighbors that come earlier in the visit order
 (Jones-Plassmann with the visit permutation as the priority), so each
-level is an independent set.
+level is an independent set.  The plan comes from one walk of Kahn's
+frontier: each frontier is a level, and its arcs are gathered once.
 Updating a level as a batch, every vertex reads the new labels of its
 earlier neighbors (lower levels, already done) and the old labels of its
 later ones (higher levels, not done yet): exactly what the sequential
@@ -164,37 +165,6 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _visit_levels(graph: Graph, order: np.ndarray) -> np.ndarray:
-    """Level of every vertex: 0 without earlier neighbors, else 1 + the
-    highest level among the neighbors that come earlier in ``order``.
-
-    Kahn's frontier over the arcs that point to later vertices: a vertex
-    joins the frontier once every earlier neighbor has a level.  The arcs
-    a vertex reads are taken to be the reverses of the arcs that reach it,
-    which holds on the symmetric graphs `rak_detect` accepts.
-    """
-    n = graph.vertex_count
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    rows = arc_rows(graph)
-    later = pos[graph.neighbors] > pos[rows]
-    succ = graph.neighbors[later]
-    succ_count = np.bincount(rows[later], minlength=n)
-    succ_start = np.cumsum(succ_count) - succ_count
-    waiting = np.bincount(succ, minlength=n)  # earlier neighbors without a level
-    level = np.empty(n, dtype=np.int64)
-    frontier = np.flatnonzero(waiting == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        targets = succ[_concat_ranges(succ_start[frontier], succ_count[frontier])]
-        np.subtract.at(waiting, targets, 1)
-        ready = np.sort(targets[waiting[targets] == 0])  # np.unique would import numpy.ma
-        frontier = ready[np.diff(ready, prepend=-1) != 0]
-        depth += 1
-    return level
-
-
 class _Level(NamedTuple):
     """One level's vertices that have arcs, with their CSR arc slices concatenated."""
 
@@ -207,26 +177,38 @@ class _Level(NamedTuple):
 
 
 def _level_plan(graph: Graph, order: np.ndarray) -> list[_Level]:
-    """The levels in update order; vertices without arcs never move and are left out."""
+    """The levels in update order, from one walk of Kahn's frontier.
+
+    A vertex's level is 0 without earlier neighbors, else 1 + the highest
+    level among the neighbors that come earlier in ``order``: it joins the
+    frontier once every earlier neighbor has a level.  Each frontier, in
+    ascending id order, is one level: its arcs are gathered once, and those
+    that point to later vertices count down their wait.  The arcs a vertex
+    reads are taken to be the reverses of the arcs that reach it, which
+    holds on the symmetric graphs `rak_detect` accepts.  Vertices without
+    arcs never move and are left out.
+    """
     n = graph.vertex_count
-    level = _visit_levels(graph, order)
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
     degree = np.diff(graph.offsets)
-    vertices = np.flatnonzero(degree)
-    vertices = vertices[np.argsort(level[vertices], kind="stable")]
-    counts = degree[vertices]
-    arcs = _concat_ranges(graph.offsets[vertices], counts)
-    neighbors, weights = graph.neighbors[arcs], graph.weights[arcs]
-    arc_end = np.cumsum(counts)
-    arc_start = arc_end - counts
+    later = pos[graph.neighbors] > pos[arc_rows(graph)]  # per arc: it points to a later vertex
+    waiting = np.bincount(graph.neighbors[later], minlength=n)  # earlier neighbors without a level
+    frontier = np.flatnonzero((waiting == 0) & (degree > 0))
     plan = []
-    bounds = np.flatnonzero(np.diff(level[vertices], prepend=-1, append=-1)).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first, end = arc_start[lo], arc_end[hi - 1]
+    while frontier.size:
+        counts = degree[frontier]
+        arcs = _concat_ranges(graph.offsets[frontier], counts)
+        neighbors = graph.neighbors[arcs]
         plan.append(_Level(
-            vertices[lo:hi], neighbors[first:end], weights[first:end],
-            np.repeat(np.arange(hi - lo, dtype=np.int64) * n, counts[lo:hi]),
-            counts[lo:hi], arc_start[lo:hi] - first,
+            frontier, neighbors, graph.weights[arcs],
+            np.repeat(np.arange(frontier.size, dtype=np.int64) * n, counts),
+            counts, np.cumsum(counts) - counts,
         ))
+        targets = neighbors[later[arcs]]
+        np.subtract.at(waiting, targets, 1)
+        ready = np.sort(targets[waiting[targets] == 0])  # np.unique would import numpy.ma
+        frontier = ready[np.diff(ready, prepend=-1) != 0]
     return plan
 
 

@@ -146,7 +146,10 @@ class TestLevels:
                 row = g.neighbors[g.offsets[v]:g.offsets[v + 1]].tolist()
                 want[v] = max((want[u] + 1 for u in row if u in done), default=0)
                 done.add(v)
-            assert np.array_equal(rak._visit_levels(g, order), want)
+            level = np.zeros(g.vertex_count, dtype=np.int64)  # vertices without arcs stay at 0
+            for i, lv in enumerate(rak._level_plan(g, order)):
+                level[lv.vertices] = i
+            assert np.array_equal(level, want)
 
     @pytest.mark.skipif(lp.JIT_ENABLED, reason="compiled parallel runs race between threads")
     @pytest.mark.parametrize("name", sorted(level_graphs()))
