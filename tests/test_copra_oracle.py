@@ -64,7 +64,7 @@ def oracle(graph, max_labels, max_iterations, tolerance, seed):
             if not tally:
                 rows[v] = [(v, 1.0)]
             else:
-                total = 0.0
+                total = 0.0  # plain left-to-right adds: sum() compensates from Python 3.12
                 for w in tally.values():
                     total += w
                 kept = [(lab, w) for lab, w in tally.items() if w * max_labels >= total][:max_labels]
