@@ -24,6 +24,7 @@ to continue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 @dataclass(frozen=True)
 class CopraParams:
+    # a larger cap only adds iterations to a run (`labelprop.result.continues`)
+    GROWS: ClassVar[tuple] = ("max_iterations",)
     tolerance: float = 0.01
     max_labels: int = 8
     max_iterations: int = 100

@@ -60,7 +60,7 @@ per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,8 @@ from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 @dataclass(frozen=True)
 class RakParams:
+    # a larger cap only adds iterations to a run (`labelprop.result.continues`)
+    GROWS: ClassVar[tuple] = ("max_iterations",)
     tolerance: float = 0.05
     strict: bool = False
     max_iterations: int = 100

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,6 +59,27 @@ def check_ranges(params):
     for name, least in LEAST.items():
         if getattr(params, name, least) < least:
             raise ValueError(f"{name} must be >= {least}")
+
+
+def run_key(params):
+    """What a run of ``params`` has in common with every call that may
+    continue it: the ``*Params`` class and its fields, less ``tolerance``
+    and the fields the class lists in ``GROWS``, with ``workers`` as the
+    threads that run (`threads_run`).  `run_sweep` keys its held runs by it."""
+    skip = ("tolerance", *params.GROWS)
+    values = {f.name: getattr(params, f.name) for f in fields(params) if f.name not in skip}
+    values["workers"] = threads_run(values["workers"])
+    return type(params), *values.values()
+
+
+def continues(last, params):
+    """Whether a run made with ``last`` (None: no run) makes the first
+    iterations of a run with ``params``, so that `Held.go` may go on with
+    it: same `run_key`, a tolerance no larger and no field of ``GROWS``
+    smaller."""
+    return (last is not None and run_key(last) == run_key(params)
+            and params.tolerance <= last.tolerance
+            and all(getattr(params, name) >= getattr(last, name) for name in params.GROWS))
 
 
 # Largest stream row a worker holds, so that rows stay O(max degree), not O(arcs).
@@ -122,14 +143,17 @@ class Held:
     rule ends it, reads the assignment back and returns it scored, as a
     `DetectionResult`.  The tolerance only decides when a run stops, so a
     run with a smaller tolerance makes the same first iterations and then
-    goes on (the prefix property).  Given the handle of an earlier call
-    on the same graph whose parameters differ at most by a tolerance at
-    least as large, `rak_detect`, `copra_detect` and `slpa_detect` go on
-    from the iteration where that call stopped, and run nothing if its
-    last iteration already meets the new tolerance or it reached the cap.
-    Any other call (the first, other parameters, a larger tolerance)
-    starts the run afresh in the handle.  Either way the result equals a
-    standalone call's.
+    goes on (the prefix property); so does a run with a larger field of
+    its class's ``GROWS`` (a cap, SLPA's memory), and ``workers`` values
+    that run on the same threads make the same iterations.  Given the
+    handle of an earlier call on the same graph whose run makes a call's
+    first iterations (`continues`), `rak_detect`, `copra_detect` and
+    `slpa_detect` go on from the iteration where that call stopped, and
+    run nothing if its last iteration already meets the new tolerance or
+    it reached the new cap.  Any other call (the first, parameters of
+    another class or other values, a larger tolerance, a smaller cap or
+    memory) starts the run afresh in the handle.  Either way the result
+    equals a standalone call's.
 
     ``iterations`` and ``count`` are the run's iterations and the count
     its stopping rule read in the last one.  ``elapsed`` sums the
@@ -155,23 +179,26 @@ class Held:
             self.memo[key] = make()
         return self.memo[key]
 
-    def go(self, params, start, cap, settled, read, score):
+    def go(self, params, start, cap, settled, read, score, grow=None):
         """The `DetectionResult` of ``read(run)``, scored by ``score(graph,
-        assignment)``, once the run, continued or restarted by ``start()``
-        (a `Launch`, or an object called like one), has made ``cap``
-        iterations or ``settled(iterations, count)`` holds after its last
-        one.  Its ``elapsed`` (the call's time from the restart check
-        through ``read``) is added to the handle's.  A fresh run makes at
-        least one iteration, unless the graph has no vertices."""
+        assignment)``, once the run, continued (`continues`) or restarted
+        by ``start()`` (a `Launch`, or an object called like one), has made
+        ``cap`` iterations or ``settled(iterations, count)`` holds after
+        its last one.  A continued run is first handed to ``grow(run)``,
+        when given, to fit fields of ``GROWS`` that grew.  Its ``elapsed``
+        (the call's time from the restart check through ``read``) is added
+        to the handle's.  A fresh run makes at least one iteration, unless
+        the graph has no vertices."""
         began = time.perf_counter()
-        # a run cut short by an error, even in start(), starts afresh next time
+        # a run cut short by an error, even in start() or grow(), starts afresh next time
         last, self.params = self.params, None
-        if (last is None or last.tolerance < params.tolerance
-                or replace(last, tolerance=params.tolerance) != params):
+        if not continues(last, params):
             self.run = None  # freed before the new run is built
             self.run = start()
             self.iterations = self.count = 0
             self.elapsed = 0.0
+        elif grow is not None:
+            grow(self.run)
         while self.graph.vertex_count and self.iterations < cap and not (
             self.iterations and settled(self.iterations, self.count)
         ):

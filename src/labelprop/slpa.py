@@ -17,7 +17,10 @@ The kernel makes one speaking iteration per call and returns its repeat
 count; `labelprop.result.Held` runs it, at most ``memory_size - 1``
 times, stops once ``repeats >= (1 - tolerance) * n`` from the second
 iteration on, and keeps the memories, stream rows and cursors for a
-later call to continue.
+later call to continue.  A vertex's choices never read ``memory_size``,
+which only caps the run and lays the memories out, so a later call with
+a larger memory continues the run too: its memories are re-laid with
+empty slots at their ends.
 
 The disjoint projection is the modal label of each memory, frequency ties
 broken by the smallest label id.
@@ -26,10 +29,11 @@ broken by the smallest label id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from ._backend import get_thread_id, njit, prange
+from ._backend import get_thread_id, kernel_args, njit, prange
 from .graph import Graph, check_symmetric
 from .prng import refill
 from .quality import modularity
@@ -39,6 +43,8 @@ from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 @dataclass(frozen=True)
 class SlpaParams:
+    # a larger memory only adds iterations to a run (`labelprop.result.continues`)
+    GROWS: ClassVar[tuple] = ("memory_size",)
     memory_size: int = 20
     tolerance: float = 0.05
     strict: bool = False
@@ -148,10 +154,20 @@ def slpa_detect(
         state = slots, np.ones(n, dtype=np.int64)
         return Launch(_slpa, held, params, state, (M, params.strict), graph.edge_count + n)
 
+    def grow(run):
+        # a run held with a smaller memory: every memory gains empty slots
+        # at its end, and the filled counts, stream rows and cursors stay
+        kept = run.scalars[0]
+        if kept < M:
+            slots = np.zeros((n, M), dtype=np.int64)
+            slots[:, :kept] = np.reshape(run.state[0], (n, kept))
+            run.state = (*kernel_args(slots.ravel()), run.state[1])
+            run.scalars = M, params.strict
+
     # first-iteration repeats compare with the seeded own id and never stop the run;
     # the modal labels are read on the kernel's own state, lists when interpreted
     return held.go(
         params, start, M - 1,
         lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
-        lambda run: _modal_labels(*run.state, M), modularity,
+        lambda run: _modal_labels(*run.state, M), modularity, grow,
     )

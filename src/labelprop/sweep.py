@@ -17,19 +17,23 @@ Repetition r runs with seed ``seed + r`` so non-strict runs differ.
 `run_sweep` yields records as runs finish, in this process; grid fields
 that do not apply to an algorithm are left empty in the CSV.
 
-A row continues the run of its cell, every grid value but the
-tolerance (graph, mode, ``max_labels`` or ``memory_size``, workers,
-repetition), that the cell's previous row left, instead of starting
-again from the initial state (`labelprop.result.Held`): a tighter
-tolerance only adds iterations to a looser run.  A row whose tolerance
-is larger than the previous one's (an ascending grid) starts a fresh
-run, and SLPA, which has no tolerance grid, has one row per cell.  Every
-row equals a standalone run of its cell, and its ``elapsed_ms`` is the
-run's cumulative time, about what the standalone run takes (a level plan
-or graph copy that several cells share counts in the row that builds
-it).  The sweep holds one live run per cell of the current graph, freed
-after the cell's last row, and per graph one kernel copy of the graph
-and one visit order and strict level plan per seed.
+A row continues the run that the previous row of its graph and held-run
+key left (`labelprop.result.run_key`: mode, ``max_labels``, the threads
+``workers`` runs on, and the repetition's seed) instead of starting
+again from the initial state, when that run makes the row's first iterations
+(`labelprop.result.continues`): a tighter tolerance or a larger SLPA
+memory only adds iterations, and interpreted, where every ``workers``
+value runs on one thread, a ``workers`` 2 row goes on with its
+``workers`` 1 twin's run and makes no iteration of its own.  A row
+with a larger tolerance or a smaller memory than the previous one of
+its key (an ascending tolerance grid, a descending memory grid) starts
+a fresh run.  Every row equals a standalone run of its cell, and its
+``elapsed_ms`` is the run's cumulative time, about what the standalone
+run takes (a level plan or graph copy that several cells share counts
+in the row that builds it); its ``workers`` cell is the row's own
+value.  The sweep holds one live run per key of the current graph,
+freed after the key's last row, and per graph one kernel copy of the
+graph and one visit order and strict level plan per seed.
 
 ``labelprop sweep`` runs each input graph's rows (`run_sweep` on that
 graph alone) in a worker process, `sweep_jobs` graphs at a time: the
@@ -59,7 +63,7 @@ from ._backend import threads_run
 from .copra import CopraParams, copra_detect
 from .graph import Graph
 from .rak import RakParams, rak_detect
-from .result import LEAST, Held, check_integers
+from .result import LEAST, Held, check_integers, run_key
 from .slpa import SlpaParams, slpa_detect
 
 MODES = ("strict", "non-strict")
@@ -181,8 +185,8 @@ def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[
     seeds = range(spec.seed, spec.seed + spec.repetitions)
     cells = [dict(zip((*keywords, "workers", "seed"), values)) for values in
              product(*(getattr(spec, grid) for grid in grids), spec.workers, seeds)]
-    # a held run continues down the tolerance grid, keyed by the row's other values
-    runs = [tuple(v for k, v in cell.items() if k != "tolerance") for cell in cells]
+    # the rows that may continue one held run share its key (`labelprop.result.continues`)
+    runs = [run_key(_params(spec.algorithm, **cell)) for cell in cells]
     rows = Counter(runs)
     for name, graph in graphs:
         memo = {}  # what the runs of this graph share

@@ -1,13 +1,16 @@
-"""A sweep row continues its cell's held run, and equals a standalone run.
+"""A sweep row continues a held run where it can, and equals a standalone run.
 
-Within a sweep, a row goes on from the run its cell's previous tolerance
-row left (`labelprop.result.Held`); SLPA has one row per cell.  These
-tests compare every row with a fresh `run_one` call of the same cell,
-and the detectors' held calls with standalone calls, on grids that
-continue, repeat, and climb back to a looser tolerance.
+Within a sweep, a row goes on from the run an earlier row left when that
+run makes the row's first iterations (`labelprop.result.continues`): a
+looser tolerance, a smaller SLPA memory, or a ``workers`` value that
+runs on the same threads.  These tests compare every row with a fresh
+`run_one` call of the same cell, and the detectors' held calls with
+standalone calls, on grids that continue, repeat, and climb back to a
+looser tolerance or a smaller memory; they count the runs a sweep starts.
 """
 
 import re
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -15,17 +18,20 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import copra, rak, slpa, sweep
+from labelprop import _backend, copra, rak, slpa, sweep
+from helpers import slpa_run
 
 GRAPHS = {
     "gnp": lambda: lp.gnp(300, 0.03, seed=2),
     "ring": lambda: lp.ring_of_cliques(8, 5),
 }
 
+# a tolerance grid and an SLPA memory grid in each order; a tighter
+# tolerance continues a run, and so does a larger memory
 GRIDS = {
-    "descending": (0.1, 0.01, 0.0001),
-    "ascending": (0.0001, 0.1),
-    "repeated": (0.1, 0.1, 0.01),
+    "descending": dict(tolerances=(0.1, 0.01, 0.0001), memory_sizes=(5, 2)),
+    "ascending": dict(tolerances=(0.0001, 0.1), memory_sizes=(2, 5)),
+    "repeated": dict(tolerances=(0.1, 0.1, 0.01), memory_sizes=(2, 2, 5)),
 }
 
 SPECS = {
@@ -55,13 +61,13 @@ def dispatched_rows(monkeypatch, spec, graphs):
 @pytest.mark.parametrize("algorithm", list(SPECS))
 def test_rows_equal_standalone_runs(monkeypatch, algorithm, grid):
     spec = lp.SweepSpec(
-        tolerances=GRIDS[grid], workers=(1, 2), repetitions=2, seed=3, **SPECS[algorithm]
+        workers=(1, 2), repetitions=2, seed=3, **{**SPECS[algorithm], **GRIDS[grid]}
     )
     graphs = [(name, make()) for name, make in GRAPHS.items()]
     rows = dispatched_rows(monkeypatch, spec, graphs)
-    # cells per graph, workers value and repetition; SLPA has no tolerance grid
-    tolerances = len(GRIDS[grid])
-    cells = {"rak": 2 * tolerances, "copra": 3 * tolerances, "slpa": 2 * 2}[algorithm]
+    # cells per graph, workers value and repetition; SLPA's outer grid is its memory
+    tolerances, memories = (len(GRIDS[grid][axis]) for axis in ("tolerances", "memory_sizes"))
+    cells = {"rak": 2 * tolerances, "copra": 3 * tolerances, "slpa": 2 * memories}[algorithm]
     assert len(rows) == len(graphs) * 2 * 2 * cells
     by_name = dict(graphs)
     # compared after the whole sweep: later rows, which go on with the held
@@ -176,6 +182,37 @@ def test_sweep_shuffles_and_plans_once_per_seed(monkeypatch):
     assert counts == {"shuffle": 4, "plan": 0 if lp.JIT_ENABLED else 4}
 
 
+@pytest.mark.parametrize("max_threads", [1, 2])
+@pytest.mark.parametrize("algorithm", ["rak", "slpa"])
+def test_rows_whose_workers_run_on_the_same_threads_share_a_run(monkeypatch, algorithm,
+                                                                max_threads):
+    # on one thread (the interpreter's pool) a workers 2 row makes exactly the
+    # iterations of its workers 1 twin, so it goes on with the twin's run; on
+    # two threads each workers value starts its own run.  SLPA's larger
+    # memory continues the smaller one's run either way.
+    monkeypatch.setattr(_backend, "MAX_THREADS", max_threads)
+    starts = Counter()
+    go = lp.Held.go
+
+    def counting(self, params, start, *rest):
+        def counted():
+            starts[id(self.graph), params.strict, params.seed] += 1
+            return start()
+
+        return go(self, params, counted, *rest)
+
+    monkeypatch.setattr(lp.Held, "go", counting)
+    spec = lp.SweepSpec(algorithm, tolerances=(0.1, 0.001), memory_sizes=(4, 16),
+                        workers=(1, 2), repetitions=2)
+    graphs = [(name, make()) for name, make in GRAPHS.items()]
+    records = list(lp.run_sweep(spec, graphs))
+    assert len(records) == 2 * 2 * 2 * 2 * 2
+    # one key per graph, mode and seed, and the workers column still shows the row's value
+    assert len(starts) == 2 * 2 * 2
+    assert set(starts.values()) == {max_threads}
+    assert [r.workers for r in records[:4]] == [1, 1, 2, 2]
+
+
 @pytest.mark.parametrize("algorithm", list(SPECS))
 def test_a_sweep_checks_an_unmarked_graph_once(monkeypatch, algorithm):
     # the handles of one graph share its check (their memo), so a graph
@@ -267,6 +304,57 @@ def test_held_calls_equal_standalone_calls(name):
         since_fresh.append(result.elapsed)
         # the sweep's elapsed_ms column: summed in call order from a fresh run's 0
         assert held.elapsed == sum(since_fresh, 0.0), (tolerance, seed)
+
+
+@pytest.mark.parametrize("name", list(DETECTORS))
+def test_a_larger_cap_continues_the_run_and_a_smaller_one_starts_afresh(name):
+    # a larger max_iterations (SLPA: memory_size) only adds iterations
+    detect, make, one = DETECTORS[name]
+    g = GRAPHS["gnp"]()
+    held = lp.Held(g)
+    short = detect(g, make(tolerance=0.0001, seed=4, **one), held)
+    run = held.run
+    assert short.iterations == 1
+    longer = make(tolerance=0.0001, seed=4)
+    assert same(detect(g, longer, held), detect(g, longer))
+    assert held.run is run
+    assert same(detect(g, make(tolerance=0.0001, seed=4, **one), held), short)
+    assert held.run is not run
+
+
+@pytest.mark.parametrize("tolerance, iterations", [(0.05, 3), (0.5, 2)], ids=["cap", "settled"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+def test_a_larger_memory_continues_the_held_run(strict, tolerance, iterations):
+    # the memory 4 run either reaches its cap of 3 iterations or settles at 2;
+    # memory 16 goes on from there, re-laid with empty slots, as a
+    # standalone memory 16 run would
+    g = lp.ring_of_cliques(8, 5)
+    params = lp.SlpaParams(memory_size=4, tolerance=tolerance, strict=strict, seed=3)
+    held = lp.Held(g)
+    assert lp.slpa_detect(g, params, held).iterations == iterations
+    run = held.run
+    grown = replace(params, memory_size=16)
+    labels, it, (slots, filled) = slpa_run(g, grown, held)
+    assert held.run is run
+    alone_labels, alone_it, (alone_slots, alone_filled) = slpa_run(g, grown)
+    assert it == alone_it and (it == iterations) == (tolerance == 0.5)
+    assert np.array_equal(slots, alone_slots) and np.array_equal(filled, alone_filled)
+    assert np.array_equal(labels, alone_labels)
+    assert same(lp.slpa_detect(g, grown, held), lp.slpa_detect(g, grown))
+
+
+def test_a_handle_moves_between_detectors():
+    # each call's parameters are of another class than the held run's, so
+    # each starts afresh, and the handle's memo serves all three; the RAK
+    # and SLPA calls agree on every field but their class's GROWS
+    g = GRAPHS["gnp"]()
+    held = lp.Held(g)
+    for detect, params in ((lp.rak_detect, lp.RakParams(seed=2)),
+                           (lp.slpa_detect, lp.SlpaParams(memory_size=6, seed=2)),
+                           (lp.copra_detect, lp.CopraParams(max_labels=3, seed=2)),
+                           (lp.rak_detect, lp.RakParams(strict=True, seed=2))):
+        assert same(detect(g, params, held), detect(g, params)), params
+        assert held.params == params
 
 
 def test_a_run_whose_start_failed_starts_afresh(monkeypatch):
