@@ -41,9 +41,6 @@ if JIT_ENABLED:
 if not JIT_ENABLED:
 
     def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
         def wrap(fn):
             return fn
 

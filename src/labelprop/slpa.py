@@ -17,10 +17,11 @@ The kernel makes one speaking iteration per call and returns its repeat
 count; `labelprop.result.Held` runs it, at most ``memory_size - 1``
 times, stops once ``repeats >= (1 - tolerance) * n`` from the second
 iteration on, and keeps the memories, stream rows and cursors for a
-later call to continue.  A vertex's choices never read ``memory_size``,
-which only caps the run and lays the memories out, so a later call with
-a larger memory continues the run too: its memories are re-laid with
-empty slots at their ends.
+later call to continue.  The memories are stored slot-major: slot i of
+vertex v is ``slots[i * n + v]``, so a vertex's memory is
+``slots[v::n][:filled[v]]`` and nothing but the state's size and the
+run's cap reads ``memory_size``.  A later call with a larger memory
+therefore continues the run too: its slots gain a zero pad at the end.
 
 The disjoint projection is the modal label of each memory, frequency ties
 broken by the smallest label id.
@@ -56,10 +57,10 @@ class SlpaParams:
 
 
 @njit(cache=True)
-def _modal_label(slots, row, filled):
-    # most frequent of slots[row:row + filled]: one scan over the sorted
-    # memory, where the strict > keeps the smallest id among tied runs
-    memory = sorted(slots[row:row + filled])
+def _modal_label(slots, first, stride, filled):
+    # most frequent of the filled slots first, first + stride, ...: one scan
+    # over the sorted memory, where the strict > keeps the smallest id among tied runs
+    memory = sorted(slots[first:first + filled * stride:stride])
     best = memory[0]
     best_count = 0
     run = 0
@@ -76,11 +77,10 @@ def _modal_label(slots, row, filled):
 
 @njit(cache=True, parallel=True)
 def _slpa(
-    offsets, neighbors, weights, slots, filled, memory_size, strict, streams, cursors, tallies,
-    touches, chunk
+    offsets, neighbors, weights, slots, filled, strict, streams, cursors, tallies, touches, chunk
 ):
-    # One speaking iteration; slots is flat: vertex v's memory starts at
-    # v * memory_size.  Returns how many listeners appended the label of
+    # One speaking iteration; slots is slot-major: slot i of vertex v is
+    # slots[i * n + v].  Returns how many listeners appended the label of
     # their last filled slot.
     n = len(filled)
     n_chunks = (n + chunk - 1) // chunk
@@ -106,23 +106,22 @@ def _slpa(
                 u = neighbors[e]
                 if u == v:
                     continue  # self-loops do not speak
-                lab = slots[u * memory_size + stream[k] % filled[u]]
+                lab = slots[(stream[k] % filled[u]) * n + u]
                 k += 1
                 if tally[lab] == 0.0:
                     touched[count] = lab
                     count += 1
                 tally[lab] += weights[e]
             cursors[tid] = k
-            row = v * memory_size
             if count == 0:
                 # no speakers: fall back to the listener's own most popular label
-                lab = _modal_label(slots, row, filled[v])
+                lab = _modal_label(slots, v, n, filled[v])
             else:
                 lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
                 for i in range(count):
                     tally[touched[i]] = 0.0
-            free = row + filled[v]
-            if lab == slots[free - 1]:
+            free = filled[v] * n + v
+            if lab == slots[free - n]:
                 local += 1
             slots[free] = lab
             filled[v] += 1  # publish only after the slot is written
@@ -131,10 +130,10 @@ def _slpa(
 
 
 @njit(cache=True)
-def _modal_labels(slots, filled, memory_size):
+def _modal_labels(slots, filled):
     labels = np.empty(len(filled), dtype=np.int64)
     for v in range(len(filled)):
-        labels[v] = _modal_label(slots, v * memory_size, filled[v])
+        labels[v] = _modal_label(slots, v, len(filled), filled[v])
     return labels
 
 
@@ -150,24 +149,22 @@ def slpa_detect(
 
     def start():
         slots = np.zeros(n * M, dtype=np.int64)
-        slots[::M] = np.arange(n)
+        slots[:n] = np.arange(n)
         state = slots, np.ones(n, dtype=np.int64)
-        return Launch(_slpa, held, params, state, (M, params.strict), graph.edge_count + n)
+        return Launch(_slpa, held, params, state, (params.strict,), graph.edge_count + n)
 
     def grow(run):
-        # a run held with a smaller memory: every memory gains empty slots
-        # at its end, and the filled counts, stream rows and cursors stay
-        kept = run.scalars[0]
-        if kept < M:
-            slots = np.zeros((n, M), dtype=np.int64)
-            slots[:, :kept] = np.reshape(run.state[0], (n, kept))
-            run.state = (*kernel_args(slots.ravel()), run.state[1])
-            run.scalars = M, params.strict
+        # a run held with a smaller memory: the slots gain a zero pad, and
+        # the filled counts, stream rows and cursors stay
+        kept = len(run.state[0])
+        if kept < n * M:
+            slots = np.pad(np.asarray(run.state[0], dtype=np.int64), (0, n * M - kept))
+            run.state = (*kernel_args(slots), run.state[1])
 
     # first-iteration repeats compare with the seeded own id and never stop the run;
     # the modal labels are read on the kernel's own state, lists when interpreted
     return held.go(
         params, start, M - 1,
         lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
-        lambda run: _modal_labels(*run.state, M), modularity, grow,
+        lambda run: _modal_labels(*run.state), modularity, grow,
     )

@@ -32,12 +32,13 @@ def copra_run(graph: lp.Graph, params: lp.CopraParams):
 
 def slpa_run(graph: lp.Graph, params: lp.SlpaParams, held: lp.Held | None = None):
     """(modal labels, iterations, (slots, filled)) of an SLPA run, in
-    ``held`` or a new handle: every memory, one row per vertex, and its
-    fill count."""
+    ``held`` or a new handle: every memory, one row per vertex (the kernel
+    stores them slot-major), and its fill count."""
     held = lp.Held(graph) if held is None else held
     r = lp.slpa_detect(graph, params, held)
     slots, filled = (np.array(a, dtype=np.int64) for a in held.run.state)
-    return r.assignment, r.iterations, (slots.reshape(graph.vertex_count, params.memory_size), filled)
+    memories = slots.reshape(params.memory_size, graph.vertex_count).T
+    return r.assignment, r.iterations, (memories, filled)
 
 
 def star(n: int) -> lp.Graph:

@@ -165,7 +165,8 @@ class TestScore:
         ("0\t0\n\n1\t99999999999999999999\n", "line 3: community id 99999999999999999999 outside int64"),
         ("0\t0\n9\t0\n", "line 2: vertex 9 out of range [0, 6)"),
         ("0\t0\n1\t0\n0\t1\n", "line 3: duplicate assignment for vertex 0"),
-    ], ids=["community", "vertex", "beyond-int64", "out-of-range", "duplicate"])
+        ("0\t0\n1\t0\t7\n", "line 2: expected 'vertex<TAB>community'"),
+    ], ids=["community", "vertex", "beyond-int64", "out-of-range", "duplicate", "three-fields"])
     def test_bad_integer_names_the_line(self, tri2, tmp_path, capsys, text, message):
         tsv = tmp_path / "bad.tsv"
         tsv.write_text(text)
@@ -251,6 +252,13 @@ class TestSweep:
     def test_spec_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode 'strct'"):
             SweepSpec(algorithm="rak", modes=("strct",))
+
+    def test_empty_grid_is_a_usage_error(self, tri2, capsys):
+        argv = ["sweep", "--algorithm", "rak", "--input", str(tri2), "--tolerances", ","]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["labelprop sweep: error: tolerances grid must be non-empty"]
 
     def test_unknown_mode_rejected(self, tri2):
         proc = run_cli(

@@ -64,6 +64,30 @@ class TestMatrixMarket:
         with pytest.raises(lp.GraphParseError, match="symmetry"):
             mm("%%MatrixMarket matrix coordinate real skew-symmetric\n1 1 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file, expected MatrixMarket header"),
+        ("%%MatrixMarket matrix array real general\n1 1\n",
+         "line 1: unsupported MatrixMarket type 'matrix' 'array'"),
+        ("%%MatrixMarket matrix coordinate complex general\n1 1 0\n",
+         "line 1: unsupported field type 'complex'"),
+        ("%%MatrixMarket matrix coordinate pattern general\n3 3\n",
+         "line 2: expected 'rows cols entries', got '3 3'"),
+        ("%%MatrixMarket matrix coordinate pattern general\n3 x 1\n",
+         "line 2: non-integer size line '3 x 1'"),
+        ("%%MatrixMarket matrix coordinate pattern general\n3 -3 1\n",
+         "line 2: negative value in size line '3 -3 1'"),
+        ("%%MatrixMarket matrix coordinate pattern general\n% no size line\n",
+         "line 2: missing size line"),
+    ], ids=["empty", "array", "complex", "two-fields", "non-integer", "negative", "missing"])
+    def test_bad_header_or_size_line_names_the_line(self, text, message):
+        with pytest.raises(lp.GraphParseError) as err:
+            mm(text)
+        assert str(err.value) == message
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown graph format 'bogus'"):
+            lp.load_graph(io.StringIO("0 1\n"), fmt="bogus")
+
     def test_non_positive_weight_rejected(self):
         # a clean file takes the numpy parse, a comment line forces the line loop
         for weight in ("0.0", "-1", "nan", "inf", "-inf", "1e400"):

@@ -10,12 +10,14 @@ numba, without needing numba.
 """
 
 import hashlib
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import prng, result, slpa
+from labelprop import prng
 from labelprop._backend import kernel_args
 from helpers import copra_run, slpa_run
 
@@ -160,6 +162,15 @@ def _every_run():
                     g, lp.SlpaParams(memory_size=7, strict=strict, seed=4, workers=workers)
                 )
                 runs[name, "slpa", workers, strict] = (it, digest(labels, slots, filled))
+                # M=4 then M=7 on one handle: the second call grows the held memories
+                held = lp.Held(g)
+                for memory_size in (4, 7):
+                    labels, it, (slots, filled) = slpa_run(g, lp.SlpaParams(
+                        memory_size=memory_size, strict=strict, seed=4, workers=workers
+                    ), held)
+                    runs[name, "slpa-held", memory_size, workers, strict] = (
+                        it, digest(labels, slots, filled)
+                    )
             for max_labels in (1, 3, 8):
                 best, it, (labs, bels, sizes) = copra_run(
                     g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
@@ -168,19 +179,31 @@ def _every_run():
     return runs
 
 
+def binding(name):
+    """Names of the package's modules that bind ``name``; ``__main__`` is
+    not imported, since importing it runs the command line."""
+    names = (m.name for m in pkgutil.iter_modules(lp.__path__, "labelprop."))
+    modules = [importlib.import_module(m) for m in names if m != "labelprop.__main__"]
+    return {m.__name__: m for m in modules if name in vars(m)}
+
+
 def test_array_fed_kernels_match_list_fed(monkeypatch):
     fed_by_backend = _every_run()
+    converting, refilling = binding("kernel_args"), binding("refill")
+    # the kernel launch, the shuffle and SLPA's grown memories turn arrays
+    # into lists; the backend only defines the conversion
+    assert set(converting) == {f"labelprop.{m}" for m in ("_backend", "prng", "result", "slpa")}
+    assert set(refilling) == {"labelprop.prng", "labelprop.slpa"}
     called = set()
-    # the kernel launch and the shuffle are the only places arrays become lists
-    for module in (result, prng):
+    for module in converting.values():
         def arrays_unchanged(*arrays, name=module.__name__):
             called.add(name)
             return arrays
 
         monkeypatch.setattr(module, "kernel_args", arrays_unchanged)
     # refill its stream rows with the compiled path's loop, as numba would
-    for module in (prng, slpa):
+    for module in refilling.values():
         monkeypatch.setattr(module, "refill", prng._refill_loop)
     fed_arrays = _every_run()
-    assert called == {"labelprop.result", "labelprop.prng"}
+    assert called == set(converting) - {"labelprop._backend"}
     assert fed_arrays == fed_by_backend

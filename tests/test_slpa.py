@@ -135,9 +135,9 @@ class TestDetect:
 
 def modal(memory, before=(), after=()):
     """`_modal_label` on ``memory``, stored between other slots in one flat
-    row and handed over as the kernels get their state."""
+    row at stride 1 and handed over as the kernels get their state."""
     (slots,) = kernel_args(np.array([*before, *memory, *after], dtype=np.int64))
-    return slpa._modal_label(slots, len(before), len(memory))
+    return slpa._modal_label(slots, len(before), 1, len(memory))
 
 
 class TestMostPopularLabel:

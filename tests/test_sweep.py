@@ -101,8 +101,11 @@ PINNED_ROWS = {
     (dict(algorithm="slpa", memory_sizes=(8, 1)), "memory_size must be >= 2"),
     (dict(algorithm="rak", workers=(0,)), "workers must be >= 1"),
     (dict(algorithm="slpa", workers=(1, 0)), "workers must be >= 1"),
+    (dict(algorithm="rak", tolerances=()), "tolerances grid must be non-empty"),
+    (dict(algorithm="copra", repetitions=0), "repetitions must be >= 1"),
+    (dict(algorithm="bogus"), "unknown algorithm 'bogus'"),
 ], ids=["rak-tolerance", "copra-max-labels", "copra-tolerance", "slpa-memory-size",
-        "rak-workers", "slpa-workers"])
+        "rak-workers", "slpa-workers", "empty-grid", "no-repetitions", "unknown-algorithm"])
 def test_spec_checks_every_grid_value_with_the_params(grids, message):
     # rejected when the spec is built, not partway through its sweep
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -326,7 +329,7 @@ def test_a_larger_cap_continues_the_run_and_a_smaller_one_starts_afresh(name):
 @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
 def test_a_larger_memory_continues_the_held_run(strict, tolerance, iterations):
     # the memory 4 run either reaches its cap of 3 iterations or settles at 2;
-    # memory 16 goes on from there, re-laid with empty slots, as a
+    # memory 16 goes on from there, its slots padded with zeros, as a
     # standalone memory 16 run would
     g = lp.ring_of_cliques(8, 5)
     params = lp.SlpaParams(memory_size=4, tolerance=tolerance, strict=strict, seed=3)

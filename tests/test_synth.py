@@ -48,6 +48,11 @@ def test_gnp_empty_cases():
     assert g.edge_count == 5  # self-loops only
 
 
+def test_gnp_rejects_p_outside_unit_interval():
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        lp.gnp(10, 1.5)
+
+
 def test_gnp_deterministic_per_seed():
     a = lp.gnp(100, 0.1, seed=3)
     b = lp.gnp(100, 0.1, seed=3)
