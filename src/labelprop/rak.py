@@ -37,7 +37,9 @@ order, the order the kernel's ``tally[lab] += w`` adds in, so float
 sums and therefore ties are identical on weighted graphs too.
 Non-strict RAK keeps the list kernel: its tie draws follow the visit
 order through one xorshift stream, which levels cannot reproduce.
-COPRA and SLPA keep their kernels as well.
+COPRA keeps its kernel as well; interpreted strict SLPA runs in rounds
+that pick their labels with this module's level step, `_first_max`
+(`labelprop.slpa`).
 The list kernel evaluates a vertex only while its ``stale`` flag is set:
 cleared before its arcs are scanned (so a concurrent neighbor change
 under threads sets it again), set when it draws from the stream or a
@@ -214,10 +216,16 @@ def _level_plan(graph: Graph, order: np.ndarray) -> list[_Level]:
     return plan
 
 
-def _update_level(lv: _Level, labels: np.ndarray) -> int:
-    """Relabel one level in place as the strict kernel would; returns the changed count."""
-    seen = labels[lv.neighbors]
-    key = lv.keys + seen
+def _first_max(seen, weights, keys, counts, starts) -> np.ndarray:
+    """Each vertex's label of largest summed weight, as the strict kernel picks it.
+
+    Vertex i's arcs are the slice of ``counts[i]`` arcs from ``starts[i]``
+    (every count at least 1); an arc carries the label ``seen`` by it, its
+    weight and its vertex's key, a multiple of n (above every label) that
+    no other vertex has.  Ties go to the label of the earliest arc in scan
+    order.
+    """
+    key = keys + seen
     by_key = np.argsort(key)
     key = key[by_key]
     group = np.empty(key.size, dtype=np.int64)  # (vertex, label) group of each sorted arc
@@ -226,12 +234,17 @@ def _update_level(lv: _Level, labels: np.ndarray) -> int:
     group_of_arc = np.empty_like(group)
     group_of_arc[by_key] = group
     # bincount adds each group's weights in arc order, as the kernel's tally does
-    total = np.bincount(group_of_arc, weights=lv.weights)[group]
+    total = np.bincount(group_of_arc, weights=weights)[group]
     # a vertex's arcs span the same slice sorted or not; among the arcs whose
     # label reaches the vertex's maximum, the earliest in scan order wins
-    best = np.maximum.reduceat(total, lv.starts)
-    tied = np.where(total == np.repeat(best, lv.counts), by_key, key.size)
-    new = seen[np.minimum.reduceat(tied, lv.starts)]
+    best = np.maximum.reduceat(total, starts)
+    tied = np.where(total == np.repeat(best, counts), by_key, key.size)
+    return seen[np.minimum.reduceat(tied, starts)]
+
+
+def _update_level(lv: _Level, labels: np.ndarray) -> int:
+    """Relabel one level in place as the strict kernel would; returns the changed count."""
+    new = _first_max(labels[lv.neighbors], lv.weights, lv.keys, lv.counts, lv.starts)
     changed = np.count_nonzero(new != labels[lv.vertices])
     labels[lv.vertices] = new
     return int(changed)

@@ -160,9 +160,9 @@ class Held:
     ``DetectionResult.elapsed`` of the calls since the run started: what
     one standalone run to the current tolerance takes.  ``memo``, a dict
     the handles of one graph may share, keeps what their runs have in
-    common (`keep`): the graph's symmetry check, its kernel copy, and
-    RAK's visit order and level plan per seed.  A handle holds its run's
-    whole kernel state until it is dropped.
+    common (`keep`): the graph's symmetry check, its kernel copy, RAK's
+    visit order and level plan per seed, and SLPA's speaking arcs.  A
+    handle holds its run's whole kernel state until it is dropped.
     """
 
     def __init__(self, graph, memo=None):

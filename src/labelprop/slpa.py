@@ -13,32 +13,47 @@ filled slot, so the memory is the only state a vertex carries; in the
 first iteration the slot holds the vertex's own id, but repeats are
 counted toward stopping only from the second iteration on.
 
-The kernel makes one speaking iteration per call and returns its repeat
-count; `labelprop.result.Held` runs it, at most ``memory_size - 1``
-times, stops once ``repeats >= (1 - tolerance) * n`` from the second
-iteration on, and keeps the memories, stream rows and cursors for a
+Both paths below make one speaking iteration per call and return its
+repeat count; `labelprop.result.Held` runs them, at most ``memory_size -
+1`` times, stops once ``repeats >= (1 - tolerance) * n`` from the second
+iteration on, and keeps the memories and the stream's position for a
 later call to continue.  The memories are stored slot-major: slot i of
 vertex v is ``slots[i * n + v]``, so a vertex's memory is
 ``slots[v::n][:filled[v]]`` and nothing but the state's size and the
 run's cap reads ``memory_size``.  A later call with a larger memory
 therefore continues the run too: its slots gain a zero pad at the end.
 
+Which code runs.  Compiled (numba), every mode runs the per-listener
+kernel `_slpa` on ``workers`` threads, and so does non-strict SLPA
+interpreted: its tie draws fall between the speaker draws of one stream.
+Interpreted, strict SLPA runs each iteration as numpy rounds
+(`_Rounds`), for any ``workers`` (the interpreted kernel has one
+worker).  A strict listener draws exactly once per speaking arc, so an
+iteration reads one stream of as many values as the graph has speaking
+arcs, in CSR order, and only a draw that lands on the newest slot of an
+earlier speaker waits for this iteration's work: with probability 1 / (t
++ 1) in iteration t.  The rounds resolve those waits in Kahn's order and
+sum each round's tallies as strict RAK's levels do, so memories, repeat
+counts and iteration counts are bit-for-bit the kernel's.  The speaking
+arcs are kept once per graph.
+
 The disjoint projection is the modal label of each memory, frequency ties
-broken by the smallest label id.
+broken by the smallest label id; both paths read it with numpy
+(`_modal_labels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from ._backend import get_thread_id, kernel_args, njit, prange
-from .graph import Graph, check_symmetric
-from .prng import refill
+from ._backend import JIT_ENABLED, get_thread_id, kernel_args, njit, prange
+from .graph import Graph, arc_rows, check_symmetric
+from .prng import refill, worker_states, xs32_stream
 from .quality import modularity
-from .rak import _pick_from_tally
+from .rak import _concat_ranges, _first_max, _pick_from_tally
 from .result import DetectionResult, Held, Launch, check_ranges, hold
 
 
@@ -129,12 +144,107 @@ def _slpa(
     return repeats
 
 
-@njit(cache=True)
-def _modal_labels(slots, filled):
-    labels = np.empty(len(filled), dtype=np.int64)
-    for v in range(len(filled)):
-        labels[v] = _modal_label(slots, v, len(filled), filled[v])
-    return labels
+def _modal_labels(block: np.ndarray) -> np.ndarray:
+    """The modal label of each column of a (slots x vertices) block, as
+    `_modal_label` reads it: sorted, the first of the longest runs wins."""
+    block = np.sort(block, axis=0)
+    rows = np.arange(len(block))[:, None]
+    # the row where each sorted run starts, carried down the run
+    first = np.maximum.accumulate(np.where(np.diff(block, axis=0, prepend=-1) != 0, rows, 0))
+    return block[np.argmax(rows - first, axis=0), np.arange(block.shape[1])]
+
+
+class _Speakers(NamedTuple):
+    """A graph's speaking arcs: its arcs less self-loops, in CSR order, the
+    order a strict listener draws for them in."""
+
+    listeners: np.ndarray
+    speakers: np.ndarray
+    weights: np.ndarray
+    earlier: np.ndarray  # per arc: the speaker appends before its listener
+    starts: np.ndarray  # per vertex: offset of its first speaking arc
+    counts: np.ndarray  # per vertex: its speaking arcs
+    quiet: np.ndarray  # vertices without speakers
+
+
+def _speaking_arcs(graph: Graph) -> _Speakers:
+    listeners = arc_rows(graph)
+    speaks = graph.neighbors != listeners
+    listeners, speakers = listeners[speaks], graph.neighbors[speaks]
+    counts = np.bincount(listeners, minlength=graph.vertex_count)
+    return _Speakers(
+        listeners, speakers, graph.weights[speaks], speakers < listeners,
+        np.cumsum(counts) - counts, counts, np.flatnonzero(counts == 0),
+    )
+
+
+class _Rounds:
+    """A strict run in numpy rounds, called as a `Launch` is; its state is
+    ``(slots, filled)``, and ``x`` is the last stream output it read.
+
+    In iteration t every memory holds t slots, and a listener's arcs read
+    one stream value each, in CSR order, so the iteration's draws are one
+    stream of as many values as there are speaking arcs.  Arc (v, u)
+    reads slot ``r % (t + 1)`` of a speaker u < v, which has appended
+    already, and ``r % t`` of a later one: it reads this iteration's work
+    only when u < v and the slot is t.  Listeners whose arcs read no such
+    slot go in the first round; Kahn's frontier then takes each listener
+    once every speaker whose newest slot it reads has appended, and each
+    round picks its listeners' labels in one batch, as strict RAK's levels
+    do (`labelprop.rak._first_max`).  On the symmetric graphs
+    `slpa_detect` accepts, nobody waits for a vertex without speakers.
+    """
+
+    def __init__(self, plan: _Speakers, slots: np.ndarray, filled: np.ndarray, x: int):
+        self.plan, self.state, self.x = plan, (slots, filled), x
+
+    def __call__(self) -> int:
+        sp, (slots, filled) = self.plan, self.state
+        n, t = len(filled), int(filled[0])
+        # each arc's draw, made in place the slot it reads, then that slot's index
+        read = xs32_stream(self.x, len(sp.speakers))
+        if read.size:
+            self.x = int(read[-1])
+        np.remainder(read, t + sp.earlier, out=read)
+        waits = np.flatnonzero(read == t)  # the arcs that read this iteration's slot
+        read *= n
+        read += sp.speakers
+        new = slots[t * n:(t + 1) * n]
+        # a vertex nobody speaks to appends its modal label: its own id, always
+        new[sp.quiet] = sp.quiet
+        # Kahn's frontier: how many speakers each listener waits for, and
+        # the waiting listeners grouped by speaker
+        waiters, by_speaker = sp.listeners[waits], sp.speakers[waits]
+        waiting = np.bincount(waiters, minlength=n)
+        heard = np.bincount(by_speaker, minlength=n)
+        heard_to = np.cumsum(heard)
+        waiters = waiters[np.argsort(by_speaker)]
+        frontier = np.flatnonzero((waiting == 0) & (sp.counts > 0))
+        while frontier.size:
+            counts = sp.counts[frontier]
+            arcs = _concat_ranges(sp.starts[frontier], counts)
+            new[frontier] = _first_max(
+                slots[read[arcs]], sp.weights[arcs], np.repeat(frontier * n, counts),
+                counts, np.cumsum(counts) - counts,
+            )
+            heard_here = heard[frontier]
+            targets = waiters[_concat_ranges(heard_to[frontier] - heard_here, heard_here)]
+            np.subtract.at(waiting, targets, 1)
+            frontier = np.sort(targets[waiting[targets] == 0])
+            first = np.ones(frontier.size, dtype=bool)
+            first[1:] = frontier[1:] != frontier[:-1]
+            frontier = frontier[first]
+        filled += 1
+        return int(np.count_nonzero(new == slots[(t - 1) * n:t * n]))
+
+
+def _read(run) -> np.ndarray:
+    """The modal label of every memory of a run; every memory holds as many slots."""
+    slots, filled = (np.asarray(a, dtype=np.int64) for a in run.state)
+    n = len(filled)
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    return _modal_labels(slots[:filled[0] * n].reshape(-1, n))
 
 
 def slpa_detect(
@@ -150,8 +260,11 @@ def slpa_detect(
     def start():
         slots = np.zeros(n * M, dtype=np.int64)
         slots[:n] = np.arange(n)
-        state = slots, np.ones(n, dtype=np.int64)
-        return Launch(_slpa, held, params, state, (params.strict,), graph.edge_count + n)
+        filled = np.ones(n, dtype=np.int64)
+        if params.strict and not JIT_ENABLED:
+            plan = held.keep("speakers", lambda: _speaking_arcs(graph))
+            return _Rounds(plan, slots, filled, int(worker_states(params.seed, 1)[0]))
+        return Launch(_slpa, held, params, (slots, filled), (params.strict,), graph.edge_count + n)
 
     def grow(run):
         # a run held with a smaller memory: the slots gain a zero pad, and
@@ -159,12 +272,13 @@ def slpa_detect(
         kept = len(run.state[0])
         if kept < n * M:
             slots = np.pad(np.asarray(run.state[0], dtype=np.int64), (0, n * M - kept))
-            run.state = (*kernel_args(slots), run.state[1])
+            if isinstance(run, Launch):
+                (slots,) = kernel_args(slots)
+            run.state = slots, run.state[1]
 
-    # first-iteration repeats compare with the seeded own id and never stop the run;
-    # the modal labels are read on the kernel's own state, lists when interpreted
+    # first-iteration repeats compare with the seeded own id and never stop the run
     return held.go(
         params, start, M - 1,
         lambda t, repeats: t >= 2 and repeats >= (1.0 - params.tolerance) * n,
-        lambda run: _modal_labels(*run.state), modularity, grow,
+        _read, modularity, grow,
     )

@@ -12,12 +12,13 @@ numba, without needing numba.
 import hashlib
 import importlib
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import prng
+from labelprop import prng, slpa
 from labelprop._backend import kernel_args
 from helpers import copra_run, slpa_run
 
@@ -171,6 +172,12 @@ def _every_run():
                     runs[name, "slpa-held", memory_size, workers, strict] = (
                         it, digest(labels, slots, filled)
                     )
+            # strict SLPA runs the kernel only compiled; run it here too
+            with mock.patch.object(slpa, "JIT_ENABLED", True):
+                labels, it, (slots, filled) = slpa_run(
+                    g, lp.SlpaParams(memory_size=7, strict=True, seed=4, workers=workers)
+                )
+            runs[name, "slpa-launch", workers] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
                 best, it, (labs, bels, sizes) = copra_run(
                     g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)

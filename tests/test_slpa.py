@@ -177,6 +177,27 @@ class TestMostPopularLabel:
 
         check()
 
+    def test_block_read_matches_modal_label(self):
+        # the read-back takes every memory at once from the slot-major block;
+        # few distinct labels make tied runs common
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(
+            shape=st.tuples(st.integers(1, 12), st.integers(1, 8)),
+            labels=st.lists(st.integers(0, 3), min_size=96, max_size=96),
+        )
+        def check(shape, labels):
+            t, n = shape
+            block = np.array(labels[: t * n], dtype=np.int64).reshape(t, n)
+            (slots,) = kernel_args(block.ravel())
+            want = [slpa._modal_label(slots, v, n, t) for v in range(n)]
+            assert slpa._modal_labels(block).tolist() == want
+
+        check()
+        assert slpa._modal_labels(np.array([[5, 1], [3, 1], [5, 2], [3, 2]])).tolist() == [3, 1]
+
 
 class TestParams:
     def test_validation(self):
