@@ -118,13 +118,59 @@ def summarise(runs, bounds):
     return out
 
 
-def sweep_csv(side: Path, workload: str, seed: int) -> list[list[str]]:
-    """The CSV rows of one sweep workload's CLI call, less ``elapsed_ms``."""
+def paired_workloads(sides: dict, seeds: list[int], seconds: float, bounds: dict) -> dict:
+    """Alternating pairs of untraced runs of every workload (parent first on
+    even-indexed seeds, change first on odd ones; seeds outer, workloads
+    inner), each run in its side's checkout, summarised per workload with
+    every run kept."""
+    runs = {w: [] for w in WORKLOADS}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for workload in WORKLOADS:
+            for position, side in enumerate(order):
+                argv, result = perfbench(sides[side], workload, seed, seconds, 0)
+                runs[workload].append({
+                    "seed": seed, "side": side, "position": position, "argv": argv,
+                    "attempted": result["attempted"], "failed": result["failed"],
+                    "metrics": {k: round(v["value"], 6) for k, v in result["metrics"].items()},
+                })
+                print(workload, seed, side, runs[workload][-1]["metrics"], file=sys.stderr)
+    workloads = {}
+    for workload, rows in runs.items():
+        workloads[workload] = dict(summarise(rows, bounds), runs=rows, failed={
+            side: sum(r["failed"] for r in rows if r["side"] == side) for side in sides
+        }, attempted={side: sum(r["attempted"] for r in rows if r["side"] == side)
+                      for side in sides})
+    return workloads
+
+
+def claim_check(workloads: dict, workload: str, metric: str) -> dict:
+    """Whether the change wins at least 9 of 10 pairs on the claimed metric
+    and its median gain exceeds the parent's interquartile range."""
+    claim = workloads[workload][metric]
+    gain = claim["parent"]["median"] - claim["change"]["median"]
+    iqr = claim["parent"]["q3"] - claim["parent"]["q1"]
+    return {
+        "workload": workload, "metric": metric, "pairs": claim["pairs"],
+        "change_better_pairs": claim["change_better_pairs"],
+        "median_gain_s": round(gain, 4), "parent_iqr_s": round(iqr, 4),
+        "median_change_pct": claim["median_change_pct"],
+        "met": claim["change_better_pairs"] >= 0.9 * claim["pairs"] and gain > iqr,
+    }
+
+
+def cli_stdout(side: Path, workload: str, seed: int) -> str:
+    """The stdout of one workload's CLI call on the files an untraced run wrote."""
     run_dir = side / ".perfbench" / f"{workload}-seed{seed}-trace0"
     report = json.loads((run_dir / "report.json").read_text())
     out = subprocess.run([sys.executable, "-m", "labelprop", *report["argv"]], cwd=run_dir,
                          env=child_env(side), capture_output=True, text=True, check=True)
-    rows = [line.split(",") for line in out.stdout.splitlines()]
+    return out.stdout
+
+
+def sweep_csv(side: Path, workload: str, seed: int) -> list[list[str]]:
+    """The CSV rows of one sweep workload's CLI call, less ``elapsed_ms``."""
+    rows = [line.split(",") for line in cli_stdout(side, workload, seed).splitlines()]
     drop = rows[0].index("elapsed_ms")
     return [row[:drop] + row[drop + 1:] for row in rows]
 
@@ -142,27 +188,7 @@ def main():
     benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     bounds = {m["name"]: (m["bound"], m["better"]) for m in benchmark["end_to_end"]}
 
-    runs = {w: [] for w in WORKLOADS}
-    for i, seed in enumerate(args.seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in WORKLOADS:
-            for position, side in enumerate(order):
-                argv, result = perfbench(sides[side], workload, seed, args.seconds, 0)
-                runs[workload].append({
-                    "seed": seed, "side": side, "position": position, "argv": argv,
-                    "attempted": result["attempted"], "failed": result["failed"],
-                    "metrics": {k: round(v["value"], 6) for k, v in result["metrics"].items()},
-                })
-                print(workload, seed, side, runs[workload][-1]["metrics"], file=sys.stderr)
-    workloads = {}
-    for workload, rows in runs.items():
-        workloads[workload] = dict(summarise(rows, bounds), runs=rows, failed={
-            side: sum(r["failed"] for r in rows if r["side"] == side) for side in sides
-        }, attempted={side: sum(r["attempted"] for r in rows if r["side"] == side)
-                      for side in sides})
-    claim = workloads[CLAIM[0]][CLAIM[1]]
-    gain = claim["parent"]["median"] - claim["change"]["median"]
-    iqr = claim["parent"]["q3"] - claim["parent"]["q1"]
+    workloads = paired_workloads(sides, args.seeds, args.seconds, bounds)
 
     traced = {}
     for side, root in sides.items():
@@ -195,13 +221,7 @@ def main():
                     "backend": "python (numba absent)"},
         "claim": f"{CLAIM[0]} {CLAIM[1]} falls; no other end-to-end metric gets worse "
                  "beyond its BENCHMARK.json bound",
-        "claim_check": {
-            "workload": CLAIM[0], "metric": CLAIM[1], "pairs": claim["pairs"],
-            "change_better_pairs": claim["change_better_pairs"],
-            "median_gain_s": round(gain, 4), "parent_iqr_s": round(iqr, 4),
-            "median_change_pct": claim["median_change_pct"],
-            "met": claim["change_better_pairs"] >= 0.9 * claim["pairs"] and gain > iqr,
-        },
+        "claim_check": claim_check(workloads, *CLAIM),
         "workloads": workloads,
         "traced": {"workload": TRACED, "seed": args.trace_seed, "pinned": "taskset -c 0",
                    **traced},

@@ -182,7 +182,11 @@ def cmd_detect(args) -> int:
     graph = _load(args, args.input)
     result = run_one(args.algorithm, graph, **options)
     with _output(args.output) as out:
-        out.write("".join(f"{v}\t{c}\n" for v, c in enumerate(result.assignment.tolist())))
+        n = graph.vertex_count
+        pairs = np.empty(2 * n, dtype=np.int64)  # vertex, community, vertex, ...
+        pairs[0::2] = np.arange(n)
+        pairs[1::2] = result.assignment
+        out.write(("%d\t%d\n" * n) % tuple(pairs.tolist()))
     print(
         f"vertices={graph.vertex_count} iterations={result.iterations} "
         f"elapsed_ms={result.elapsed * 1000.0:.3f} modularity={result.modularity:.12f}",

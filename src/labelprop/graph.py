@@ -8,11 +8,12 @@ of the text means MatrixMarket, anything else is an edge list.
 `preprocess` turns any loaded graph into the canonical form the detectors
 expect: symmetric, unit arc weights by default, and exactly one weight-1
 self-loop per vertex.  `_merge` is the one sort-and-merge step: it sorts
-``u * n + v`` arc keys, merges each run of equal keys (`from_arcs` sums
-duplicates, `preprocess` keeps a pair's larger weight) and builds every
-CSR graph.  `check_symmetric` merges a graph's reversed arcs the same way
-and requires the same arcs with close weights, so it also rejects rows
-out of neighbour order and repeated arcs, which no constructor builds.
+``u * n + v`` arc keys (stably, by `_stable_order`, when weights ride
+along), merges each run of equal keys (`from_arcs` sums duplicates,
+`preprocess` keeps a pair's larger weight) and builds every CSR graph.
+`check_symmetric` merges a graph's reversed arcs the same way and
+requires the same arcs with close weights, so it also rejects rows out of
+neighbour order and repeated arcs, which no constructor builds.
 
 Files are UTF-8 text; one leading byte-order mark is dropped.  Both
 formats read their entry lines through `_entries`, so each rule (field
@@ -78,22 +79,50 @@ class Graph:
     symmetric: bool = False
 
 
+# Below this many keys packing saves little, and on the level steps'
+# keys, which ascend by vertex, a stable argsort (a timsort) is faster.
+_PACKED_FROM = 2048
+
+
+def _stable_order(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, key[order])`` for non-negative int64 keys, ``order`` the
+    stable argsort.
+
+    With b the bit length of ``key.size``, each key is packed above its
+    index as ``key << b | index`` when that fits in int64, and one plain
+    sort of the packed keys orders them: equal keys stay in index order.
+    A plain sort of int64 runs several times faster than an argsort.
+    Fewer than `_PACKED_FROM` keys, or larger ones, take
+    ``np.argsort(kind="stable")``.
+    """
+    b = key.size.bit_length()
+    if key.size < _PACKED_FROM or int(key.max()) >= 1 << (63 - b):
+        order = np.argsort(key, kind="stable")
+        return order, key[order]
+    packed = key << b
+    packed |= np.arange(key.size)
+    packed.sort()
+    order = packed & ((1 << b) - 1)
+    packed >>= b
+    return order, packed
+
+
 def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: bool = False) -> Graph:
     """The CSR graph of arcs with keys ``key = u * n + v`` and weights ``w``.
 
     One sort of ``key`` groups the arcs; each run of equal keys becomes one
     arc, weighted by ``reduce.reduceat`` over the run (``w=None``: weight
-    1).  With `np.add` the sum is taken in input order, so the arcs are
-    sorted again, stably, only when a key repeats.
+    1).  Without weights the keys alone are sorted; with weights the sort
+    is stable (`_stable_order`), so `np.add` sums each run in input order.
     """
-    order = np.argsort(key)
-    sorted_key = key[order]
+    if w is None:
+        sorted_key = np.sort(key)
+    else:
+        order, sorted_key = _stable_order(key)
     fresh = np.empty(key.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    if w is not None and reduce is np.add and starts.size < key.size:
-        order = np.argsort(key, kind="stable")
     w = np.ones(starts.size) if w is None else reduce.reduceat(w[order], starts)
     u, v = np.divmod(sorted_key[starts], n)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -387,10 +416,12 @@ def preprocess(
     return _merge(n, key, weights, np.maximum, symmetric=True)
 
 
-def degree_weights(graph: Graph) -> np.ndarray:
-    """Weighted degree of every vertex; self-loops count twice."""
+def degree_weights(graph: Graph, rows: np.ndarray | None = None) -> np.ndarray:
+    """Weighted degree of every vertex; self-loops count twice.  ``rows``,
+    when given, is `arc_rows` of the graph."""
     n = graph.vertex_count
-    rows = arc_rows(graph)
+    if rows is None:
+        rows = arc_rows(graph)
     deg = np.bincount(rows, weights=graph.weights, minlength=n)
     diag = rows == graph.neighbors
     deg += np.bincount(rows[diag], weights=graph.weights[diag], minlength=n)

@@ -19,7 +19,8 @@ that one sequential generator per worker gives, in the same order,
 wherever the refills fall.  Interpreted, the row comes from
 `xs32_stream`, which steps many jump-ahead lanes together in numpy;
 compiled, `refill` is a plain loop.  The visit-order shuffle reads one
-stream of ``n - 1`` values.
+stream of ``n - 1`` values and runs in numpy on both backends: a
+Fisher-Yates shuffle resolved by one sort and pointer jumping.
 
 Rows are int64 arrays (one per worker), or lists of Python ints when the
 kernels run interpreted, so the same functions work inside compiled
@@ -33,7 +34,8 @@ import functools
 
 import numpy as np
 
-from ._backend import JIT_ENABLED, kernel_args, njit
+from ._backend import JIT_ENABLED, njit
+from .graph import _stable_order
 
 _MASK = 0xFFFFFFFF
 
@@ -187,21 +189,40 @@ def stream_rows(states, size):
 _ORDER_STREAM = 0x4F524452
 
 
-@njit(cache=True)
-def _fisher_yates(order, stream):
-    # position i swaps with stream[k] % (i + 1), k counting up as i falls
-    k = 0
-    for i in range(len(order) - 1, 0, -1):
-        j = stream[k] % (i + 1)
-        order[i], order[j] = order[j], order[i]
-        k += 1
-
-
 def shuffled_indices(n: int, seed: int) -> np.ndarray:
-    """Seed-determined permutation of range(n), stable across backends."""
-    order, stream = kernel_args(
-        np.arange(n, dtype=np.int64),
-        xs32_stream(mix_seed(int(seed) & _MASK, _ORDER_STREAM), n - 1),
-    )
-    _fisher_yates(order, stream)
-    return np.asarray(order, dtype=np.int64)
+    """Seed-determined permutation of range(n), stable across backends.
+
+    The Fisher-Yates shuffle of ``range(n)`` that swaps position i with
+    ``target[i] = stream[n - 1 - i] % (i + 1)`` for i from n - 1 down to
+    1, computed without its loop (Shun et al. 2015, "Sequential random
+    permutation, list contraction and tree contraction are highly
+    parallel").  Step i fixes position i, which takes the value position
+    ``target[i]`` holds just before it: ``target[i]`` itself unless a step
+    done earlier, that is a larger step with the same target, moved
+    another value there.  The nearest such step s put there the value
+    position s held just before step s, which again is s unless a step
+    larger than s targets s.  One sort of the targets gives both links,
+    and pointer jumping follows the chains of the second to their ends.
+    """
+    target = np.zeros(n, dtype=np.int64)  # step 0, a no-op, targets 0
+    draws = xs32_stream(mix_seed(int(seed) & _MASK, _ORDER_STREAM), n - 1)
+    target[:0:-1] = draws % np.arange(n, 1, -1)
+    steps, targets = _stable_order(target)  # the steps by target, then step
+    position = np.arange(n)
+    # the next larger step with the same target; the step itself if none
+    later = position.copy()
+    same = np.flatnonzero(targets[1:] == targets[:-1])
+    later[steps[same]] = steps[same + 1]
+    # the first step that targets a position, else the position.  A chain
+    # starts at a step s = later[i] with target[s] = target[i] < s, and each
+    # link leads to a step whose target is its predecessor, so no position
+    # on a chain is targeted by its own step: each link goes to a larger step
+    chain = position.copy()
+    heads = np.flatnonzero(np.diff(targets, prepend=-1))
+    chain[targets[heads]] = steps[heads]
+    while True:  # each chain's end: the value its first position holds before its step
+        jumped = chain[chain]
+        if np.array_equal(jumped, chain):
+            break
+        chain = jumped
+    return np.where(later != position, chain[later], target)

@@ -38,5 +38,5 @@ def modularity(graph: Graph, assignment: np.ndarray) -> float:
     diag = internal & (rows == cols)
     w_c += np.bincount(labels[rows[diag]], weights=w[diag], minlength=n)
 
-    d_c = np.bincount(labels, weights=degree_weights(graph), minlength=n)
+    d_c = np.bincount(labels, weights=degree_weights(graph, rows), minlength=n)
     return float(w_c.sum() / total - np.square(d_c / total).sum())

@@ -67,7 +67,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, njit, prange
-from .graph import Graph, arc_rows, check_symmetric
+from .graph import Graph, _stable_order, arc_rows, check_symmetric
 from .prng import next_output, shuffled_indices
 from .quality import modularity
 from .result import DetectionResult, Held, Launch, check_ranges, hold
@@ -223,11 +223,10 @@ def _first_max(seen, weights, keys, counts, starts) -> np.ndarray:
     (every count at least 1); an arc carries the label ``seen`` by it, its
     weight and its vertex's key, a multiple of n (above every label) that
     no other vertex has.  Ties go to the label of the earliest arc in scan
-    order.
+    order.  One sort, `labelprop.graph._stable_order`, groups the arcs by
+    (vertex, label).
     """
-    key = keys + seen
-    by_key = np.argsort(key)
-    key = key[by_key]
+    by_key, key = _stable_order(keys + seen)
     group = np.empty(key.size, dtype=np.int64)  # (vertex, label) group of each sorted arc
     group[0] = 0
     np.cumsum(key[1:] != key[:-1], out=group[1:])

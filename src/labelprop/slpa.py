@@ -50,7 +50,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, kernel_args, njit, prange
-from .graph import Graph, arc_rows, check_symmetric
+from .graph import Graph, _stable_order, arc_rows, check_symmetric
 from .prng import refill, worker_states, xs32_stream
 from .quality import modularity
 from .rak import _concat_ranges, _first_max, _pick_from_tally
@@ -218,7 +218,7 @@ class _Rounds:
         waiting = np.bincount(waiters, minlength=n)
         heard = np.bincount(by_speaker, minlength=n)
         heard_to = np.cumsum(heard)
-        waiters = waiters[np.argsort(by_speaker)]
+        waiters = waiters[_stable_order(by_speaker)[0]]
         frontier = np.flatnonzero((waiting == 0) & (sp.counts > 0))
         while frontier.size:
             counts = sp.counts[frontier]

@@ -436,6 +436,23 @@ class TestSortOnce:
         assert_same_csr(csr_parts(got), two_sort_preprocess(raw, unit_weights, self_loops))
 
 
+class TestStableOrder:
+    """_stable_order is the stable argsort, packed or not."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, graph_module._PACKED_FROM, 5000])
+    @pytest.mark.parametrize("top", [1, 7, 2**20, 2**62 - 1, 2**63 - 1])
+    def test_matches_the_stable_argsort(self, size, top):
+        rng = np.random.default_rng(size)
+        # few distinct keys, so most repeat; a few keys, or keys near 2**62
+        # and above, which leave no room for the index, take the argsort
+        key = np.array(rng.choice([0, 1, top // 3, top - 1, top], size), dtype=np.int64)
+        order, sorted_key = graph_module._stable_order(key)
+        want = np.argsort(key, kind="stable")
+        assert order.dtype == sorted_key.dtype == np.int64
+        assert np.array_equal(order, want)
+        assert np.array_equal(sorted_key, key[want])
+
+
 class TestDegreeWeight:
     def test_triangle_with_self_loops(self, two_triangles):
         assert lp.degree_weights(two_triangles).tolist() == [4.0] * 6

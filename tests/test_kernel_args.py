@@ -197,9 +197,9 @@ def binding(name):
 def test_array_fed_kernels_match_list_fed(monkeypatch):
     fed_by_backend = _every_run()
     converting, refilling = binding("kernel_args"), binding("refill")
-    # the kernel launch, the shuffle and SLPA's grown memories turn arrays
-    # into lists; the backend only defines the conversion
-    assert set(converting) == {f"labelprop.{m}" for m in ("_backend", "prng", "result", "slpa")}
+    # the kernel launch and SLPA's grown memories turn arrays into lists;
+    # the backend only defines the conversion
+    assert set(converting) == {f"labelprop.{m}" for m in ("_backend", "result", "slpa")}
     assert set(refilling) == {"labelprop.prng", "labelprop.slpa"}
     called = set()
     for module in converting.values():

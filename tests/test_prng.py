@@ -1,13 +1,16 @@
 import numpy as np
+import pytest
 
 from helpers import stream_row
 from labelprop.prng import (
+    _ORDER_STREAM,
     ZERO_SEED_REPLACEMENT,
     mix_seed,
     next_output,
     shuffled_indices,
     worker_states,
     xs32_next,
+    xs32_stream,
 )
 
 
@@ -103,3 +106,34 @@ def test_shuffled_indices_is_a_seeded_permutation():
     assert np.array_equal(np.sort(order), np.arange(1000))
     assert np.array_equal(order, shuffled_indices(1000, 5))
     assert not np.array_equal(order, shuffled_indices(1000, 6))
+
+
+def fisher_yates(n: int, seed: int) -> list:
+    """The shuffle as a plain loop: position i, from n - 1 down to 1, swaps
+    with the next draw of the order stream modulo i + 1."""
+    draws = xs32_stream(mix_seed(seed & 0xFFFFFFFF, _ORDER_STREAM), n - 1).tolist()
+    order = list(range(n))
+    for k, i in enumerate(range(n - 1, 0, -1)):
+        j = draws[k] % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+def test_shuffled_indices_of_tiny_ranges_match_the_loop(n, seed):
+    assert shuffled_indices(n, seed).tolist() == fisher_yates(n, seed)
+
+
+def test_shuffled_indices_match_the_loop():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.integers(0, 5000), st.integers(-2**63, 2**63 - 1))
+    def check(n, seed):
+        order = shuffled_indices(n, seed)
+        assert order.dtype == np.int64
+        assert order.tolist() == fisher_yates(n, seed)
+
+    check()

@@ -4,7 +4,7 @@ import pytest
 import labelprop as lp
 from conftest import partition_matches
 from helpers import dense_tally, star, stream_row
-from labelprop import rak
+from labelprop import graph as graph_module, rak
 from labelprop.graph import arc_rows
 
 
@@ -150,6 +150,30 @@ class TestLevels:
             for i, lv in enumerate(rak._level_plan(g, order)):
                 level[lv.vertices] = i
             assert np.array_equal(level, want)
+
+    def test_first_max_with_unpackable_keys_matches_small_keys(self):
+        # keys of a huge n fill int64 so the sort cannot pack the arc index
+        # beside them (the argsort fallback); the picks must not change
+        rng = np.random.default_rng(4)
+        vertices, labels = 1000, 5
+        counts = rng.integers(1, 8, vertices)
+        assert counts.sum() >= graph_module._PACKED_FROM  # the small keys pack
+        starts = np.cumsum(counts) - counts
+        seen = rng.integers(0, labels, counts.sum())
+        weights = rng.choice([0.5, 1.0, 2.0], counts.sum())
+        local = np.arange(vertices, dtype=np.int64)
+        small = rak._first_max(seen, weights, np.repeat(local * labels, counts), counts, starts)
+        huge = 2**62 // vertices
+        assert (vertices - 1) * huge >= 2 ** (63 - int(counts.sum()).bit_length())
+        big = rak._first_max(seen, weights, np.repeat(local * huge, counts), counts, starts)
+        assert np.array_equal(small, big)
+        # and both pick the first label of largest tally in scan order
+        for i in range(vertices):
+            tally = {}
+            for lab, w in zip(seen[starts[i]:starts[i] + counts[i]].tolist(),
+                              weights[starts[i]:starts[i] + counts[i]].tolist()):
+                tally[lab] = tally.get(lab, 0.0) + w
+            assert small[i] == max(tally, key=lambda lab: tally[lab])  # first of the maxima
 
     @pytest.mark.skipif(lp.JIT_ENABLED, reason="compiled parallel runs race between threads")
     @pytest.mark.parametrize("name", sorted(level_graphs()))
