@@ -32,7 +32,7 @@ from ._backend import get_thread_id, njit, prange
 from .graph import Graph, check_symmetric
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, Held, Launch, check_ranges, hold
+from .result import DetectionResult, Held, Launch, check_ranges, hold, state_zeros
 
 
 @dataclass(frozen=True)
@@ -185,8 +185,8 @@ def copra_detect(
 
     def start():
         # both rows of every vertex start as its own label with belonging 1
-        labs = np.zeros(2 * n * L, dtype=np.int64)
-        bels = np.zeros(2 * n * L, dtype=np.float64)
+        labs = state_zeros(2 * n * L, np.int64)
+        bels = state_zeros(2 * n * L, np.float64)
         labs[::L] = np.repeat(np.arange(n), 2)
         bels[::L] = 1.0
         sizes = np.ones(2 * n, dtype=np.int64)

@@ -37,9 +37,10 @@ order, the order the kernel's ``tally[lab] += w`` adds in, so float
 sums and therefore ties are identical on weighted graphs too.
 Non-strict RAK keeps the list kernel: its tie draws follow the visit
 order through one xorshift stream, which levels cannot reproduce.
-COPRA keeps its kernel as well; interpreted strict SLPA runs in rounds
-that pick their labels with this module's level step, `_first_max`
-(`labelprop.slpa`).
+COPRA keeps its kernel as well.  Interpreted strict SLPA runs in rounds
+(`labelprop.slpa`) through the same level step: `_batch` gathers a
+batch's arcs, `_first_max` picks its labels and `_released` gives Kahn's
+next frontier.
 The list kernel evaluates a vertex only while its ``stale`` flag is set:
 cleared before its arcs are scanned (so a concurrent neighbor change
 under threads sets it again), set when it draws from the stream or a
@@ -180,6 +181,26 @@ class _Level(NamedTuple):
     starts: np.ndarray  # offset of each vertex's first arc
 
 
+def _batch(frontier, first_arc, degree, n):
+    """One batch's arcs, the step both interpreted strict paths share: the
+    ``degree[v]`` arcs from ``first_arc[v]`` of every frontier vertex v,
+    concatenated, each keyed by its vertex's index in the batch * n as
+    `_first_max` wants; returns ``(arcs, keys, counts, starts)``."""
+    counts = degree[frontier]
+    keys = np.repeat(np.arange(frontier.size, dtype=np.int64) * n, counts)
+    return _concat_ranges(first_arc[frontier], counts), keys, counts, np.cumsum(counts) - counts
+
+
+def _released(waiting, targets):
+    """Kahn's next frontier: count down the wait of every target (once per
+    occurrence) and return those that reached 0, ascending, once each."""
+    np.subtract.at(waiting, targets, 1)
+    ready = np.sort(targets[waiting[targets] == 0])  # np.unique would import numpy.ma
+    first = np.ones(ready.size, dtype=bool)
+    first[1:] = ready[1:] != ready[:-1]
+    return ready[first]
+
+
 def _level_plan(graph: Graph, order: np.ndarray) -> list[_Level]:
     """The levels in update order, from one walk of Kahn's frontier.
 
@@ -201,18 +222,10 @@ def _level_plan(graph: Graph, order: np.ndarray) -> list[_Level]:
     frontier = np.flatnonzero((waiting == 0) & (degree > 0))
     plan = []
     while frontier.size:
-        counts = degree[frontier]
-        arcs = _concat_ranges(graph.offsets[frontier], counts)
+        arcs, keys, counts, starts = _batch(frontier, graph.offsets, degree, n)
         neighbors = graph.neighbors[arcs]
-        plan.append(_Level(
-            frontier, neighbors, graph.weights[arcs],
-            np.repeat(np.arange(frontier.size, dtype=np.int64) * n, counts),
-            counts, np.cumsum(counts) - counts,
-        ))
-        targets = neighbors[later[arcs]]
-        np.subtract.at(waiting, targets, 1)
-        ready = np.sort(targets[waiting[targets] == 0])  # np.unique would import numpy.ma
-        frontier = ready[np.diff(ready, prepend=-1) != 0]
+        plan.append(_Level(frontier, neighbors, graph.weights[arcs], keys, counts, starts))
+        frontier = _released(waiting, neighbors[later[arcs]])
     return plan
 
 

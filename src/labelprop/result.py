@@ -61,6 +61,16 @@ def check_ranges(params):
             raise ValueError(f"{name} must be >= {least}")
 
 
+def state_zeros(size: int, dtype) -> np.ndarray:
+    """``np.zeros(size, dtype)`` for a detector's state.  A size numpy cannot
+    address (a ValueError from 2**60 int64 elements up) raises MemoryError,
+    as one it can address but not allocate does."""
+    try:
+        return np.zeros(size, dtype=dtype)
+    except ValueError:
+        raise MemoryError(f"Unable to allocate {size} values of {np.dtype(dtype)}") from None
+
+
 def run_key(params):
     """What a run of ``params`` has in common with every call that may
     continue it: the ``*Params`` class and its fields, less ``tolerance``

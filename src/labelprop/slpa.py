@@ -6,12 +6,12 @@ them) has every neighbor of a listener speak one uniformly random label
 from its filled slots; the listener tallies the spoken labels by arc
 weight and appends the winner (strict: first maximum in neighbor scan
 order; non-strict: random among maxima).  Self-loops do not speak, and a
-listener with no speaking neighbors appends its own current most popular
-label.  The run stops early once enough vertices append the same label
-they appended in the previous iteration.  That label is the memory's last
-filled slot, so the memory is the only state a vertex carries; in the
-first iteration the slot holds the vertex's own id, but repeats are
-counted toward stopping only from the second iteration on.
+listener with no speaking neighbors appends its own id, the only label
+its memory ever holds.  The run stops early once enough vertices append
+the same label they appended in the previous iteration.  That label is
+the memory's last filled slot, so the memory is the only state a vertex
+carries; in the first iteration the slot holds the vertex's own id, but
+repeats are counted toward stopping only from the second iteration on.
 
 Both paths below make one speaking iteration per call and return its
 repeat count; `labelprop.result.Held` runs them, at most ``memory_size -
@@ -53,8 +53,8 @@ from ._backend import JIT_ENABLED, get_thread_id, kernel_args, njit, prange
 from .graph import Graph, _stable_order, arc_rows, check_symmetric
 from .prng import refill, worker_states, xs32_stream
 from .quality import modularity
-from .rak import _concat_ranges, _first_max, _pick_from_tally
-from .result import DetectionResult, Held, Launch, check_ranges, hold
+from .rak import _batch, _concat_ranges, _first_max, _pick_from_tally, _released
+from .result import DetectionResult, Held, Launch, check_ranges, hold, state_zeros
 
 
 @dataclass(frozen=True)
@@ -69,25 +69,6 @@ class SlpaParams:
 
     def __post_init__(self):
         check_ranges(self)
-
-
-@njit(cache=True)
-def _modal_label(slots, first, stride, filled):
-    # most frequent of the filled slots first, first + stride, ...: one scan
-    # over the sorted memory, where the strict > keeps the smallest id among tied runs
-    memory = sorted(slots[first:first + filled * stride:stride])
-    best = memory[0]
-    best_count = 0
-    run = 0
-    for i in range(len(memory)):
-        if i > 0 and memory[i] == memory[i - 1]:
-            run += 1
-        else:
-            run = 1
-        if run > best_count:
-            best = memory[i]
-            best_count = run
-    return best
 
 
 @njit(cache=True, parallel=True)
@@ -129,8 +110,7 @@ def _slpa(
                 tally[lab] += weights[e]
             cursors[tid] = k
             if count == 0:
-                # no speakers: fall back to the listener's own most popular label
-                lab = _modal_label(slots, v, n, filled[v])
+                lab = v  # no speakers: the modal label of a memory of v alone
             else:
                 lab = _pick_from_tally(touched, tally, count, strict, stream, cursors, tid)
                 for i in range(count):
@@ -145,8 +125,8 @@ def _slpa(
 
 
 def _modal_labels(block: np.ndarray) -> np.ndarray:
-    """The modal label of each column of a (slots x vertices) block, as
-    `_modal_label` reads it: sorted, the first of the longest runs wins."""
+    """The modal label of each column of a (slots x vertices) block: sorted,
+    the first of the longest runs wins, so ties go to the smallest id."""
     block = np.sort(block, axis=0)
     rows = np.arange(len(block))[:, None]
     # the row where each sorted run starts, carried down the run
@@ -190,9 +170,10 @@ class _Rounds:
     only when u < v and the slot is t.  Listeners whose arcs read no such
     slot go in the first round; Kahn's frontier then takes each listener
     once every speaker whose newest slot it reads has appended, and each
-    round picks its listeners' labels in one batch, as strict RAK's levels
-    do (`labelprop.rak._first_max`).  On the symmetric graphs
-    `slpa_detect` accepts, nobody waits for a vertex without speakers.
+    round picks its listeners' labels in one batch by strict RAK's level
+    step (`labelprop.rak._batch`, `_first_max`, `_released`).  On the
+    symmetric graphs `slpa_detect` accepts, nobody waits for a vertex
+    without speakers.
     """
 
     def __init__(self, plan: _Speakers, slots: np.ndarray, filled: np.ndarray, x: int):
@@ -210,30 +191,21 @@ class _Rounds:
         read *= n
         read += sp.speakers
         new = slots[t * n:(t + 1) * n]
-        # a vertex nobody speaks to appends its modal label: its own id, always
+        # a vertex nobody speaks to appends its own id, as the kernel does
         new[sp.quiet] = sp.quiet
         # Kahn's frontier: how many speakers each listener waits for, and
         # the waiting listeners grouped by speaker
         waiters, by_speaker = sp.listeners[waits], sp.speakers[waits]
         waiting = np.bincount(waiters, minlength=n)
         heard = np.bincount(by_speaker, minlength=n)
-        heard_to = np.cumsum(heard)
+        heard_from = np.cumsum(heard) - heard
         waiters = waiters[_stable_order(by_speaker)[0]]
         frontier = np.flatnonzero((waiting == 0) & (sp.counts > 0))
         while frontier.size:
-            counts = sp.counts[frontier]
-            arcs = _concat_ranges(sp.starts[frontier], counts)
-            new[frontier] = _first_max(
-                slots[read[arcs]], sp.weights[arcs], np.repeat(frontier * n, counts),
-                counts, np.cumsum(counts) - counts,
-            )
-            heard_here = heard[frontier]
-            targets = waiters[_concat_ranges(heard_to[frontier] - heard_here, heard_here)]
-            np.subtract.at(waiting, targets, 1)
-            frontier = np.sort(targets[waiting[targets] == 0])
-            first = np.ones(frontier.size, dtype=bool)
-            first[1:] = frontier[1:] != frontier[:-1]
-            frontier = frontier[first]
+            arcs, keys, counts, starts = _batch(frontier, sp.starts, sp.counts, n)
+            new[frontier] = _first_max(slots[read[arcs]], sp.weights[arcs], keys, counts, starts)
+            targets = waiters[_concat_ranges(heard_from[frontier], heard[frontier])]
+            frontier = _released(waiting, targets)
         filled += 1
         return int(np.count_nonzero(new == slots[(t - 1) * n:t * n]))
 
@@ -258,7 +230,7 @@ def slpa_detect(
     n, M = graph.vertex_count, params.memory_size
 
     def start():
-        slots = np.zeros(n * M, dtype=np.int64)
+        slots = state_zeros(n * M, np.int64)
         slots[:n] = np.arange(n)
         filled = np.ones(n, dtype=np.int64)
         if params.strict and not JIT_ENABLED:
@@ -271,7 +243,8 @@ def slpa_detect(
         # the filled counts, stream rows and cursors stay
         kept = len(run.state[0])
         if kept < n * M:
-            slots = np.pad(np.asarray(run.state[0], dtype=np.int64), (0, n * M - kept))
+            slots = state_zeros(n * M, np.int64)
+            slots[:kept] = run.state[0]
             if isinstance(run, Launch):
                 (slots,) = kernel_args(slots)
             run.state = slots, run.state[1]

@@ -325,14 +325,22 @@ class TestSweep:
 
 
 PETA = "100000000000000"  # a state of this many labels per vertex needs petabytes
+STATE_FLAGS = {
+    "detect-copra": ["detect", "--algorithm", "copra", "--max-labels"],
+    "detect-slpa": ["detect", "--algorithm", "slpa", "--memory-size"],
+    "sweep-copra": ["sweep", "--algorithm", "copra", "--max-labels-grid"],
+    "sweep-slpa": ["sweep", "--algorithm", "slpa", "--memory-sizes"],
+}
 
 
+# from 2**60 int64 elements numpy raises ValueError, not MemoryError; the
+# last case grows a held memory-4 run's slots
 @pytest.mark.parametrize("argv", [
-    ["detect", "--algorithm", "copra", "--max-labels", PETA],
-    ["detect", "--algorithm", "slpa", "--memory-size", PETA],
-    ["sweep", "--algorithm", "copra", "--max-labels-grid", PETA],
-    ["sweep", "--algorithm", "slpa", "--memory-sizes", PETA],
-], ids=["detect-copra", "detect-slpa", "sweep-copra", "sweep-slpa"])
+    *(pytest.param([*flags, size], id=name + suffix)
+      for suffix, size in (("", PETA), ("-1e18", str(10**18)), ("-1e19", str(10**19)))
+      for name, flags in STATE_FLAGS.items()),
+    pytest.param([*STATE_FLAGS["sweep-slpa"], f"4,{10**19}"], id="sweep-slpa-grown-1e19"),
+])
 def test_a_state_too_large_to_allocate_ends_with_one_line(tri2, capsys, argv):
     # the request fails before anything is allocated
     assert main([*argv, "--input", str(tri2)]) == 1

@@ -274,6 +274,77 @@ class TestOnePass:
         assert_same_plan(rak._level_plan(g, order), two_pass_plan(g, order))
 
 
+class TestLevelStep:
+    """The batch gather and the frontier release that strict RAK's levels
+    and strict SLPA's rounds share."""
+
+    def test_batch_is_the_per_vertex_slices(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def cases(draw):
+            degree = np.array(draw(st.lists(st.integers(0, 5), max_size=30)), dtype=np.int64)
+            picked = draw(st.lists(st.sampled_from(range(len(degree))), unique=True)
+                          if len(degree) else st.just([]))
+            return degree, np.array(picked, dtype=np.int64), draw(st.integers(1, 2**40))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            degree, frontier, n = case
+            first_arc = np.cumsum(degree) - degree + 7  # slices need not start at 0
+            arcs, keys, counts, starts = rak._batch(frontier, first_arc, degree, n)
+            at = 0
+            for i, v in enumerate(frontier.tolist()):
+                assert counts[i] == degree[v] and starts[i] == at
+                got = slice(at, at + degree[v])
+                assert arcs[got].tolist() == list(range(first_arc[v], first_arc[v] + degree[v]))
+                assert keys[got].tolist() == [i * n] * degree[v]
+                at += degree[v]
+            assert arcs.size == keys.size == at
+            assert arcs.dtype == keys.dtype == np.int64
+
+        check()
+
+    def test_released_walks_a_dag_in_kahn_levels(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def dags(draw):
+            # arcs from earlier to later vertices of a random order, repeats allowed
+            n = draw(st.integers(0, 30))
+            rank = draw(st.permutations(range(n)))
+            pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+            arcs = [(rank[min(a, b)], rank[max(a, b)])
+                    for a, b in draw(st.lists(pairs, max_size=3 * n)) if n and a != b]
+            return n, rank, arcs
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(dags())
+        def check(dag):
+            n, rank, arcs = dag
+            # the oracle: a vertex's level is 1 + the highest of its predecessors'
+            level = [0] * n
+            for v in rank:
+                level[v] = max((level[u] + 1 for u, w in arcs if w == v), default=0)
+            successors = [[w for u, w in arcs if u == v] for v in range(n)]
+            waiting = np.bincount(np.array([w for _, w in arcs], dtype=np.int64), minlength=n)
+            frontier = np.flatnonzero(waiting == 0)
+            depth, seen = 0, []
+            while frontier.size:
+                assert frontier.tolist() == [v for v in range(n) if level[v] == depth]
+                seen += frontier.tolist()
+                targets = [w for v in frontier.tolist() for w in successors[v]]
+                frontier = rak._released(waiting, np.array(targets, dtype=np.int64))
+                depth += 1
+            assert sorted(seen) == list(range(n))  # each vertex exactly once
+            assert not waiting.any()
+
+        check()
+
+
 # Planted partitions (groups, group size, p_in, p_out, graph seed) and the
 # bound: RAK's mean Q over seeds 1-5, in each mode at the default
 # tolerance, may trail networkx's asynchronous LPA over the same seeds by

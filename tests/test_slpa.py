@@ -6,7 +6,6 @@ import pytest
 
 import labelprop as lp
 from labelprop import slpa
-from labelprop._backend import kernel_args
 from conftest import partition_matches, requires_jit
 from helpers import slpa_run
 
@@ -133,11 +132,19 @@ class TestDetect:
             lp.slpa_detect(lp.from_arcs(2, [0], [1], [1.0]))
 
 
-def modal(memory, before=(), after=()):
-    """`_modal_label` on ``memory``, stored between other slots in one flat
-    row at stride 1 and handed over as the kernels get their state."""
-    (slots,) = kernel_args(np.array([*before, *memory, *after], dtype=np.int64))
-    return slpa._modal_label(slots, len(before), 1, len(memory))
+def counted_modal(memory):
+    """The modal label by counting: the most frequent, ties to the smallest id."""
+    counts = Counter(memory)
+    top = max(counts.values())
+    return min(lab for lab, c in counts.items() if c == top)
+
+
+def modal(memory, beside=0):
+    """`_modal_labels` of ``memory`` as one column of a (slots x vertices)
+    block, with ``beside`` columns of other labels on each side of it."""
+    column = np.array(memory, dtype=np.int64)[:, None]
+    other = np.ones((len(memory), beside), dtype=np.int64)
+    return slpa._modal_labels(np.hstack([-60 * other, column, 60 * other]))[beside]
 
 
 class TestMostPopularLabel:
@@ -154,11 +161,6 @@ class TestMostPopularLabel:
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
 
-        def oracle(memory):
-            counts = Counter(memory)
-            top = max(counts.values())
-            return min(lab for lab, c in counts.items() if c == top)
-
         # a three-way tie repeated, then padded with other ids, then shuffled
         tie = st.tuples(st.lists(st.integers(-50, 50), min_size=3, max_size=3, unique=True),
                         st.integers(1, 6), st.lists(st.integers(-50, 50), max_size=20))
@@ -171,9 +173,9 @@ class TestMostPopularLabel:
         @hypothesis.settings(max_examples=300, deadline=None)
         @hypothesis.given(memory=memories)
         def check(memory):
-            want = oracle(memory)
+            want = counted_modal(memory)
             assert modal(memory) == want
-            assert modal(memory, before=[-60] * 3, after=[60] * 5) == want  # one row of many
+            assert modal(memory, beside=3) == want  # one column of many
 
         check()
 
@@ -191,8 +193,7 @@ class TestMostPopularLabel:
         def check(shape, labels):
             t, n = shape
             block = np.array(labels[: t * n], dtype=np.int64).reshape(t, n)
-            (slots,) = kernel_args(block.ravel())
-            want = [slpa._modal_label(slots, v, n, t) for v in range(n)]
+            want = [counted_modal(block[:, v].tolist()) for v in range(n)]
             assert slpa._modal_labels(block).tolist() == want
 
         check()
