@@ -10,10 +10,11 @@ the decorator is a no-op and the identical source runs through the
 interpreter instead.  The one kernel launch (`labelprop.result.Launch`)
 then hands the kernels Python lists (:func:`kernel_args`), because
 reading a list element is far cheaper than building a numpy scalar; the
-results are bit-identical to the array-fed kernels.  (Strict RAK and
-strict SLPA are the exceptions: interpreted, they run in batches with
-numpy, with the same results; see `labelprop.rak` and
-`labelprop.slpa`.)  On a 2-vCPU x86-64 VM without numba, lists rather
+results are bit-identical to the array-fed kernels.  (Strict RAK,
+strict SLPA and COPRA are the exceptions: interpreted, the first two run
+in batches with numpy and COPRA on per-vertex label rows in plain Python,
+with the same results; see `labelprop.rak`, `labelprop.slpa` and
+`labelprop.copra`.)  On a 2-vCPU x86-64 VM without numba, lists rather
 than arrays cut the wall time of the ``perfbench`` ``sweep-planted-rak``
 workload from 6.60 s to 1.80 s (median of 10 paired runs).  The compiled-versus-interpreted ratio
 has not been measured since; running ``perfbench`` with and without

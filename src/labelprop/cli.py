@@ -207,13 +207,19 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         return _usage_error(args, exc)
     job = partial(_sweep_graph, args, spec)
+    # the header goes out with the first rows, so a sweep that fails before
+    # any row (say, a state too large to allocate) writes no CSV at all
+    header = CSV_HEADER + "\n"
     with _output(args.output) as out:
-        print(CSV_HEADER, file=out, flush=True)
         with _mapped(job, args.input, sweep_jobs(spec, len(args.input))) as results:
             for rows, skipped in results:
+                if rows and header:
+                    out.write(header)
+                    header = ""
                 out.write(rows)
                 out.flush()
                 sys.stderr.write(skipped)
+        out.write(header)  # no inputs, or every one skipped: the header alone
     return 0
 
 

@@ -14,22 +14,33 @@ vertices whose best label changed drops to the tolerance.
 The disjoint projection is each vertex's best label (maximum belonging,
 ties to the smallest label id).
 
-The kernel makes one iteration per call and returns its changed count;
-`labelprop.result.Held` runs it, stops once ``changed <= tolerance * n``
-or at ``max_iterations``, and keeps the run's state (both label rows of
-every vertex, the best labels, stream rows and cursors) for a later call
-to continue.
+Which code runs.  Compiled (numba), the per-vertex kernel `_copra` runs
+on ``workers`` threads.  Interpreted, COPRA runs on per-vertex label rows
+(`_Rows`) for any ``workers`` (the interpreted kernel has one worker):
+tuples of (label, belonging) pairs, tallied in a dict whose insertion
+order is the kernel's scan order, so rows, best labels, draws and
+iteration counts are bit-for-bit the kernel's.  A fallback draw's place
+in the stream depends on every earlier vertex's update, so the updates
+stay one vertex at a time.
+
+Both paths make one iteration per call and return its changed count;
+`labelprop.result.Held` runs them, stops once ``changed <= tolerance *
+n`` or at ``max_iterations``, and keeps the run's state (the label rows,
+the best labels and the stream's position) for a later call to
+continue.  A graph's handles share its arc lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import ClassVar
 
 import numpy as np
 
-from ._backend import get_thread_id, njit, prange
-from .graph import Graph, check_symmetric
+from ._backend import JIT_ENABLED, get_thread_id, njit, prange
+from .graph import Graph, arc_rows, check_symmetric
+from .prng import worker_states, xs32_stream
 from .quality import modularity
 from .rak import _pick_from_tally
 from .result import DetectionResult, Held, Launch, check_ranges, hold, state_zeros
@@ -173,6 +184,109 @@ def _copra(
     return changed
 
 
+def _arc_lists(graph: Graph) -> tuple[list, list]:
+    """Each vertex's arcs less its self-loop, in CSR order, as two lists per
+    vertex: its neighbors and the arcs' weights."""
+    rows = arc_rows(graph)
+    keep = graph.neighbors != rows
+    ends = np.cumsum(np.bincount(rows[keep], minlength=graph.vertex_count)).tolist()
+    starts = [0, *ends[:-1]]
+    neighbors, weights = graph.neighbors[keep].tolist(), graph.weights[keep].tolist()
+    return (
+        [neighbors[a:b] for a, b in zip(starts, ends)],
+        [weights[a:b] for a, b in zip(starts, ends)],
+    )
+
+
+class _Rows:
+    """An interpreted run on per-vertex label rows, called as a `Launch` is.
+
+    Vertex v's live row is a tuple of ``(label, belonging)`` pairs, sorted
+    by label, and ``best[v]`` its best label.  An update tallies its
+    neighbors' rows in a dict: its insertion order is the kernel's
+    ``touched`` scan order, so the sums, the total, the first
+    ``max_labels`` labels to reach the threshold, the renormalised row,
+    the best label and a fallback's tie are the kernel's to the bit.  A
+    vertex draws at most once per iteration, so the iteration's first draw
+    takes one block of n values of worker 0's stream (`xs32_stream`), and
+    ``x`` keeps the last value read.
+
+    ``state`` is the kernel's layout, ``(labs, bels, sizes, pub, best)``,
+    written on demand from the rows into zeros allocated at the start.
+    Vertex v's published row (row 2v; the other is left empty) holds what
+    an in-place sweep would, dead entries past the live ones included, as
+    the kernel's published rows do; ``placed[v]`` keeps that whole row as
+    a tuple of pairs.
+    """
+
+    def __init__(self, arcs, layout, max_labels, x):
+        self.arcs, self.layout, self.max_labels, self.x = arcs, layout, max_labels, x
+        n = len(layout[-1])
+        self.rows = [((v, 1.0),) for v in range(n)]
+        self.placed = list(self.rows)
+        self.best = list(range(n))
+
+    def __call__(self) -> int:
+        (neighbors, weights), L = self.arcs, self.max_labels
+        rows, placed, best = self.rows, self.placed, self.best
+        tally = {}
+        add = tally.get
+        block, read = None, 0
+        changed = 0
+        for v in range(len(rows)):
+            for u, w in zip(neighbors[v], weights[v]):
+                for lab, b in rows[u]:
+                    tally[lab] = add(lab, 0.0) + b * w
+            if not tally:
+                row = ((v, 1.0),)
+            else:
+                total = 0.0
+                for w in tally.values():
+                    total += w
+                kept = [(lab, w) for lab, w in tally.items() if w * L >= total][:L]
+                if kept:
+                    total = 0.0
+                    for _, w in kept:
+                        total += w
+                    inv = 1.0 / total
+                    row = tuple(sorted([(lab, w * inv) for lab, w in kept]))
+                else:
+                    # one maximum label; a tie takes the next value of the stream
+                    top = max(tally.values())
+                    tied = [lab for lab, w in tally.items() if w == top]
+                    pick = 0
+                    if len(tied) > 1:
+                        if block is None:
+                            block = xs32_stream(self.x, len(rows)).tolist()
+                        pick = block[read] % len(tied)
+                        read += 1
+                    row = ((tied[pick], 1.0),)
+                tally.clear()
+            rows[v] = row
+            k = len(row)
+            was = placed[v]
+            placed[v] = row if k >= len(was) else row + was[k:]
+            new = row[0][0] if k == 1 else max(row, key=itemgetter(1))[0]
+            if new != best[v]:
+                best[v] = new
+                changed += 1
+        if read:
+            self.x = block[read - 1]
+        return changed
+
+    @property
+    def state(self):
+        labs, bels, sizes, pub, best = self.layout
+        L = self.max_labels
+        for r, row in zip(pub.tolist(), self.placed):
+            labs[r * L:r * L + len(row)] = [lab for lab, _ in row]
+            bels[r * L:r * L + len(row)] = [b for _, b in row]
+        sizes[:] = 0
+        sizes[pub] = [len(row) for row in self.rows]
+        best[:] = self.best
+        return self.layout
+
+
 def copra_detect(
     graph: Graph, params: CopraParams | None = None, held: Held | None = None
 ) -> DetectionResult:
@@ -184,17 +298,24 @@ def copra_detect(
     n, L = graph.vertex_count, params.max_labels
 
     def start():
-        # both rows of every vertex start as its own label with belonging 1
         labs = state_zeros(2 * n * L, np.int64)
         bels = state_zeros(2 * n * L, np.float64)
-        labs[::L] = np.repeat(np.arange(n), 2)
-        bels[::L] = 1.0
         sizes = np.ones(2 * n, dtype=np.int64)
         pub = np.arange(0, 2 * n, 2, dtype=np.int64)
         state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
+        if not JIT_ENABLED:
+            # untouched until `state` is read, the zeros take no memory
+            arcs = held.keep("arc lists", lambda: _arc_lists(graph))
+            return _Rows(arcs, state, L, int(worker_states(params.seed, 1)[0]))
+        # both rows of every vertex start as its own label with belonging 1
+        labs[::L] = np.repeat(np.arange(n), 2)
+        bels[::L] = 1.0
         return Launch(_copra, held, params, state, (L,), n)
+
+    def read(run):
+        return np.array(run.best if isinstance(run, _Rows) else run.state[-1], dtype=np.int64)
 
     return held.go(
         params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
-        lambda run: np.array(run.state[-1], dtype=np.int64), modularity,
+        read, modularity,
     )

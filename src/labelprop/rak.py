@@ -37,10 +37,10 @@ order, the order the kernel's ``tally[lab] += w`` adds in, so float
 sums and therefore ties are identical on weighted graphs too.
 Non-strict RAK keeps the list kernel: its tie draws follow the visit
 order through one xorshift stream, which levels cannot reproduce.
-COPRA keeps its kernel as well.  Interpreted strict SLPA runs in rounds
-(`labelprop.slpa`) through the same level step: `_batch` gathers a
-batch's arcs, `_first_max` picks its labels and `_released` gives Kahn's
-next frontier.
+Interpreted COPRA runs on per-vertex label rows (`labelprop.copra`), not
+in levels.  Interpreted strict SLPA runs in rounds (`labelprop.slpa`)
+through the same level step: `_batch` gathers a batch's arcs,
+`_first_max` picks its labels and `_released` gives Kahn's next frontier.
 The list kernel evaluates a vertex only while its ``stale`` flag is set:
 cleared before its arcs are scanned (so a concurrent neighbor change
 under threads sets it again), set when it draws from the stream or a

@@ -171,8 +171,9 @@ class Held:
     one standalone run to the current tolerance takes.  ``memo``, a dict
     the handles of one graph may share, keeps what their runs have in
     common (`keep`): the graph's symmetry check, its kernel copy, RAK's
-    visit order and level plan per seed, and SLPA's speaking arcs.  A
-    handle holds its run's whole kernel state until it is dropped.
+    visit order and level plan per seed, SLPA's speaking arcs and COPRA's
+    arc lists.  A handle holds its run's whole kernel state until it is
+    dropped.
     """
 
     def __init__(self, graph, memo=None):

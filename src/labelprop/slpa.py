@@ -51,7 +51,7 @@ import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, kernel_args, njit, prange
 from .graph import Graph, _stable_order, arc_rows, check_symmetric
-from .prng import refill, worker_states, xs32_stream
+from .prng import refill, worker_states, xs32_blocks
 from .quality import modularity
 from .rak import _batch, _concat_ranges, _first_max, _pick_from_tally, _released
 from .result import DetectionResult, Held, Launch, check_ranges, hold, state_zeros
@@ -160,7 +160,8 @@ def _speaking_arcs(graph: Graph) -> _Speakers:
 
 class _Rounds:
     """A strict run in numpy rounds, called as a `Launch` is; its state is
-    ``(slots, filled)``, and ``x`` is the last stream output it read.
+    ``(slots, filled)``, and ``draws`` gives each iteration's stream values
+    (`xs32_blocks` after worker 0's state ``x``).
 
     In iteration t every memory holds t slots, and a listener's arcs read
     one stream value each, in CSR order, so the iteration's draws are one
@@ -177,15 +178,14 @@ class _Rounds:
     """
 
     def __init__(self, plan: _Speakers, slots: np.ndarray, filled: np.ndarray, x: int):
-        self.plan, self.state, self.x = plan, (slots, filled), x
+        self.plan, self.state = plan, (slots, filled)
+        self.draws = xs32_blocks(x, len(plan.speakers))
 
     def __call__(self) -> int:
         sp, (slots, filled) = self.plan, self.state
         n, t = len(filled), int(filled[0])
         # each arc's draw, made in place the slot it reads, then that slot's index
-        read = xs32_stream(self.x, len(sp.speakers))
-        if read.size:
-            self.x = int(read[-1])
+        read = next(self.draws)
         np.remainder(read, t + sp.earlier, out=read)
         waits = np.flatnonzero(read == t)  # the arcs that read this iteration's slot
         read *= n

@@ -7,7 +7,7 @@ import pytest
 from labelprop.cli import main
 from labelprop.graph import load_graph, preprocess
 from labelprop.slpa import SlpaParams
-from labelprop.sweep import SweepSpec, run_one, run_sweep
+from labelprop.sweep import CSV_HEADER, SweepSpec, run_one, run_sweep
 from labelprop.synth import ring_of_cliques
 
 TRI2_MTX = """%%MatrixMarket matrix coordinate pattern symmetric
@@ -235,6 +235,14 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0].startswith(str(tri2))
 
+    def test_every_graph_skipped_emits_header_only(self, tmp_path):
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate pattern general\n2 2 1\n9 9\n")
+        proc = run_cli("sweep", "--algorithm", "rak", "--input", str(bad), str(bad))
+        assert proc.returncode == 0
+        assert proc.stderr.count("skipping") == 2
+        assert proc.stdout.splitlines() == [CSV_HEADER]
+
     @pytest.mark.parametrize("option, value", [
         ("--workers-grid", "0"),
         ("--repetitions", "0"),
@@ -342,9 +350,12 @@ STATE_FLAGS = {
     pytest.param([*STATE_FLAGS["sweep-slpa"], f"4,{10**19}"], id="sweep-slpa-grown-1e19"),
 ])
 def test_a_state_too_large_to_allocate_ends_with_one_line(tri2, capsys, argv):
-    # the request fails before anything is allocated
+    # the request fails before anything is allocated, and before a sweep
+    # writes its CSV header
     assert main([*argv, "--input", str(tri2)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("labelprop: Unable to allocate")
 

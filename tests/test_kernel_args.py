@@ -3,10 +3,13 @@
 Where numba is missing the kernel launch hands the interpreted kernels
 Python lists (``kernel_args``); compiled kernels always receive numpy
 arrays.
-The golden hashes pin the full detector state on two graphs, and the
+The golden hashes pin the full detector state on three graphs, and the
 equivalence test runs the same kernels on arrays, which checks the
 flat-row index arithmetic, and the loop that refills stream rows under
-numba, without needing numba.
+numba, without needing numba.  Interpreted strict SLPA and COPRA run
+without their kernels (`slpa._Rounds`, `copra._Rows`), so the test also
+launches those kernels, with ``JIT_ENABLED`` patched on, as compiled runs
+do.
 """
 
 import hashlib
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import prng, slpa
+from labelprop import copra, prng, slpa
 from labelprop._backend import kernel_args
 from helpers import copra_run, slpa_run
 
@@ -179,10 +182,16 @@ def _every_run():
                 )
             runs[name, "slpa-launch", workers] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
-                best, it, (labs, bels, sizes) = copra_run(
-                    g, lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
-                )
+                params = lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
+                best, it, (labs, bels, sizes) = copra_run(g, params)
                 runs[name, "copra", workers, max_labels] = (it, digest(best, labs, bels, sizes))
+                # COPRA runs the kernel only compiled; run it here too, and it
+                # must equal the label rows' run
+                with mock.patch.object(copra, "JIT_ENABLED", True):
+                    best, it, (labs, bels, sizes) = copra_run(g, params)
+                launched = (it, digest(best, labs, bels, sizes))
+                assert launched == runs[name, "copra", workers, max_labels]
+                runs[name, "copra-launch", workers, max_labels] = launched
     return runs
 
 
