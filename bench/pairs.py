@@ -13,8 +13,10 @@ It runs, in order:
    workload (parent first on even-indexed seeds, change first on odd ones;
    seeds outer, workloads inner), each run in its own checkout, and
    summarises every end-to-end metric per workload: each side's median and
-   quartiles, the pairs the change wins, and whether the change's median is
-   within the bound BENCHMARK.json sets.
+   quartiles, those of the paired differences (change - parent, which
+   cancel what the seeds' graphs add to both sides' spread), the pairs the
+   change wins, and whether the change's median is within the bound
+   BENCHMARK.json sets.
 2. ``--claim WORKLOAD:METRIC`` checks a claimed gain: the change wins at
    least 9 of 10 pairs and its median gain exceeds the parent's
    interquartile range.  ``--claim none`` claims nothing and records only
@@ -83,7 +85,8 @@ def quartiles(values):
 
 
 def summarise(runs, bounds):
-    """Per metric: each side's quartiles, pairs won and the bound check.
+    """Per metric: each side's quartiles, the quartiles of the paired
+    differences (change - parent, per pair), pairs won and the bound check.
     The i-th parent run and the i-th change run are a pair."""
     out = {}
     for metric, (bound, better) in bounds.items():
@@ -96,7 +99,9 @@ def summarise(runs, bounds):
         change_pct = 100.0 * (change["median"] - parent["median"]) / parent["median"]
         worse_pct = change_pct if lower else -change_pct
         out[metric] = {
-            "parent": parent, "change": change, "change_better_pairs": won,
+            "parent": parent, "change": change,
+            "paired_difference": quartiles([c - p for p, c in pairs]),
+            "change_better_pairs": won,
             "equal_pairs": sum(p == c for p, c in pairs), "pairs": len(pairs),
             "median_change_pct": round(change_pct, 2), "bound": bound,
             "within_bound": worse_pct <= 100.0 * bound,

@@ -18,10 +18,11 @@ Which code runs.  Compiled (numba), the per-vertex kernel `_copra` runs
 on ``workers`` threads.  Interpreted, COPRA runs on per-vertex label rows
 (`_Rows`) for any ``workers`` (the interpreted kernel has one worker):
 tuples of (label, belonging) pairs, tallied in a dict whose insertion
-order is the kernel's scan order, so rows, best labels, draws and
-iteration counts are bit-for-bit the kernel's.  A fallback draw's place
-in the stream depends on every earlier vertex's update, so the updates
-stay one vertex at a time.
+order is the kernel's scan order, with ties drawn from a stream row read
+as the kernel reads worker 0's (`labelprop.prng.next_output`), so rows,
+best labels, draws and iteration counts are bit-for-bit the kernel's.
+A fallback draw's place in the stream depends on every earlier vertex's
+update, so the updates stay one vertex at a time.
 
 Both paths make one iteration per call and return its changed count;
 `labelprop.result.Held` runs them, stops once ``changed <= tolerance *
@@ -40,10 +41,10 @@ import numpy as np
 
 from ._backend import JIT_ENABLED, get_thread_id, njit, prange
 from .graph import Graph, arc_rows, check_symmetric
-from .prng import worker_states, xs32_stream
+from .prng import next_output, stream_rows, worker_states
 from .quality import modularity
 from .rak import _pick_from_tally
-from .result import DetectionResult, Held, Launch, check_ranges, hold, state_zeros
+from .result import STREAM_CAP, DetectionResult, Held, Launch, check_ranges, hold, state_zeros
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,10 @@ class _Rows:
     ``touched`` scan order, so the sums, the total, the first
     ``max_labels`` labels to reach the threshold, the renormalised row,
     the best label and a fallback's tie are the kernel's to the bit.  A
-    vertex draws at most once per iteration, so the iteration's first draw
-    takes one block of n values of worker 0's stream (`xs32_stream`), and
-    ``x`` keeps the last value read.
+    tie reads worker 0's stream through `next_output`, as the kernel's
+    worker 0 does: ``stream`` is its row and cursor
+    (`labelprop.prng.stream_rows`), n values long (a vertex draws at most
+    once per iteration) but at most `STREAM_CAP` and at least 1.
 
     ``state`` is the kernel's layout, ``(labs, bels, sizes, pub, best)``,
     written on demand from the rows into zeros allocated at the start.
@@ -219,9 +221,11 @@ class _Rows:
     a tuple of pairs.
     """
 
-    def __init__(self, arcs, layout, max_labels, x):
-        self.arcs, self.layout, self.max_labels, self.x = arcs, layout, max_labels, x
+    def __init__(self, arcs, layout, max_labels, seed):
+        self.arcs, self.layout, self.max_labels = arcs, layout, max_labels
         n = len(layout[-1])
+        rows, cursors = stream_rows(worker_states(seed, 1), max(min(n, STREAM_CAP), 1))
+        self.stream = rows[0].tolist(), cursors.tolist()
         self.rows = [((v, 1.0),) for v in range(n)]
         self.placed = list(self.rows)
         self.best = list(range(n))
@@ -231,7 +235,6 @@ class _Rows:
         rows, placed, best = self.rows, self.placed, self.best
         tally = {}
         add = tally.get
-        block, read = None, 0
         changed = 0
         for v in range(len(rows)):
             for u, w in zip(neighbors[v], weights[v]):
@@ -254,12 +257,7 @@ class _Rows:
                     # one maximum label; a tie takes the next value of the stream
                     top = max(tally.values())
                     tied = [lab for lab, w in tally.items() if w == top]
-                    pick = 0
-                    if len(tied) > 1:
-                        if block is None:
-                            block = xs32_stream(self.x, len(rows)).tolist()
-                        pick = block[read] % len(tied)
-                        read += 1
+                    pick = next_output(*self.stream, 0) % len(tied) if len(tied) > 1 else 0
                     row = ((tied[pick], 1.0),)
                 tally.clear()
             rows[v] = row
@@ -270,8 +268,6 @@ class _Rows:
             if new != best[v]:
                 best[v] = new
                 changed += 1
-        if read:
-            self.x = block[read - 1]
         return changed
 
     @property
@@ -306,7 +302,7 @@ def copra_detect(
         if not JIT_ENABLED:
             # untouched until `state` is read, the zeros take no memory
             arcs = held.keep("arc lists", lambda: _arc_lists(graph))
-            return _Rows(arcs, state, L, int(worker_states(params.seed, 1)[0]))
+            return _Rows(arcs, state, L, params.seed)
         # both rows of every vertex start as its own label with belonging 1
         labs[::L] = np.repeat(np.arange(n), 2)
         bels[::L] = 1.0

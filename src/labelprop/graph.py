@@ -133,21 +133,34 @@ def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: boo
                  total_weight=float(w.sum() + w[u == v].sum()), symmetric=symmetric)
 
 
+def whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError naming ``what`` unless each
+    is a whole number.  An integer array is converted unchecked."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and infinities cast to junk, caught below
+        ints = values.astype(np.int64)
+    if not np.array_equal(ints, values):
+        raise ValueError(f"{what} must be whole numbers")
+    return ints
+
+
 def from_arcs(vertex_count: int, u, v, w) -> Graph:
     """Build a CSR graph from arc arrays, merging duplicate arcs by weight sum.
 
     Duplicates are summed in input order (`_merge` with `np.add`).
     ``vertex_count`` is an integer in ``[0, MAX_VERTICES]``, every endpoint
-    must lie in ``[0, vertex_count)``, ``u``, ``v`` and ``w`` must have one
-    length and every weight must be finite and positive.
+    must be a whole number in ``[0, vertex_count)``, ``u``, ``v`` and ``w``
+    must have one length and every weight must be finite and positive.
     """
     n = operator.index(vertex_count)
     if n < 0:
         raise ValueError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds the supported maximum {MAX_VERTICES}")
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u = whole_numbers(u, "arc endpoints")
+    v = whole_numbers(v, "arc endpoints")
     w = np.asarray(w, dtype=np.float64)
     if not u.shape == v.shape == w.shape:
         raise ValueError("u, v and w must have the same length")

@@ -16,11 +16,11 @@ in ``[0, n)`` is ``row[k] % n`` with the cursor then moved past ``k``.
 is the generator's state, so the row again holds the unread values first
 and fresh ones after them.  A run therefore consumes exactly the outputs
 that one sequential generator per worker gives, in the same order,
-wherever the refills fall.  Interpreted, the row comes from
-`xs32_stream`, which steps many jump-ahead lanes together in numpy;
-compiled, `refill` is a plain loop.  Interpreted strict SLPA reads one
-block of the same size per iteration from `xs32_blocks`, which moves the
-last block's lanes on by one jump.  The visit-order shuffle reads one
+wherever the refills fall.  Compiled, `refill` is a plain loop.  The
+one numpy generator is `xs32_blocks`: it steps many jump-ahead lanes
+together and moves them on to its next block by one jump.  Interpreted,
+a refill reads its first block (`xs32_stream`), and strict SLPA reads
+one block per iteration.  The visit-order shuffle reads one
 stream of ``n - 1`` values and runs in numpy on both backends: a
 Fisher-Yates shuffle resolved by one sort and pointer jumping.
 
@@ -85,12 +85,29 @@ def _jump(power):
     return columns
 
 
-def _lanes(state, count):
-    """(starts, power): the start states of the lanes of 2^power steps that
-    hold the ``count`` outputs after ``state``, one per lane.
+def xs32_stream(state, count):
+    """The next ``count`` outputs after ``state``, as an int64 array: the
+    first block of `xs32_blocks`, equal to ``count`` calls of `xs32_next`."""
+    return next(xs32_blocks(state, count))
 
-    The lane starts come from ``state`` by the jumps M^(2^q), built on
-    first use and cached, which double the lane count each time."""
+
+def xs32_blocks(state, count):
+    """Successive blocks of the ``count`` outputs after ``state``, as int64
+    arrays: each next one the ``count`` outputs after the last value of the
+    one before.
+
+    xorshift32 is linear over GF(2), so the k-th state after x is M^k x.  A
+    block is cut into lanes of 2^p steps whose starts come from ``state``
+    by the jumps M^(2^q), built on first use and cached, which double the
+    lane count each time; then all lanes step together in numpy (Haramoto
+    et al. 2008, "Efficient jump ahead for F2-linear random number
+    generators").  The next block's lanes start M^count steps later, so
+    one jump by M^count, built after the first block from the cached
+    M^(2^q), moves every lane start.
+    """
+    if count <= 0:
+        while True:
+            yield np.empty(0, dtype=np.int64)
     # lanes of about count^(1/3) steps: each step and each jump is a few
     # numpy calls, whose fixed cost dominates at these sizes
     power = int(count).bit_length() // 3
@@ -98,51 +115,17 @@ def _lanes(state, count):
     x = np.array([state & _MASK], dtype=np.uint32)
     while x.size < lanes:
         x = np.concatenate([x, _apply(_jump(power + x.size.bit_length() - 1), x)])
-    return x[:lanes], power
-
-
-def _walk(starts, power, count):
-    """The first ``count`` outputs of the lanes of 2^power steps from ``starts``."""
-    block = np.empty((1 << power, starts.size), dtype=np.uint32)
-    x = starts.copy()  # _step works in place
-    for t in range(1 << power):
-        block[t] = _step(x)
-    return block.T.reshape(-1)[:count].astype(np.int64)
-
-
-def xs32_stream(state, count):
-    """The next ``count`` outputs after ``state``, as an int64 array.
-
-    Equal to ``count`` calls of `xs32_next`.  xorshift32 is linear over
-    GF(2), so the k-th state after x is M^k x.  The stream is cut into
-    lanes of 2^p steps whose starts come from ``state`` by jumps, and then
-    all lanes step together in numpy (Haramoto et al. 2008, "Efficient
-    jump ahead for F2-linear random number generators").
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.int64)
-    return _walk(*_lanes(state, count), count)
-
-
-def xs32_blocks(state, count):
-    """Successive blocks of the ``count`` outputs after ``state``: the first
-    is ``xs32_stream(state, count)``, each next one the ``count`` outputs
-    after the last value of the one before.
-
-    The lanes of a block start M^count steps after the last block's, so
-    one jump by M^count, built once from the cached M^(2^q), moves every
-    lane start, where each `xs32_stream` call would rebuild them.
-    """
-    if count <= 0:
-        while True:
-            yield np.empty(0, dtype=np.int64)
-    starts, power = _lanes(state, count)
-    jump = None  # columns of M^count, the product of the M^(2^q) of its bits
-    for q in range(int(count).bit_length()):
-        if count >> q & 1:
-            jump = _jump(q) if jump is None else _apply(_jump(q), jump)
+    starts = x[:lanes]
+    block = np.empty((1 << power, lanes), dtype=np.uint32)
+    jump = None
     while True:
-        yield _walk(starts, power, count)
+        x = starts.copy()  # _step works in place
+        for t in range(1 << power):
+            block[t] = _step(x)
+        yield block.T.reshape(-1)[:count].astype(np.int64)
+        if jump is None:  # columns of M^count, the product of the M^(2^q) of its bits
+            bits = [q for q in range(int(count).bit_length()) if count >> q & 1]
+            jump = functools.reduce(_apply, map(_jump, bits))
         starts = _apply(jump, starts)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, arc_rows, degree_weights
+from .graph import Graph, arc_rows, degree_weights, whole_numbers
 
 
 def modularity(graph: Graph, assignment: np.ndarray) -> float:
@@ -18,7 +18,7 @@ def modularity(graph: Graph, assignment: np.ndarray) -> float:
 
     Values lie in [-0.5, 1.0]; the one-community partition scores exactly 0.
     """
-    labels = np.asarray(assignment, dtype=np.int64)
+    labels = whole_numbers(assignment, "community labels")
     n = graph.vertex_count
     if labels.shape != (n,):
         raise ValueError(f"assignment length {labels.shape} does not match {n} vertices")

@@ -42,6 +42,19 @@ def test_summarise_quartiles_pairs_and_bound():
     assert wall["equal_pairs"] == 1 and wall["pairs"] == 5
     assert wall["median_change_pct"] == 0.0 and wall["within_bound"]
     assert got["modularity"]["equal_pairs"] == 5 and got["modularity"]["change_better_pairs"] == 0
+    # change - parent per pair: -0.1, 0.1, -0.2, 0.0, -0.2
+    assert wall["paired_difference"] == {"median": -0.1, "q1": -0.2, "q3": 0.0}
+    assert got["modularity"]["paired_difference"] == {"median": 0.0, "q1": 0.0, "q3": 0.0}
+
+
+def test_paired_differences_cancel_the_spread_between_seeds():
+    # each seed's graph moves both sides alike: the sides' quartiles span
+    # the seeds, the paired differences only the change's own 0.01
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [p - 0.01 for p in parent]
+    wall = pairs.summarise(runs(parent, change), BOUNDS)["wall_s"]
+    assert wall["parent"]["q3"] - wall["parent"]["q1"] == 2.0
+    assert wall["paired_difference"] == {"median": -0.01, "q1": -0.01, "q3": -0.01}
 
 
 @pytest.mark.parametrize("metric, better, change, within", [

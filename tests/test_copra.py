@@ -69,6 +69,27 @@ class TestDetect:
                 for a, b in zip((loose[0], *loose[2]), (replay[0], *replay[2])):
                     assert np.array_equal(a, b), max_labels
 
+    @pytest.mark.skipif(lp.JIT_ENABLED, reason="label rows run only interpreted")
+    def test_label_rows_refill_their_stream_row_mid_run(self, monkeypatch):
+        # one label per vertex on a sparse graph ties often enough to read
+        # past the 300-value stream row; the cursor only falls at a refill
+        g = lp.gnp(300, 0.004, seed=2)
+        params = lp.CopraParams(max_labels=1, seed=4, tolerance=1e-9, max_iterations=100)
+        held = lp.Held(g)
+        cursors = []
+        for cap in (30, 100):
+            lp.copra_detect(g, replace(params, max_iterations=cap), held)
+            assert isinstance(held.run, copra._Rows) and len(held.run.stream[0]) == 300
+            cursors.append(held.run.stream[1][0])
+        assert cursors[1] < cursors[0]
+        rows = copra_run(g, params)
+        assert rows[1] == 100
+        monkeypatch.setattr(copra, "JIT_ENABLED", True)  # the kernel, as compiled runs launch it
+        launched = copra_run(g, params)
+        assert rows[1] == launched[1]
+        for a, b in zip((rows[0], *rows[2]), (launched[0], *launched[2])):
+            assert np.array_equal(a, b)
+
     def test_iteration_count_capped(self):
         g = lp.gnp(200, 0.05, seed=2)
         result = lp.copra_detect(g, lp.CopraParams(max_iterations=3, seed=1))

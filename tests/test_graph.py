@@ -197,6 +197,25 @@ def test_from_arcs_rejects_endpoints_outside_the_vertex_range(u, v):
         lp.from_arcs(3, u, v, [1.0])
 
 
+@pytest.mark.parametrize("u, v", [
+    ([0.5, 1.9], [1.7, 2.2]),  # truncated, these made arcs 0 -> 1 and 1 -> 2
+    ([0, 1], [1.0, 2.5]),
+    ([np.nan], [0]),
+    ([0], [np.inf]),
+])
+def test_from_arcs_rejects_endpoints_that_are_not_whole_numbers(u, v):
+    with pytest.raises(ValueError, match="arc endpoints must be whole numbers"):
+        lp.from_arcs(3, u, v, np.ones(len(u)))
+
+
+def test_from_arcs_takes_whole_valued_endpoints_of_any_type():
+    for u, v in (([0.0, 1.0], [1.0, 2.0]),
+                 (np.array([0, 1], dtype=np.int32), np.array([1, 2], dtype=np.uint8))):
+        g = lp.from_arcs(3, u, v, [1.0, 1.0])
+        assert arc_rows(g).tolist() == [0, 1] and g.neighbors.tolist() == [1, 2]
+    assert lp.from_arcs(3, [], [], []).edge_count == 0
+
+
 @pytest.mark.parametrize("weight", [0.0, -1.0, np.nan, np.inf])
 def test_from_arcs_rejects_weights_that_are_not_finite_and_positive(weight):
     # a zero, negative or NaN weight made rak_detect score modularity nan

@@ -91,6 +91,17 @@ def test_contract_violations():
         brute_modularity(lp.gnp(300, 0.01, seed=1), np.zeros(300, dtype=np.int64))
 
 
+def test_labels_that_are_not_whole_numbers_are_rejected():
+    g = lp.ring_of_cliques(4, 3)
+    labels = np.repeat(np.arange(0, 12, 3), 3)
+    # truncated, labels + 0.5 scored the integer partition's 0.6071
+    for bad in (labels + 0.5, np.where(labels == 3, np.nan, labels)):
+        with pytest.raises(ValueError, match="community labels must be whole numbers"):
+            lp.modularity(g, bad)
+    assert lp.modularity(g, labels.astype(np.float64)) == lp.modularity(g, labels)
+    assert lp.modularity(g, labels.tolist()) == lp.modularity(g, labels)
+
+
 def test_empty_graph_scores_zero():
     g = lp.preprocess(lp.from_arcs(0, [], [], []))
     assert lp.modularity(g, np.zeros(0, dtype=np.int64)) == 0.0
