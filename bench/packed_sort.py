@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 
 from pairs import (
-    bounds, claim_check, paired_workloads, parser, probe, record_head, same_outputs,
+    bounds, checkouts, claim_check, paired_workloads, parser, probe, record_head, same_outputs,
     traced_metrics,
 )
 
@@ -62,31 +62,31 @@ print(json.dumps(out))
 
 def main():
     args = parser(__doc__.splitlines()[0]).parse_args()
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = paired_workloads(sides, args.seeds, args.seconds, bounds(sides["change"]))
-    traced = {side: traced_metrics(root, CLAIM[0], args.trace_seed, args.seconds)
-              for side, root in sides.items()}
-    outputs = same_outputs(sides, args.trace_seed)
+    with checkouts(args) as sides:
+        workloads = paired_workloads(sides, args.seeds, args.seconds, bounds(sides["change"]))
+        traced = {side: traced_metrics(root, CLAIM[0], args.trace_seed, args.seconds)
+                  for side, root in sides.items()}
+        outputs = same_outputs(sides, args.trace_seed)
 
-    record = record_head(
-        "packed-key sorts (graph._stable_order) for _merge, rak._first_max and slpa._Rounds, "
-        "a loop-free Fisher-Yates shuffle, the detect TSV built by one format, and "
-        "modularity building the arc rows once",
-        "bench/packed_sort.py", sides, args.seeds, args.seconds,
-    )
-    record.update({
-        "claim": f"{CLAIM[0]} {CLAIM[1]} falls; no other end-to-end metric gets worse "
-                 "beyond its BENCHMARK.json bound",
-        "claim_check": claim_check(workloads, *CLAIM),
-        "workloads": workloads,
-        "traced": {"workload": CLAIM[0], "seed": args.trace_seed, **traced},
-        **outputs,
-        "probe_1m": {"recipe": "perfbench/inputs.planted(20000, 50, 10, 2), "
-                               "np.random.default_rng(7); strict RAK, seed 1, tolerance 0.05",
-                     **probe(sides, PROBE)},
-    })
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print(json.dumps(record["claim_check"]))
+        record = record_head(
+            "packed-key sorts (graph._stable_order) for _merge, rak._first_max and slpa._Rounds, "
+            "a loop-free Fisher-Yates shuffle, the detect TSV built by one format, and "
+            "modularity building the arc rows once",
+            "bench/packed_sort.py", sides, args.seeds, args.seconds,
+        )
+        record.update({
+            "claim": f"{CLAIM[0]} {CLAIM[1]} falls; no other end-to-end metric gets worse "
+                     "beyond its BENCHMARK.json bound",
+            "claim_check": claim_check(workloads, *CLAIM),
+            "workloads": workloads,
+            "traced": {"workload": CLAIM[0], "seed": args.trace_seed, **traced},
+            **outputs,
+            "probe_1m": {"recipe": "perfbench/inputs.planted(20000, 50, 10, 2), "
+                                   "np.random.default_rng(7); strict RAK, seed 1, tolerance 0.05",
+                         **probe(sides, PROBE)},
+        })
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        print(json.dumps(record["claim_check"]))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ parent commit and the change) side by side:
     python3 bench/pairs.py --parent DIR --change DIR --seeds 28101-28110 \\
         --trace-seed 28130 --seconds 25 --claim none --what "..." --out BENCH_x.json
 
+or with two revisions of the repository that holds this script, which it
+checks out as fresh worktrees for the run (`worktrees`):
+
+    python3 bench/pairs.py --parent-rev main~1 --change-rev main ...
+
 It runs, in order:
 
 1. ``--seeds`` alternating pairs of ``perfbench/run.py --trace 0`` on every
@@ -32,6 +37,7 @@ and probes to the same pair loop.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -39,7 +45,10 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
 
 WORKLOADS = ("detect-gnp-rak", "sweep-planted-rak", "sweep-planted-copra", "sweep-planted-slpa")
 
@@ -196,11 +205,12 @@ def same_outputs(sides: dict, seed: int) -> dict:
     }
 
 
-def probe(sides: dict, code: str) -> dict:
-    """Per side: the JSON that ``code`` prints, run in a fresh process from its checkout."""
+def probe(sides: dict, code: str, *argv: str) -> dict:
+    """Per side: the JSON that ``code`` prints, run with ``argv`` in a fresh
+    process from its checkout."""
     out = {}
     for side, root in sides.items():
-        run = subprocess.run([sys.executable, "-c", code], cwd=root, env=child_env(root),
+        run = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=child_env(root),
                              capture_output=True, text=True, check=True)
         out[side] = json.loads(run.stdout)
     return out
@@ -222,22 +232,74 @@ def record_head(what: str, script: str, sides: dict, seeds: list[int], seconds: 
         "script": script, "pairs": len(seeds), "seeds": seeds,
         "order": "alternating: parent first on even-indexed seeds, change first on odd; "
                  "seeds outer, workloads inner",
-        "machine": {"python": platform.python_version(), "numpy": numpy_version(sides["change"]),
-                    "machine": platform.machine(), "nproc": os.cpu_count(),
-                    "backend": "python (numba absent)"},
+        "machine": machine(sides["change"]),
     }
+
+
+def machine(side: Path) -> dict:
+    """The machine a record was measured on, with ``side``'s numpy version."""
+    return {"python": platform.python_version(), "numpy": numpy_version(side),
+            "machine": platform.machine(), "nproc": os.cpu_count(),
+            "backend": "python (numba absent)"}
+
+
+def side_options(out: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """``out`` with the options that name each side's checkout (`checkouts`)."""
+    out.add_argument("--parent", type=Path, help="the parent's checkout")
+    out.add_argument("--change", type=Path, help="the change's checkout")
+    out.add_argument("--parent-rev", help="instead of --parent: a revision of this repository")
+    out.add_argument("--change-rev", help="instead of --change: a revision of this repository")
+    return out
 
 
 def parser(description: str) -> argparse.ArgumentParser:
     """The options every pair script takes."""
-    out = argparse.ArgumentParser(description=description)
-    out.add_argument("--parent", type=Path, required=True)
-    out.add_argument("--change", type=Path, required=True)
+    out = side_options(argparse.ArgumentParser(description=description))
     out.add_argument("--seeds", type=seeds, required=True)
     out.add_argument("--trace-seed", type=int, required=True)
     out.add_argument("--seconds", type=float, default=25.0)
     out.add_argument("--out", type=Path, required=True)
     return out
+
+
+@contextlib.contextmanager
+def worktrees(repo: Path, revs: dict):
+    """Fresh detached ``git worktree`` checkouts of ``revs`` (side -> revision
+    of ``repo``), made the same way in one new temporary directory and
+    removed on exit.
+
+    Both sides then start alike, with no ``__pycache__`` and no
+    ``.perfbench`` from earlier runs.  Under ``PYTHONDONTWRITEBYTECODE=1`` a
+    checkout whose ``__pycache__`` is stale compiles every module at each
+    CLI start, which a pair of an old and a fresh checkout would measure.
+    """
+    with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
+        made = {}
+        try:
+            for side, rev in revs.items():
+                path = Path(scratch) / side
+                subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", str(path),
+                                rev], check=True, stdout=subprocess.DEVNULL)
+                made[side] = path
+            yield made
+        finally:
+            for path in made.values():
+                subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
+                                str(path)], check=True)
+
+
+@contextlib.contextmanager
+def checkouts(args):
+    """Each side's checkout: ``--parent`` and ``--change`` as given, or
+    `worktrees` of ``--parent-rev`` and ``--change-rev``."""
+    dirs, revs = (args.parent, args.change), (args.parent_rev, args.change_rev)
+    if all(dirs) and not any(revs):
+        yield {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    elif all(revs) and not any(dirs):
+        with worktrees(REPO, {"parent": args.parent_rev, "change": args.change_rev}) as sides:
+            yield sides
+    else:
+        raise SystemExit("give --parent and --change, or --parent-rev and --change-rev")
 
 
 def claim(text: str):
@@ -255,20 +317,21 @@ def main():
     cli.add_argument("--claim", type=claim, required=True)
     cli.add_argument("--what", required=True, help="what the change does, for the record")
     args = cli.parse_args()
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    limits = bounds(sides["change"])
-    workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
-    record = record_head(args.what, "bench/pairs.py", sides, args.seeds, args.seconds)
-    if args.claim is None:
-        record["claim"] = "none: no end-to-end metric gets worse beyond its BENCHMARK.json bound"
-        record["claim_check"] = None
-    else:
-        record["claim"] = (f"{args.claim[0]} {args.claim[1]} improves; no other end-to-end "
-                           "metric gets worse beyond its BENCHMARK.json bound")
-        record["claim_check"] = claim_check(workloads, *args.claim)
-    record["bounds_check"] = bounds_check(workloads, limits)
-    record["workloads"] = workloads
-    record.update(same_outputs(sides, args.trace_seed))
+    with checkouts(args) as sides:
+        limits = bounds(sides["change"])
+        workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
+        record = record_head(args.what, "bench/pairs.py", sides, args.seeds, args.seconds)
+        if args.claim is None:
+            record["claim"] = ("none: no end-to-end metric gets worse beyond its "
+                               "BENCHMARK.json bound")
+            record["claim_check"] = None
+        else:
+            record["claim"] = (f"{args.claim[0]} {args.claim[1]} improves; no other end-to-end "
+                               "metric gets worse beyond its BENCHMARK.json bound")
+            record["claim_check"] = claim_check(workloads, *args.claim)
+        record["bounds_check"] = bounds_check(workloads, limits)
+        record["workloads"] = workloads
+        record.update(same_outputs(sides, args.trace_seed))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({k: record[k] for k in ("claim_check", "bounds_check")}))
 

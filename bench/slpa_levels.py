@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 
 from pairs import (
-    bounds, claim_check, paired_workloads, parser, probe, record_head, same_outputs,
+    bounds, checkouts, claim_check, paired_workloads, parser, probe, record_head, same_outputs,
     traced_metrics,
 )
 
@@ -64,32 +64,32 @@ print(json.dumps({"detect_s": round(seconds, 4), "iterations": r.iterations,
 
 def main():
     args = parser(__doc__.splitlines()[0]).parse_args()
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = paired_workloads(sides, args.seeds, args.seconds, bounds(sides["change"]))
+    with checkouts(args) as sides:
+        workloads = paired_workloads(sides, args.seeds, args.seconds, bounds(sides["change"]))
 
-    traced = {side: traced_metrics(root, TRACED, args.trace_seed, args.seconds, pin=True)
-              for side, root in sides.items()}
-    outputs = same_outputs(sides, args.trace_seed)
+        traced = {side: traced_metrics(root, TRACED, args.trace_seed, args.seconds, pin=True)
+                  for side, root in sides.items()}
+        outputs = same_outputs(sides, args.trace_seed)
 
-    record = record_head(
-        "interpreted strict SLPA in numpy rounds (slpa._Rounds) against the per-arc list "
-        "kernel, and a numpy modal-label read for both backends",
-        "bench/slpa_levels.py", sides, args.seeds, args.seconds,
-    )
-    record.update({
-        "claim": f"{CLAIM[0]} {CLAIM[1]} falls; no other end-to-end metric gets worse "
-                 "beyond its BENCHMARK.json bound",
-        "claim_check": claim_check(workloads, *CLAIM),
-        "workloads": workloads,
-        "traced": {"workload": TRACED, "seed": args.trace_seed, "pinned": "taskset -c 0",
-                   **traced},
-        **outputs,
-        "probe_100k": {"recipe": "perfbench/inputs.planted(2000, 50, 10, 2), "
-                                 "np.random.default_rng(7); strict, memory_size 8, seed 1",
-                       **probe(sides, PROBE)},
-    })
-    args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print(json.dumps(record["claim_check"]))
+        record = record_head(
+            "interpreted strict SLPA in numpy rounds (slpa._Rounds) against the per-arc list "
+            "kernel, and a numpy modal-label read for both backends",
+            "bench/slpa_levels.py", sides, args.seeds, args.seconds,
+        )
+        record.update({
+            "claim": f"{CLAIM[0]} {CLAIM[1]} falls; no other end-to-end metric gets worse "
+                     "beyond its BENCHMARK.json bound",
+            "claim_check": claim_check(workloads, *CLAIM),
+            "workloads": workloads,
+            "traced": {"workload": TRACED, "seed": args.trace_seed, "pinned": "taskset -c 0",
+                       **traced},
+            **outputs,
+            "probe_100k": {"recipe": "perfbench/inputs.planted(2000, 50, 10, 2), "
+                                     "np.random.default_rng(7); strict, memory_size 8, seed 1",
+                           **probe(sides, PROBE)},
+        })
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+        print(json.dumps(record["claim_check"]))
 
 
 if __name__ == "__main__":

@@ -1,23 +1,26 @@
 """Kernel backend selection: numba JIT by default, interpreter on request.
 
-Every hot loop in this package is written once, as a plain Python function
-that uses only 1-D indexing and ``len()`` on its sequences, and decorated
-with :func:`njit` from this module.  By default that is numba's ``@njit``
-and the loops run compiled on numpy arrays, the chunked kernels on
-numba's thread pool (``workers=1`` is a pool of one thread).  When numba
-is not importable, or ``LABELPROP_DISABLE_NUMBA=1`` is set before import,
-the decorator is a no-op and the identical source runs through the
-interpreter instead.  The one kernel launch (`labelprop.result.Launch`)
-then hands the kernels Python lists (:func:`kernel_args`), because
-reading a list element is far cheaper than building a numpy scalar; the
-results are bit-identical to the array-fed kernels.  (Strict RAK,
-strict SLPA and COPRA are the exceptions: interpreted, the first two run
-in batches with numpy and COPRA on per-vertex label rows in plain Python,
-with the same results; see `labelprop.rak`, `labelprop.slpa` and
-`labelprop.copra`.)  On a 2-vCPU x86-64 VM without numba, lists rather
-than arrays cut the wall time of the ``perfbench`` ``sweep-planted-rak``
-workload from 6.60 s to 1.80 s (median of 10 paired runs).  The compiled-versus-interpreted ratio
-has not been measured since; running ``perfbench`` with and without
+Each kernel is written once, as a plain Python function that uses only
+1-D indexing and ``len()`` on its sequences, and decorated with
+:func:`njit` from this module.  By default that is numba's ``@njit``:
+every detector runs its kernel compiled on numpy arrays, the chunked
+kernels on numba's thread pool (``workers=1`` is a pool of one thread).
+When numba is not importable, or ``LABELPROP_DISABLE_NUMBA=1`` is set
+before import, the decorator is a no-op and each detector's ``start()``
+picks an interpreted run shape instead.  Non-strict RAK and non-strict
+SLPA run the kernel source itself through the one kernel launch
+(`labelprop.result.Launch`), which hands it Python lists
+(:func:`kernel_args`), because reading a list element is far cheaper than
+building a numpy scalar; the results are bit-identical to the array-fed
+kernels.  Strict RAK (numpy levels, `labelprop.rak`), strict SLPA (numpy
+rounds, `labelprop.slpa`) and COPRA (per-vertex label rows in plain
+Python, `labelprop.copra`) run separate code with the same results, which
+tests hold equal to their kernels run through the interpreter.
+
+On a 2-vCPU x86-64 VM without numba, lists rather than arrays cut the
+wall time of the ``perfbench`` ``sweep-planted-rak`` workload from 6.60 s
+to 1.80 s (median of 10 paired runs).  The compiled-versus-interpreted
+ratio has not been measured since; running ``perfbench`` with and without
 ``LABELPROP_DISABLE_NUMBA=1`` on a host with numba gives it.
 """
 

@@ -22,7 +22,13 @@ an ``integer`` MatrixMarket file) has one message.  A body whose rows are
 plain numbers of one width is parsed by numpy in one pass; anything else
 (comment lines, mixed widths, a value that fails a check) goes through a
 line-by-line loop that accepts the same inputs and names the line of the
-first error.  Vertex counts are bounded by `MAX_VERTICES`.
+first error.  numpy reads a path in chunks in C but any stream line by
+line in Python, so a regular file is read twice: `load_graph` reads the
+header lines from a text handle and numpy reads the body by the file's
+name.  Other sources (streams, FIFOs, compressed or URL-like names) and
+any file that fails a rule are read whole by `read_text` instead, so an
+invalid byte anywhere is reported before a later rule.  Vertex counts are
+bounded by `MAX_VERTICES`.
 
 Weight conventions, fixed once here and relied on everywhere else:
 
@@ -114,8 +120,12 @@ def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: boo
     arc, weighted by ``reduce.reduceat`` over the run (``w=None``: weight
     1).  Without weights the keys alone are sorted; with weights the sort
     is stable (`_stable_order`), so `np.add` sums each run in input order.
+    Unit weights summed by `np.add` need no order either: a run of k ones
+    sums to k exactly, so the keys alone are sorted and each run weighs its
+    length.
     """
-    if w is None:
+    counted = w is not None and reduce is np.add and bool((w == 1.0).all())
+    if w is None or counted:
         sorted_key = np.sort(key)
     else:
         order, sorted_key = _stable_order(key)
@@ -123,7 +133,12 @@ def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: boo
     fresh[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=fresh[1:])
     starts = np.flatnonzero(fresh)
-    w = np.ones(starts.size) if w is None else reduce.reduceat(w[order], starts)
+    if w is None:
+        w = np.ones(starts.size)
+    elif counted:
+        w = np.diff(starts, append=key.size).astype(np.float64)
+    else:
+        w = reduce.reduceat(w[order], starts)
     u, v = np.divmod(sorted_key[starts], n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
@@ -211,7 +226,7 @@ _ROW_DTYPES = {
 }
 
 
-def _numeric_rows(stream: io.StringIO, fields: int):
+def _numeric_rows(stream: IO[str], fields: int, lineno: int = 0):
     """Parse every remaining line of ``stream`` as ``fields`` numbers in one C pass.
 
     Returns ``(u, v, w)`` with ``w`` all ones for two fields, or None when
@@ -219,11 +234,18 @@ def _numeric_rows(stream: io.StringIO, fields: int):
     that are not plain int64 / float64 literals, or no rows at all.  The
     line loop then decides, and names the line of any error.
     ``comments=None`` matters: with ``"#"`` numpy would accept ``1 2 # x``.
+
+    A `io.StringIO` is read from its position.  A file `load_graph` opened
+    is read again by its name, past the ``lineno`` lines before the body,
+    and decoded as `load_graph` opened it (UTF-8, one byte-order mark
+    dropped, universal newlines).
     """
+    source, skip = (stream, 0) if isinstance(stream, io.StringIO) else (stream.name, lineno)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(stream, dtype=_ROW_DTYPES[fields], comments=None, ndmin=1)
+            rows = np.loadtxt(source, dtype=_ROW_DTYPES[fields], comments=None, ndmin=1,
+                              skiprows=skip, encoding="utf-8-sig")
     except (ValueError, OverflowError, Warning):
         return None
     return rows["u"], rows["v"], rows["w"] if fields == 3 else np.ones(rows.size)
@@ -234,7 +256,7 @@ def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
 
 
 def _entries(
-    stream: io.StringIO, lineno: int, comment: str, widths: tuple, lo: int, hi: tuple,
+    stream: IO[str], lineno: int, comment: str, widths: tuple, lo: int, hi: tuple,
     count: int | None = None, integral: bool = False,
 ):
     """The entry lines left in ``stream`` as ``(u, v, w)`` arrays of 0-based arcs.
@@ -253,9 +275,9 @@ def _entries(
     names the line of the first error.
     """
     start = stream.tell()
-    fields = len(next((line for line in stream if line.strip()), "").split())
+    fields = len(next((line for line in iter(stream.readline, "") if line.strip()), "").split())
     stream.seek(start)
-    parsed = _numeric_rows(stream, fields) if fields in widths else None
+    parsed = _numeric_rows(stream, fields, lineno) if fields in widths else None
     if (
         parsed is not None
         and (count is None or parsed[0].size == count)
@@ -309,7 +331,7 @@ def _entry_loop(lines, lineno, comment, widths, lo, hi, count, integral):
     return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
 
 
-def _matrix_market(stream: io.StringIO) -> Graph:
+def _matrix_market(stream: IO[str]) -> Graph:
     header = stream.readline()
     if not header:
         raise GraphParseError("line 1: empty file, expected MatrixMarket header")
@@ -326,7 +348,7 @@ def _matrix_market(stream: io.StringIO) -> Graph:
 
     lineno = 1
     rows = cols = count = -1
-    for raw in stream:
+    for raw in iter(stream.readline, ""):  # a file's tell() fails once iterated
         lineno += 1
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -382,11 +404,32 @@ def load_graph(path: Source, fmt: str = "auto") -> Graph:
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}")
-    text = read_text(path)
+    if _readable_by_name(path):
+        try:
+            with open(path, encoding="utf-8-sig") as stream:
+                return _parse(stream, path, fmt)
+        except (GraphParseError, UnicodeDecodeError):
+            pass  # the whole-text read names the error, a bad byte anywhere first
+    return _parse(io.StringIO(read_text(path)), path, fmt)
+
+
+def _readable_by_name(source: Source) -> bool:
+    """Whether numpy may read ``source`` by its name: a regular file (a
+    stream, FIFO or device may not yield its data twice) whose name numpy's
+    DataSource neither decompresses (by suffix) nor fetches as a URL."""
+    if hasattr(source, "read"):
+        return False
+    name = str(source)
+    return (os.path.isfile(name) and "://" not in name
+            and not name.lower().endswith((".gz", ".bz2", ".xz", ".lzma")))
+
+
+def _parse(stream: IO[str], source: Source, fmt: str) -> Graph:
+    """`load_graph` on the text of ``stream``, which is at its start."""
     if fmt == "auto":
-        named = not hasattr(path, "read") and str(path).endswith((".mtx", ".mm"))
-        fmt = "mtx" if named or text[:64].lower().startswith("%%matrixmarket") else "edgelist"
-    stream = io.StringIO(text)
+        named = not hasattr(source, "read") and str(source).endswith((".mtx", ".mm"))
+        fmt = "mtx" if named or stream.read(64).lower().startswith("%%matrixmarket") else "edgelist"
+        stream.seek(0)
     if fmt == "mtx":
         return _matrix_market(stream)
     us, vs, ws = _entries(stream, 0, "#", (2, 3), 0, (MAX_VERTICES - 1,) * 2)

@@ -33,10 +33,10 @@ def modularity(graph: Graph, assignment: np.ndarray) -> float:
     rows = arc_rows(graph)
     cols = graph.neighbors
     w = graph.weights
-    internal = labels[rows] == labels[cols]
-    w_c = np.bincount(labels[rows[internal]], weights=w[internal], minlength=n)
-    diag = internal & (rows == cols)
-    w_c += np.bincount(labels[rows[diag]], weights=w[diag], minlength=n)
+    lr = labels[rows]
+    # zero weights in place of compressing: adding 0.0 leaves every bin's sum unchanged
+    w_c = np.bincount(lr, weights=np.where(lr == labels[cols], w, 0.0), minlength=n)
+    w_c += np.bincount(lr, weights=np.where(rows == cols, w, 0.0), minlength=n)
 
     d_c = np.bincount(labels, weights=degree_weights(graph, rows), minlength=n)
     return float(w_c.sum() / total - np.square(d_c / total).sum())
