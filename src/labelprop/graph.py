@@ -22,13 +22,12 @@ an ``integer`` MatrixMarket file) has one message.  A body whose rows are
 plain numbers of one width is parsed by numpy in one pass; anything else
 (comment lines, mixed widths, a value that fails a check) goes through a
 line-by-line loop that accepts the same inputs and names the line of the
-first error.  numpy reads a path in chunks in C but any stream line by
-line in Python, so a regular file is read twice: `load_graph` reads the
-header lines from a text handle and numpy reads the body by the file's
-name.  Other sources (streams, FIFOs, compressed or URL-like names) and
-any file that fails a rule are read whole by `read_text` instead, so an
-invalid byte anywhere is reported before a later rule.  Vertex counts are
-bounded by `MAX_VERTICES`.
+first error.  numpy parses a path in C but a stream line by line in
+Python, so `load_graph` reads a regular file's header lines from a text
+handle and numpy reads its body by name.  Streams, FIFOs, compressed or
+URL-like names and files that fail a rule are read whole by `read_text`,
+which reports a bad byte anywhere first.  Vertex counts are bounded by
+`MAX_VERTICES`.
 
 Weight conventions, fixed once here and relied on everywhere else:
 
@@ -118,28 +117,34 @@ def _merge(n: int, key: np.ndarray, w: np.ndarray | None, reduce, symmetric: boo
 
     One sort of ``key`` groups the arcs; each run of equal keys becomes one
     arc, weighted by ``reduce.reduceat`` over the run (``w=None``: weight
-    1).  Without weights the keys alone are sorted; with weights the sort
-    is stable (`_stable_order`), so `np.add` sums each run in input order.
-    Unit weights summed by `np.add` need no order either: a run of k ones
-    sums to k exactly, so the keys alone are sorted and each run weighs its
-    length.
+    1).  Without weights the keys alone are sorted, in place (callers pass
+    a key of their own); with weights the sort is stable (`_stable_order`),
+    so `np.add` sums each run in input order.  Unit weights summed by
+    `np.add` are sorted alone too, each run weighing its length (k ones sum
+    to k exactly).  Keys that never repeat skip the run bookkeeping.
     """
     counted = w is not None and reduce is np.add and bool((w == 1.0).all())
     if w is None or counted:
-        sorted_key = np.sort(key)
+        key.sort()
+        sorted_key = key
     else:
         order, sorted_key = _stable_order(key)
     fresh = np.empty(key.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(sorted_key[1:], sorted_key[:-1], out=fresh[1:])
-    starts = np.flatnonzero(fresh)
-    if w is None:
-        w = np.ones(starts.size)
-    elif counted:
-        w = np.diff(starts, append=key.size).astype(np.float64)
+    if fresh.all():
+        arcs = sorted_key
+        w = np.ones(key.size) if w is None or counted else w[order]
     else:
-        w = reduce.reduceat(w[order], starts)
-    u, v = np.divmod(sorted_key[starts], n)
+        starts = np.flatnonzero(fresh)
+        arcs = sorted_key[starts]
+        if w is None:
+            w = np.ones(starts.size)
+        elif counted:
+            w = np.diff(starts, append=key.size).astype(np.float64)
+        else:
+            w = reduce.reduceat(w[order], starts)
+    u, v = np.divmod(arcs, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=offsets[1:])
     for a in (offsets, v, w):
@@ -234,11 +239,8 @@ def _numeric_rows(stream: IO[str], fields: int, lineno: int = 0):
     that are not plain int64 / float64 literals, or no rows at all.  The
     line loop then decides, and names the line of any error.
     ``comments=None`` matters: with ``"#"`` numpy would accept ``1 2 # x``.
-
-    A `io.StringIO` is read from its position.  A file `load_graph` opened
-    is read again by its name, past the ``lineno`` lines before the body,
-    and decoded as `load_graph` opened it (UTF-8, one byte-order mark
-    dropped, universal newlines).
+    A StringIO is read from its position; a file `load_graph` opened is
+    read again by name, past its ``lineno`` header lines, decoded alike.
     """
     source, skip = (stream, 0) if isinstance(stream, io.StringIO) else (stream.name, lineno)
     try:
@@ -458,17 +460,21 @@ def preprocess(
     n = graph.vertex_count
     rows = arc_rows(graph)
     cols = graph.neighbors
-    w = graph.weights
     off = rows != cols
-    ru, rv, rw = rows[off], cols[off], w[off]
-    if self_loops:
-        loops = np.arange(n, dtype=np.int64)
-        loop_w = np.ones(n)
-    else:
-        loops = rows[~off]
-        loop_w = w[~off]
-    key = np.concatenate([ru * n + rv, rv * n + ru, loops * (n + 1)])
-    weights = None if unit_weights else np.concatenate([rw, rw, loop_w])
+    ru, rv = (rows, cols) if off.all() else (rows[off], cols[off])
+    loops = np.arange(n, dtype=np.int64) if self_loops else rows[~off]
+    # the keys are written into one array: each fresh array of this size costs page faults
+    m = ru.size
+    key = np.empty(2 * m + loops.size, dtype=np.int64)
+    np.multiply(ru, n, out=key[:m])
+    key[:m] += rv
+    np.multiply(rv, n, out=key[m:2 * m])
+    key[m:2 * m] += ru
+    np.multiply(loops, n + 1, out=key[2 * m:])
+    weights = None
+    if not unit_weights:
+        rw = graph.weights[off]
+        weights = np.concatenate([rw, rw, np.ones(n) if self_loops else graph.weights[~off]])
     return _merge(n, key, weights, np.maximum, symmetric=True)
 
 
@@ -479,8 +485,8 @@ def degree_weights(graph: Graph, rows: np.ndarray | None = None) -> np.ndarray:
     if rows is None:
         rows = arc_rows(graph)
     deg = np.bincount(rows, weights=graph.weights, minlength=n)
-    diag = rows == graph.neighbors
-    deg += np.bincount(rows[diag], weights=graph.weights[diag], minlength=n)
+    diag = np.where(rows == graph.neighbors, graph.weights, 0.0)  # adding 0.0 changes no sum
+    deg += np.bincount(rows, weights=diag, minlength=n)
     return deg
 
 

@@ -284,14 +284,17 @@ NOT_ADD = types.SimpleNamespace(reduceat=np.add.reduceat)
     seed=st.integers(0, 2**32 - 1),
     distinct=st.integers(1, 50),
     unit=st.booleans(),
+    repeats=st.booleans(),
 )
-def test_unit_weight_merge_matches_the_stable_order_sum(n, size, seed, distinct, unit):
+def test_unit_weight_merge_matches_the_stable_order_sum(n, size, seed, distinct, unit, repeats):
     rng = np.random.default_rng(seed)
-    pool = rng.integers(0, n * n, distinct)
-    key = rng.choice(pool, size)  # few distinct keys, so most repeat
-    w = np.ones(size) if unit else rng.choice([1.0, 0.1, 2.5], size)
-    got = graph_module._merge(n, key, w, np.add)
-    want = graph_module._merge(n, key, w, NOT_ADD)
+    if repeats:  # few distinct keys, so most repeat
+        key = rng.choice(rng.integers(0, n * n, distinct), size)
+    else:
+        key = rng.permutation(n * n)[:size]
+    w = np.ones(key.size) if unit else rng.choice([1.0, 0.1, 2.5], key.size)
+    got = graph_module._merge(n, key.copy(), w, np.add)  # _merge may sort its key in place
+    want = graph_module._merge(n, key.copy(), w, NOT_ADD)
     for name in ("offsets", "neighbors", "weights"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
