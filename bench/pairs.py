@@ -321,17 +321,17 @@ def main():
         limits = bounds(sides["change"])
         workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
         record = record_head(args.what, "bench/pairs.py", sides, args.seeds, args.seconds)
-        if args.claim is None:
-            record["claim"] = ("none: no end-to-end metric gets worse beyond its "
-                               "BENCHMARK.json bound")
-            record["claim_check"] = None
-        else:
-            record["claim"] = (f"{args.claim[0]} {args.claim[1]} improves; no other end-to-end "
-                               "metric gets worse beyond its BENCHMARK.json bound")
-            record["claim_check"] = claim_check(workloads, *args.claim)
-        record["bounds_check"] = bounds_check(workloads, limits)
-        record["workloads"] = workloads
-        record.update(same_outputs(sides, args.trace_seed))
+        outputs = same_outputs(sides, args.trace_seed)
+    if args.claim is None:
+        record["claim"] = "none: no end-to-end metric gets worse beyond its BENCHMARK.json bound"
+        record["claim_check"] = None
+    else:
+        record["claim"] = (f"{args.claim[0]} {args.claim[1]} improves; no other end-to-end "
+                           "metric gets worse beyond its BENCHMARK.json bound")
+        record["claim_check"] = claim_check(workloads, *args.claim)
+    record["bounds_check"] = bounds_check(workloads, limits)
+    record["workloads"] = workloads
+    record.update(outputs)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(json.dumps({k: record[k] for k in ("claim_check", "bounds_check")}))
 

@@ -67,7 +67,8 @@ CASES = {
     # line endings and encoding
     "crlf.txt": b"0 1\r\n1 2\r\n2 0\r\n",
     "lone-cr.txt": b"0 1\r1 2\r2 0\r",
-    "crlf.mtx": MTX.format("real").replace("\n", "\r\n").encode() + b"3 3 2\r\n1 2 0.5\r\n2 3 2\r\n",
+    "crlf.mtx": MTX.format("real").replace("\n", "\r\n").encode()
+    + b"3 3 2\r\n1 2 0.5\r\n2 3 2\r\n",
     "lone-cr.mtx": MTX.format("pattern").replace("\n", "\r").encode() + b"3 3 2\r1 2\r2 3\r",
     "bom.txt": "\ufeff0 1\n1 2\n".encode(),
     "bom.mtx": ("\ufeff" + MTX.format("pattern") + "3 3 1\n1 2\n").encode(),
@@ -85,7 +86,8 @@ CASES = {
     # comments
     "hash-comments.txt": b"# a graph\n0 1\n# between\n1 2\n",
     "late-comment.txt": b"0 1\n1 2\n" * 50 + b"# last\n",
-    "comment-after-size.mtx": (MTX.format("real") + "% c\n3 3 2\n% between\n1 2 1.5\n% x\n2 3 2\n").encode(),
+    "comment-after-size.mtx": (MTX.format("real")
+                               + "% c\n3 3 2\n% between\n1 2 1.5\n% x\n2 3 2\n").encode(),
     "inline-hash.txt": b"0 1 # note\n",
     # fields
     "mixed-widths.txt": b"0 1\n1 2 2.5\n2 0\n",
@@ -111,7 +113,8 @@ CASES = {
     "duplicates.txt": b"0 1 1.5\n0 1 2\n1 0\n0 1 0.25\n",
     "duplicate-ones.txt": b"0 1\n0 1\n1 0\n0 1\n",
     "duplicates.mtx": (MTX.format("pattern") + "2 2 3\n1 2\n1 2\n2 1\n").encode(),
-    "symmetric.mtx": b"%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n2 1 2\n3 3 1\n3 1 4\n",
+    "symmetric.mtx": MTX.replace("general", "symmetric").format("real").encode()
+    + b"3 3 3\n2 1 2\n3 3 1\n3 1 4\n",
     "sniffed-header.txt": (MTX.format("pattern").upper() + "2 2 1\n1 2\n").encode(),
 }
 
