@@ -29,9 +29,6 @@ It runs, in order:
 3. On the trace seed's files, written by an untraced run of each side: the
    detect TSVs, compared byte for byte, and the sweep CSVs, compared row
    for row without the ``elapsed_ms`` column.
-
-`bench/slpa_levels.py` and `bench/packed_sort.py` add their own traced runs
-and probes to the same pair loop.
 """
 
 from __future__ import annotations
@@ -64,22 +61,13 @@ def child_env(side: Path) -> dict:
     return env
 
 
-def perfbench(side: Path, workload: str, seed: int, seconds: float, trace: int, pin=False):
+def perfbench(side: Path, workload: str, seed: int, seconds: float):
     argv = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
-    if pin:
-        argv = ["taskset", "-c", "0", *argv]
+            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(argv, cwd=side, env=child_env(side), capture_output=True, text=True,
                          check=True)
     result = json.loads(out.stdout.strip().splitlines()[-1])
     return argv, result
-
-
-def traced_metrics(side: Path, workload: str, seed: int, seconds: float, pin=False) -> dict:
-    """One traced run's argv and every metric it reports."""
-    argv, result = perfbench(side, workload, seed, seconds, 1, pin)
-    return {"argv": argv, "metrics": {k: round(v["value"], 6)
-                                      for k, v in result["metrics"].items()}}
 
 
 def bounds(side: Path) -> dict:
@@ -128,7 +116,7 @@ def paired_workloads(sides: dict, seeds: list[int], seconds: float, bounds: dict
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for workload in WORKLOADS:
             for position, side in enumerate(order):
-                argv, result = perfbench(sides[side], workload, seed, seconds, 0)
+                argv, result = perfbench(sides[side], workload, seed, seconds)
                 runs[workload].append({
                     "seed": seed, "side": side, "position": position, "argv": argv,
                     "attempted": result["attempted"], "failed": result["failed"],
@@ -190,7 +178,7 @@ def same_outputs(sides: dict, seed: int) -> dict:
     ``elapsed_ms``."""
     for workload in WORKLOADS:
         for root in sides.values():
-            perfbench(root, workload, seed, 1, 0)
+            perfbench(root, workload, seed, 1)
     tsv = {side: cli_stdout(root, WORKLOADS[0], seed) for side, root in sides.items()}
     return {
         "detect_tsv_identical": {
@@ -222,14 +210,14 @@ def numpy_version(side: Path) -> str:
     return out.stdout.strip()
 
 
-def record_head(what: str, script: str, sides: dict, seeds: list[int], seconds: float) -> dict:
+def record_head(what: str, sides: dict, seeds: list[int], seconds: float) -> dict:
     """The fields every BENCH record opens with: what was measured, how, in
     which order and on which machine."""
     return {
         "what": what,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
                    f"{seconds:g} --trace 0, run from a checkout of each side",
-        "script": script, "pairs": len(seeds), "seeds": seeds,
+        "script": "bench/pairs.py", "pairs": len(seeds), "seeds": seeds,
         "order": "alternating: parent first on even-indexed seeds, change first on odd; "
                  "seeds outer, workloads inner",
         "machine": machine(sides["change"]),
@@ -249,16 +237,6 @@ def side_options(out: argparse.ArgumentParser) -> argparse.ArgumentParser:
     out.add_argument("--change", type=Path, help="the change's checkout")
     out.add_argument("--parent-rev", help="instead of --parent: a revision of this repository")
     out.add_argument("--change-rev", help="instead of --change: a revision of this repository")
-    return out
-
-
-def parser(description: str) -> argparse.ArgumentParser:
-    """The options every pair script takes."""
-    out = side_options(argparse.ArgumentParser(description=description))
-    out.add_argument("--seeds", type=seeds, required=True)
-    out.add_argument("--trace-seed", type=int, required=True)
-    out.add_argument("--seconds", type=float, default=25.0)
-    out.add_argument("--out", type=Path, required=True)
     return out
 
 
@@ -313,14 +291,18 @@ def claim(text: str):
 
 
 def main():
-    cli = parser(__doc__.splitlines()[0])
+    cli = side_options(argparse.ArgumentParser(description=__doc__.splitlines()[0]))
+    cli.add_argument("--seeds", type=seeds, required=True)
+    cli.add_argument("--trace-seed", type=int, required=True)
+    cli.add_argument("--seconds", type=float, default=25.0)
+    cli.add_argument("--out", type=Path, required=True)
     cli.add_argument("--claim", type=claim, required=True)
     cli.add_argument("--what", required=True, help="what the change does, for the record")
     args = cli.parse_args()
     with checkouts(args) as sides:
         limits = bounds(sides["change"])
         workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
-        record = record_head(args.what, "bench/pairs.py", sides, args.seeds, args.seconds)
+        record = record_head(args.what, sides, args.seeds, args.seconds)
         outputs = same_outputs(sides, args.trace_seed)
     if args.claim is None:
         record["claim"] = "none: no end-to-end metric gets worse beyond its BENCHMARK.json bound"

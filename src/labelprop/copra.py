@@ -19,8 +19,10 @@ on ``workers`` threads.  Interpreted, COPRA runs on per-vertex label rows
 (`_Rows`) for any ``workers`` (the interpreted kernel has one worker):
 tuples of (label, belonging) pairs, tallied in a dict whose insertion
 order is the kernel's scan order, with ties drawn from a stream row read
-as the kernel reads worker 0's (`labelprop.prng.next_output`), so rows,
-best labels, draws and iteration counts are bit-for-bit the kernel's.
+as the kernel reads worker 0's (`labelprop.prng.next_output`), so each
+row's live pairs, the best labels, draws and iteration counts are
+bit-for-bit the kernel's; the kernel's flat layout (two rows per vertex,
+dead entries kept) is allocated only where the kernel runs.
 A fallback draw's place in the stream depends on every earlier vertex's
 update, so the updates stay one vertex at a time.
 
@@ -203,7 +205,8 @@ class _Rows:
     """An interpreted run on per-vertex label rows, called as a `Launch` is.
 
     Vertex v's live row is a tuple of ``(label, belonging)`` pairs, sorted
-    by label, and ``best[v]`` its best label.  An update tallies its
+    by label, and ``best[v]`` its best label; ``state`` is ``(best,)``, as
+    a kernel's state ends with its best labels.  An update tallies its
     neighbors' rows in a dict: its insertion order is the kernel's
     ``touched`` scan order, so the sums, the total, the first
     ``max_labels`` labels to reach the threshold, the renormalised row,
@@ -212,27 +215,19 @@ class _Rows:
     worker 0 does: ``stream`` is its row and cursor
     (`labelprop.prng.stream_rows`), n values long (a vertex draws at most
     once per iteration) but at most `STREAM_CAP` and at least 1.
-
-    ``state`` is the kernel's layout, ``(labs, bels, sizes, pub, best)``,
-    written on demand from the rows into zeros allocated at the start.
-    Vertex v's published row (row 2v; the other is left empty) holds what
-    an in-place sweep would, dead entries past the live ones included, as
-    the kernel's published rows do; ``placed[v]`` keeps that whole row as
-    a tuple of pairs.
     """
 
-    def __init__(self, arcs, layout, max_labels, seed):
-        self.arcs, self.layout, self.max_labels = arcs, layout, max_labels
-        n = len(layout[-1])
+    def __init__(self, arcs, n, max_labels, seed):
+        self.arcs, self.max_labels = arcs, max_labels
         rows, cursors = stream_rows(worker_states(seed, 1), max(min(n, STREAM_CAP), 1))
         self.stream = rows[0].tolist(), cursors.tolist()
         self.rows = [((v, 1.0),) for v in range(n)]
-        self.placed = list(self.rows)
         self.best = list(range(n))
+        self.state = (self.best,)
 
     def __call__(self) -> int:
         (neighbors, weights), L = self.arcs, self.max_labels
-        rows, placed, best = self.rows, self.placed, self.best
+        rows, best = self.rows, self.best
         tally = {}
         add = tally.get
         changed = 0
@@ -261,26 +256,11 @@ class _Rows:
                     row = ((tied[pick], 1.0),)
                 tally.clear()
             rows[v] = row
-            k = len(row)
-            was = placed[v]
-            placed[v] = row if k >= len(was) else row + was[k:]
-            new = row[0][0] if k == 1 else max(row, key=itemgetter(1))[0]
+            new = row[0][0] if len(row) == 1 else max(row, key=itemgetter(1))[0]
             if new != best[v]:
                 best[v] = new
                 changed += 1
         return changed
-
-    @property
-    def state(self):
-        labs, bels, sizes, pub, best = self.layout
-        L = self.max_labels
-        for r, row in zip(pub.tolist(), self.placed):
-            labs[r * L:r * L + len(row)] = [lab for lab, _ in row]
-            bels[r * L:r * L + len(row)] = [b for _, b in row]
-        sizes[:] = 0
-        sizes[pub] = [len(row) for row in self.rows]
-        best[:] = self.best
-        return self.layout
 
 
 def copra_detect(
@@ -294,24 +274,19 @@ def copra_detect(
     n, L = graph.vertex_count, params.max_labels
 
     def start():
+        if not JIT_ENABLED:
+            return _Rows(held.keep("arc lists", lambda: _arc_lists(graph)), n, L, params.seed)
         labs = state_zeros(2 * n * L, np.int64)
         bels = state_zeros(2 * n * L, np.float64)
         sizes = np.ones(2 * n, dtype=np.int64)
         pub = np.arange(0, 2 * n, 2, dtype=np.int64)
         state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
-        if not JIT_ENABLED:
-            # untouched until `state` is read, the zeros take no memory
-            arcs = held.keep("arc lists", lambda: _arc_lists(graph))
-            return _Rows(arcs, state, L, params.seed)
         # both rows of every vertex start as its own label with belonging 1
         labs[::L] = np.repeat(np.arange(n), 2)
         bels[::L] = 1.0
         return Launch(_copra, held, params, state, (L,), n)
 
-    def read(run):
-        return np.array(run.best if isinstance(run, _Rows) else run.state[-1], dtype=np.int64)
-
     return held.go(
         params, start, params.max_iterations, lambda _, changed: changed <= params.tolerance * n,
-        read, modularity,
+        lambda run: np.array(run.state[-1], dtype=np.int64), modularity,
     )

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from labelprop import JIT_ENABLED
 from labelprop.cli import main
+from labelprop.copra import CopraParams, copra_detect
 from labelprop.graph import load_graph, preprocess
 from labelprop.slpa import SlpaParams
 from labelprop.sweep import CSV_HEADER, SweepSpec, run_one, run_sweep
@@ -350,14 +352,26 @@ STATE_FLAGS = {
     pytest.param([*STATE_FLAGS["sweep-slpa"], f"4,{10**19}"], id="sweep-slpa-grown-1e19"),
 ])
 def test_a_state_too_large_to_allocate_ends_with_one_line(tri2, capsys, argv):
+    code = main([*argv, "--input", str(tri2)])
+    out, err = capsys.readouterr()
+    if "copra" in argv and not JIT_ENABLED:
+        # interpreted COPRA keeps only its label rows: no state grows with the cap
+        assert (code, err.count("labelprop:")) == (0, 0)
+        return
     # the request fails before anything is allocated, and before a sweep
     # writes its CSV header
-    assert main([*argv, "--input", str(tri2)]) == 1
-    out, err = capsys.readouterr()
+    assert code == 1
     assert out == ""
     err = err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("labelprop: Unable to allocate")
+
+
+@pytest.mark.skipif(JIT_ENABLED, reason="label rows run only interpreted")
+def test_interpreted_copra_runs_with_a_petabyte_label_cap(tri2, capsys):
+    assert main([*STATE_FLAGS["detect-copra"], PETA, "--input", str(tri2)]) == 0
+    library = copra_detect(preprocess(load_graph(tri2)), CopraParams(max_labels=int(PETA)))
+    assert parse_tsv(capsys.readouterr().out) == dict(enumerate(library.assignment.tolist()))
 
 
 class TestLibraryDefaults:

@@ -9,7 +9,9 @@ flat-row index arithmetic, and the loop that refills stream rows under
 numba, without needing numba.  Interpreted strict SLPA and COPRA run
 without their kernels (`slpa._Rounds`, `copra._Rows`), so the test also
 launches those kernels, with ``JIT_ENABLED`` patched on, as compiled runs
-do.
+do.  COPRA's full kernel layout, dead row entries included, comes only
+from that launch (`helpers.copra_launch`); the golden hashes digest it,
+and `_every_run` holds the label rows' live pairs equal to it.
 """
 
 import hashlib
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import copra, prng, slpa
+from labelprop import prng, slpa
 from labelprop._backend import kernel_args
-from helpers import copra_run, slpa_run
+from helpers import copra_launch, copra_run, live, slpa_run
 
 
 def digest(*arrays) -> str:
@@ -63,7 +65,7 @@ def full_state(algorithm, graph, **kw):
             graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
         )
         return it, digest(labels, slots, filled)
-    best, it, (labs, bels, sizes) = copra_run(graph, lp.CopraParams(seed=3, **kw))
+    best, it, (labs, bels, sizes) = copra_launch(graph, lp.CopraParams(seed=3, **kw))
     return it, digest(best, labs, bels, sizes)
 
 
@@ -183,15 +185,13 @@ def _every_run():
             runs[name, "slpa-launch", workers] = (it, digest(labels, slots, filled))
             for max_labels in (1, 3, 8):
                 params = lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
-                best, it, (labs, bels, sizes) = copra_run(g, params)
-                runs[name, "copra", workers, max_labels] = (it, digest(best, labs, bels, sizes))
-                # COPRA runs the kernel only compiled; run it here too, and it
-                # must equal the label rows' run
-                with mock.patch.object(copra, "JIT_ENABLED", True):
-                    best, it, (labs, bels, sizes) = copra_run(g, params)
-                launched = (it, digest(best, labs, bels, sizes))
-                assert launched == runs[name, "copra", workers, max_labels]
-                runs[name, "copra-launch", workers, max_labels] = launched
+                best, it, rows = copra_run(g, params)
+                runs[name, "copra", workers, max_labels] = rows_run = (it, digest(best, *rows))
+                # COPRA runs the kernel only compiled; run it here too, and its
+                # best labels, iterations and live pairs must be the label rows'
+                best, it, layout = copra_launch(g, params)
+                assert (it, digest(best, *live(*layout))) == rows_run
+                runs[name, "copra-launch", workers, max_labels] = (it, digest(best, *layout))
     return runs
 
 

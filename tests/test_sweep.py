@@ -369,9 +369,10 @@ def test_a_run_whose_start_failed_starts_afresh(monkeypatch):
     def out_of_memory(*args):
         raise MemoryError
 
-    # the state's allocation, which both COPRA paths make first
+    # fail what each COPRA path builds first: the label rows interpreted,
+    # the kernel's state compiled
     with monkeypatch.context() as m:
-        m.setattr(copra, "state_zeros", out_of_memory)
+        m.setattr(copra, "state_zeros" if lp.JIT_ENABLED else "_Rows", out_of_memory)
         with pytest.raises(MemoryError):
             lp.copra_detect(g, lp.CopraParams(tolerance=0.1, seed=2), held)
     # the failed start left no run to continue, so the retry starts afresh
