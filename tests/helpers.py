@@ -5,12 +5,9 @@ CSR arrays and never calls the scorer.  `dense_tally` and `stream_row`
 build the arguments of the kernels' njit helpers (`rak._pick_from_tally`,
 `copra._select_labels`), so tests call those helpers as the kernels do.
 `copra_run` and `slpa_run` run a detector and read its final state back
-from the `Held` handle: COPRA's live label rows from either run shape,
-SLPA's memories.  `copra_launch` runs the COPRA kernel itself, as
-compiled runs do, and reads its full layout, dead row entries included.
+from the `Held` handle: COPRA's live label rows from either run shape
+(the kernel's launch or `copra._Rows`), SLPA's memories.
 """
-
-from unittest import mock
 
 import numpy as np
 
@@ -22,30 +19,14 @@ from labelprop.synth import _undirected
 
 def _published(state, n: int, max_labels: int):
     """(labs, bels, sizes) of each vertex's published row in the state of a
-    `copra._copra` launch, dead entries past its live count included."""
+    `copra._copra` launch, zeros past its live count."""
     labs, bels, sizes, pub, _ = state
     # explicit dtypes: interpreted, the state is lists, and np.asarray([]) is float64
     labs, sizes, pub = (np.array(a, dtype=np.int64) for a in (labs, sizes, pub))
     bels = np.array(bels, dtype=np.float64)
     shape = 2 * n, max_labels
-    return labs.reshape(shape)[pub], bels.reshape(shape)[pub], sizes[pub]
-
-
-def copra_launch(graph: lp.Graph, params: lp.CopraParams):
-    """(best labels, iterations, (labs, bels, sizes)) of a COPRA run on the
-    kernel, launched as compiled runs launch it: each vertex's published
-    row in the kernel's layout, dead entries included."""
-    held = lp.Held(graph)
-    with mock.patch.object(copra, "JIT_ENABLED", True):
-        r = lp.copra_detect(graph, params, held)
-    return r.assignment, r.iterations, _published(
-        held.run.state, graph.vertex_count, params.max_labels
-    )
-
-
-def live(labs, bels, sizes):
-    """Label rows (labs, bels, sizes) with zeros past each live count."""
-    dead = np.arange(labs.shape[1]) >= sizes[:, None]
+    labs, bels, sizes = labs.reshape(shape)[pub], bels.reshape(shape)[pub], sizes[pub]
+    dead = np.arange(max_labels) >= sizes[:, None]
     return np.where(dead, 0, labs), np.where(dead, 0.0, bels), sizes
 
 
@@ -58,7 +39,7 @@ def copra_run(graph: lp.Graph, params: lp.CopraParams):
     r = lp.copra_detect(graph, params, held)
     n, L = graph.vertex_count, params.max_labels
     if not isinstance(held.run, copra._Rows):
-        return r.assignment, r.iterations, live(*_published(held.run.state, n, L))
+        return r.assignment, r.iterations, _published(held.run.state, n, L)
     rows = held.run.rows
     labs, bels = np.zeros((n, L), dtype=np.int64), np.zeros((n, L), dtype=np.float64)
     for v, row in enumerate(rows):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import labelprop as lp
 from labelprop import copra
 from conftest import copra_row_bounds, partition_matches
 from helpers import copra_run, dense_tally, stream_row
+from test_kernel_args import GRAPHS
 
 
 class TestDetect:
@@ -89,6 +91,32 @@ class TestDetect:
         assert rows[1] == launched[1]
         for a, b in zip((rows[0], *rows[2]), (launched[0], *launched[2])):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=pytest.mark.skipif(
+        lp.JIT_ENABLED, reason="racy under compiled threads"
+    ))])
+    @pytest.mark.parametrize("max_labels", [1, 3, 8])
+    @pytest.mark.parametrize("graph_name", list(GRAPHS))
+    def test_kernel_reads_only_published_live_pairs(self, graph_name, max_labels, workers):
+        # the kernel's state starts as sentinels (a label no tally can index,
+        # belonging NaN) wherever a run does not write it; reading one past
+        # a published row's live count would fail or change the run
+        def poisoned(size, dtype):
+            return np.full(size, 2**62 if np.dtype(dtype).kind == "i" else np.nan, dtype=dtype)
+
+        g = GRAPHS[graph_name]()
+        params = lp.CopraParams(max_labels=max_labels, seed=4, workers=workers)
+        with mock.patch.object(copra, "JIT_ENABLED", False):
+            runs = [copra_run(g, params)]  # the label rows
+        with mock.patch.object(copra, "JIT_ENABLED", True):
+            runs.append(copra_run(g, params))
+            with mock.patch.object(copra, "state_zeros", poisoned):
+                runs.append(copra_run(g, params))
+        rows, *launches = runs
+        for launched in launches:
+            assert launched[1] == rows[1]
+            for a, b in zip((rows[0], *rows[2]), (launched[0], *launched[2])):
+                assert np.array_equal(a, b)
 
     def test_iteration_count_capped(self):
         g = lp.gnp(200, 0.05, seed=2)

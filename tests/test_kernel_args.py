@@ -9,9 +9,9 @@ flat-row index arithmetic, and the loop that refills stream rows under
 numba, without needing numba.  Interpreted strict SLPA and COPRA run
 without their kernels (`slpa._Rounds`, `copra._Rows`), so the test also
 launches those kernels, with ``JIT_ENABLED`` patched on, as compiled runs
-do.  COPRA's full kernel layout, dead row entries included, comes only
-from that launch (`helpers.copra_launch`); the golden hashes digest it,
-and `_every_run` holds the label rows' live pairs equal to it.
+do.  The golden hashes digest the state of the path the backend takes:
+for COPRA, the live label rows (`helpers.copra_run`), which `_every_run`
+holds equal to the kernel's.
 """
 
 import hashlib
@@ -23,9 +23,9 @@ import numpy as np
 import pytest
 
 import labelprop as lp
-from labelprop import prng, slpa
+from labelprop import copra, prng, slpa
 from labelprop._backend import kernel_args
-from helpers import copra_launch, copra_run, live, slpa_run
+from helpers import copra_run, slpa_run
 
 
 def digest(*arrays) -> str:
@@ -65,29 +65,29 @@ def full_state(algorithm, graph, **kw):
             graph, lp.SlpaParams(memory_size=10, strict=True, seed=3, **kw)
         )
         return it, digest(labels, slots, filled)
-    best, it, (labs, bels, sizes) = copra_launch(graph, lp.CopraParams(seed=3, **kw))
+    best, it, (labs, bels, sizes) = copra_run(graph, lp.CopraParams(seed=3, **kw))
     return it, digest(best, labs, bels, sizes)
 
 
-# (iterations, sha256) captured before the kernels took flat rows and lists.
+# (iterations, sha256) captured before the kernels took flat rows and lists;
+# COPRA's max_labels 8 hashes since re-pinned on the live rows alone.
 GOLDEN = {
     ("ring", "rak", 1): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
     ("ring", "rak", 2): (2, "1d440381349075f5861e914ec5c068cd551c39c7ade9ec2dc0a811b11d32dff4"),
     ("ring", "slpa", 1): (9, "ad880f67c9dd651e94d3732a0c901a3cfa9717bb64516bec1363c3129ae2db94"),
     ("ring", "slpa", 2): (9, "ad880f67c9dd651e94d3732a0c901a3cfa9717bb64516bec1363c3129ae2db94"),
     ("ring", "copra-ml1", 1): (3, "35d2e2e01983f03e209034474dd575347e683337ca81cd0d27ba26b26a0d9df4"),
-    ("ring", "copra-ml8", 1): (3, "3da72581efbf7ccd96673d9e2c7bd93ca1f2d29d17d162d19045e76968da9552"),
+    ("ring", "copra-ml8", 1): (3, "f6eefed67d604ebda444c24db141ea2da82d05c51567a9e1a95098a043c95fcb"),
     ("weighted", "rak", 1): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
     ("weighted", "rak", 2): (4, "6882d842f60d85e6a7771bb9152eb5401c560690dcfb5cd4e8cd9381a787cbe4"),
     ("weighted", "slpa", 1): (9, "300b2863bfd782238cdec01b84b38f022fa487751a8662e11484e2287430920e"),
     ("weighted", "slpa", 2): (9, "300b2863bfd782238cdec01b84b38f022fa487751a8662e11484e2287430920e"),
     ("weighted", "copra-ml1", 1): (5, "56e607f5f201f2a040d46b65ad2f979ab56c4c3f03887f6e9c52502ac977d06b"),
-    ("weighted", "copra-ml8", 1): (5, "d0cf6619e42f20d7b317dd63161ff8b8e99906222260ed05b8aba201b92d2560"),
-    ("gnp", "copra-ml8", 1): (8, "c42889e4f886edae497c294b93970f8d9b5b895c70b88fe5f7dda68e851762d4"),
-    # one kernel serves every worker count, and the interpreter runs it on
-    # one thread, so workers 2 pins the workers-1 state, dead row entries
-    # past ``sizes`` included
-    ("gnp", "copra-ml8", 2): (8, "c42889e4f886edae497c294b93970f8d9b5b895c70b88fe5f7dda68e851762d4"),
+    ("weighted", "copra-ml8", 1): (5, "9277fa9c9c8f8751a30151c72219593f72f5559e67a4948f0db0395584076ce9"),
+    ("gnp", "copra-ml8", 1): (8, "631438e67683d6d43d7f0a0b0e50cdc37272efde5030b9f232a80b9552f76fb7"),
+    # interpreted, every worker count runs on one thread, so workers 2 pins
+    # the workers-1 state
+    ("gnp", "copra-ml8", 2): (8, "631438e67683d6d43d7f0a0b0e50cdc37272efde5030b9f232a80b9552f76fb7"),
 }
 
 
@@ -189,9 +189,9 @@ def _every_run():
                 runs[name, "copra", workers, max_labels] = rows_run = (it, digest(best, *rows))
                 # COPRA runs the kernel only compiled; run it here too, and its
                 # best labels, iterations and live pairs must be the label rows'
-                best, it, layout = copra_launch(g, params)
-                assert (it, digest(best, *live(*layout))) == rows_run
-                runs[name, "copra-launch", workers, max_labels] = (it, digest(best, *layout))
+                with mock.patch.object(copra, "JIT_ENABLED", True):
+                    best, it, rows = copra_run(g, params)
+                assert (it, digest(best, *rows)) == rows_run
     return runs
 
 
