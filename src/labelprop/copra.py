@@ -22,7 +22,8 @@ order is the kernel's scan order, with ties drawn from a stream row read
 as the kernel reads worker 0's (`labelprop.prng.next_output`), so each
 row's live pairs, the best labels, draws and iteration counts are
 bit-for-bit the kernel's; the kernel's flat layout (two rows per vertex,
-dead entries kept) is allocated only where the kernel runs.
+only the published row's live pairs ever read) is allocated only where
+the kernel runs.
 A fallback draw's place in the stream depends on every earlier vertex's
 update, so the updates stay one vertex at a time.
 
@@ -125,9 +126,10 @@ def _copra(
     tallies, touches, chunk
 ):
     # Vertex v owns label rows 2v and 2v + 1 of the flat labs/bels (row r
-    # starts at r * max_labels and holds sizes[r] live entries); pub[v]
-    # names the published one.  A writer fills the other row completely,
-    # then stores pub[v], so concurrent readers always see a whole row.
+    # starts at r * max_labels and holds sizes[r] live entries, the only
+    # ones read); pub[v] names the published one.  A writer fills the
+    # other row's live entries and size, then stores pub[v], so concurrent
+    # readers always see a whole row.
     # One iteration; returns its changed count.
     n = len(best)
     n_chunks = (n + chunk - 1) // chunk
@@ -156,8 +158,7 @@ def _copra(
                         touched[count] = lab
                         count += 1
                     tally[lab] += bels[j] * w
-            r = pub[v]
-            sv = r ^ 1
+            sv = pub[v] ^ 1
             rv = sv * max_labels
             if count == 0:
                 labs[rv] = v
@@ -171,13 +172,6 @@ def _copra(
                 for i in range(count):
                     tally[touched[i]] = 0.0
                 newbest = _best_of_row(labs, bels, rv, k)
-            # The other row last held this vertex's row from two updates
-            # ago; copying the published row's entries past k makes every
-            # row, dead entries too, the row an in-place sweep would hold.
-            d = r * max_labels - rv
-            for j in range(rv + k, rv + sizes[r]):
-                labs[j] = labs[j + d]
-                bels[j] = bels[j + d]
             sizes[sv] = k
             pub[v] = sv
             if newbest != best[v]:
@@ -281,9 +275,9 @@ def copra_detect(
         sizes = np.ones(2 * n, dtype=np.int64)
         pub = np.arange(0, 2 * n, 2, dtype=np.int64)
         state = labs, bels, sizes, pub, np.arange(n, dtype=np.int64)
-        # both rows of every vertex start as its own label with belonging 1
-        labs[::L] = np.repeat(np.arange(n), 2)
-        bels[::L] = 1.0
+        # each vertex's published row starts as its own label with belonging 1
+        labs[::2 * L] = np.arange(n)
+        bels[::2 * L] = 1.0
         return Launch(_copra, held, params, state, (L,), n)
 
     return held.go(
