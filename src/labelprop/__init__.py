@@ -2,9 +2,12 @@
 
 Three detectors (RAK/LPA, COPRA, SLPA), Newman-Girvan modularity
 scoring, MatrixMarket/edge-list ingestion, and a parameter-sweep harness.
-Hot loops are numba-compiled by default and run on ``workers`` threads;
-without numba, or with ``LABELPROP_DISABLE_NUMBA=1``, the same code runs
-interpreted on one thread, whatever ``workers`` asks for.
+Hot loops are numba-compiled by default and run on ``workers`` threads.
+Without numba, or with ``LABELPROP_DISABLE_NUMBA=1``, everything runs
+interpreted on one thread, whatever ``workers`` asks for: only non-strict
+RAK and SLPA run the kernels' source, on lists; strict RAK and SLPA run
+in numpy batches and COPRA on per-vertex label rows (``copra._Rows``),
+each with its kernel's results.
 """
 
 from ._backend import JIT_ENABLED
