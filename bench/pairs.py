@@ -5,7 +5,7 @@ Usage, from any directory, with two checkouts of the repository (the
 parent commit and the change) side by side:
 
     python3 bench/pairs.py --parent DIR --change DIR --seeds 28101-28110 \\
-        --trace-seed 28130 --seconds 25 --claim none --what "..." --out BENCH_x.json
+        --seconds 25 --claim none --what "..." --out BENCH_x.json
 
 or with two revisions of the repository that holds this script, which it
 checks out as fresh worktrees for the run (`worktrees`):
@@ -14,21 +14,21 @@ checks out as fresh worktrees for the run (`worktrees`):
 
 It runs, in order:
 
-1. ``--seeds`` alternating pairs of ``perfbench/run.py --trace 0`` on every
-   workload (parent first on even-indexed seeds, change first on odd ones;
-   seeds outer, workloads inner), each run in its own checkout, and
-   summarises every end-to-end metric per workload: each side's median and
-   quartiles, those of the paired differences (change - parent, which
-   cancel what the seeds' graphs add to both sides' spread), the pairs the
-   change wins, and whether the change's median is within the bound
-   BENCHMARK.json sets.
+1. ``--seeds`` (at least two) alternating pairs of ``perfbench/run.py
+   --trace 0`` on every workload (parent first on even-indexed seeds,
+   change first on odd ones; seeds outer, workloads inner), each run in
+   its own checkout, and summarises every end-to-end metric per workload:
+   each side's median and quartiles, those of the paired differences
+   (change - parent, which cancel what the seeds' graphs add to both
+   sides' spread), the pairs the change wins, and whether the change's
+   median is within the bound BENCHMARK.json sets.
 2. ``--claim WORKLOAD:METRIC`` checks a claimed gain: the change wins at
    least 9 of 10 pairs and its median gain exceeds the parent's
    interquartile range.  ``--claim none`` claims nothing and records only
    the bound checks.
-3. On the trace seed's files, written by an untraced run of each side: the
-   detect TSVs, compared byte for byte, and the sweep CSVs, compared row
-   for row without the ``elapsed_ms`` column.
+3. On the last seed's files, which its paired runs left in each side's
+   checkout: the detect TSVs, compared byte for byte, and the sweep CSVs,
+   compared row for row without the ``elapsed_ms`` column.
 """
 
 from __future__ import annotations
@@ -173,12 +173,9 @@ def sweep_csv(side: Path, workload: str, seed: int) -> list[list[str]]:
 
 
 def same_outputs(sides: dict, seed: int) -> dict:
-    """On one seed's files, written by an untraced run of each side: the
-    detect TSVs compared byte for byte and the sweep CSVs without
+    """On one paired seed's files, left by its runs in each side's checkout:
+    the detect TSVs compared byte for byte and the sweep CSVs without
     ``elapsed_ms``."""
-    for workload in WORKLOADS:
-        for root in sides.values():
-            perfbench(root, workload, seed, 1)
     tsv = {side: cli_stdout(root, WORKLOADS[0], seed) for side, root in sides.items()}
     return {
         "detect_tsv_identical": {
@@ -191,17 +188,6 @@ def same_outputs(sides: dict, seed: int) -> dict:
             == sweep_csv(sides["change"], workload, seed) for workload in WORKLOADS[1:]
         }},
     }
-
-
-def probe(sides: dict, code: str, *argv: str) -> dict:
-    """Per side: the JSON that ``code`` prints, run with ``argv`` in a fresh
-    process from its checkout."""
-    out = {}
-    for side, root in sides.items():
-        run = subprocess.run([sys.executable, "-c", code, *argv], cwd=root, env=child_env(root),
-                             capture_output=True, text=True, check=True)
-        out[side] = json.loads(run.stdout)
-    return out
 
 
 def numpy_version(side: Path) -> str:
@@ -229,15 +215,6 @@ def machine(side: Path) -> dict:
     return {"python": platform.python_version(), "numpy": numpy_version(side),
             "machine": platform.machine(), "nproc": os.cpu_count(),
             "backend": "python (numba absent)"}
-
-
-def side_options(out: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """``out`` with the options that name each side's checkout (`checkouts`)."""
-    out.add_argument("--parent", type=Path, help="the parent's checkout")
-    out.add_argument("--change", type=Path, help="the change's checkout")
-    out.add_argument("--parent-rev", help="instead of --parent: a revision of this repository")
-    out.add_argument("--change-rev", help="instead of --change: a revision of this repository")
-    return out
 
 
 @contextlib.contextmanager
@@ -291,19 +268,24 @@ def claim(text: str):
 
 
 def main():
-    cli = side_options(argparse.ArgumentParser(description=__doc__.splitlines()[0]))
-    cli.add_argument("--seeds", type=seeds, required=True)
-    cli.add_argument("--trace-seed", type=int, required=True)
+    cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    cli.add_argument("--parent", type=Path, help="the parent's checkout")
+    cli.add_argument("--change", type=Path, help="the change's checkout")
+    cli.add_argument("--parent-rev", help="instead of --parent: a revision of this repository")
+    cli.add_argument("--change-rev", help="instead of --change: a revision of this repository")
+    cli.add_argument("--seeds", type=seeds, required=True, help="at least two, as LO-HI")
     cli.add_argument("--seconds", type=float, default=25.0)
     cli.add_argument("--out", type=Path, required=True)
     cli.add_argument("--claim", type=claim, required=True)
     cli.add_argument("--what", required=True, help="what the change does, for the record")
     args = cli.parse_args()
+    if len(args.seeds) < 2:
+        cli.error("--seeds needs at least two seeds, for the quartiles of each side")
     with checkouts(args) as sides:
         limits = bounds(sides["change"])
         workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
         record = record_head(args.what, sides, args.seeds, args.seconds)
-        outputs = same_outputs(sides, args.trace_seed)
+        outputs = same_outputs(sides, args.seeds[-1])
     if args.claim is None:
         record["claim"] = "none: no end-to-end metric gets worse beyond its BENCHMARK.json bound"
         record["claim_check"] = None

@@ -254,14 +254,6 @@ def _first_max(seen, weights, keys, counts, starts) -> np.ndarray:
     return seen[np.minimum.reduceat(tied, starts)]
 
 
-def _update_level(lv: _Level, labels: np.ndarray) -> int:
-    """Relabel one level in place as the strict kernel would; returns the changed count."""
-    new = _first_max(labels[lv.neighbors], lv.weights, lv.keys, lv.counts, lv.starts)
-    changed = np.count_nonzero(new != labels[lv.vertices])
-    labels[lv.vertices] = new
-    return int(changed)
-
-
 class _Levels:
     """A level-by-level strict run, called as a `Launch` is; its state is the labels."""
 
@@ -269,7 +261,13 @@ class _Levels:
         self.plan, self.state = plan, (labels,)
 
     def __call__(self) -> int:
-        return sum(_update_level(lv, self.state[0]) for lv in self.plan)
+        """Relabel each level in place as the strict kernel would; returns the changed count."""
+        labels, changed = self.state[0], 0
+        for lv in self.plan:
+            new = _first_max(labels[lv.neighbors], lv.weights, lv.keys, lv.counts, lv.starts)
+            changed += np.count_nonzero(new != labels[lv.vertices])
+            labels[lv.vertices] = new
+        return int(changed)
 
 
 def rak_detect(

@@ -1,8 +1,10 @@
-"""The summary and claim check of the pair loop in ``bench/pairs.py``, on
-synthetic runs: no checkout, no perfbench process."""
+"""The summary, claim check, seed rule and output comparison of
+``bench/pairs.py``, on synthetic runs: no checkout, no perfbench process."""
 
 import argparse
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,46 @@ def test_claim_option():
     for bad in ("wall_s", "no-such-workload:wall_s", "sweep-planted-slpa:"):
         with pytest.raises(argparse.ArgumentTypeError):
             pairs.claim(bad)
+
+
+def test_one_seed_is_refused_before_any_run(tmp_path):
+    # the quartiles of each side need two runs at least
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH_x.json"
+    parent.mkdir()
+    change.mkdir()
+    run = subprocess.run([sys.executable, str(PAIRS), "--parent", str(parent), "--change",
+                          str(change), "--seeds", "4", "--claim", "none", "--what", "x",
+                          "--out", str(out)], capture_output=True, text=True)
+    assert run.returncode == 2
+    assert "--seeds needs at least two seeds" in run.stderr
+    assert not out.exists()
+    assert not (parent / ".perfbench").exists() and not (change / ".perfbench").exists()
+
+
+TSV = "vertex\tcommunity\n0\t0\n1\t0\n"
+CSV = "graph,algorithm,tolerance,elapsed_ms,modularity\ng,rak,0.1,{ms},{q}\n"
+
+
+@pytest.mark.parametrize("change, equal", [
+    ({}, (True, True)),
+    ({"ms": "99.5"}, (True, True)),  # elapsed_ms alone may differ
+    ({"q": "0.41"}, (True, False)),
+    ({"tsv": TSV + "2\t1\n"}, (False, True)),
+])
+def test_same_outputs_compares_the_files_the_paired_runs_left(monkeypatch, change, equal):
+    def no_run(*args):
+        raise AssertionError("same_outputs started a perfbench run")
+
+    def stdout(side, workload, seed):
+        text = {"ms": "12.0", "q": "0.4", "tsv": TSV}
+        if side == "change":
+            text.update(change)
+        return text["tsv"] if workload == pairs.WORKLOADS[0] else CSV.format(**text)
+
+    monkeypatch.setattr(pairs, "perfbench", no_run)
+    monkeypatch.setattr(pairs, "cli_stdout", stdout)
+    got = pairs.same_outputs({"parent": "parent", "change": "change"}, 34110)
+    tsv, csv = got["detect_tsv_identical"], got["sweep_csv_equal_without_elapsed_ms"]
+    assert tsv["seed"] == csv["seed"] == 34110
+    assert (tsv["equal"], all(csv[w] for w in pairs.WORKLOADS[1:])) == equal
+    assert (tsv["sha256"]["parent"] == tsv["sha256"]["change"]) is tsv["equal"]
