@@ -32,7 +32,7 @@ a fresh run.  Every row equals a standalone run of its cell, and its
 run takes (a level plan or graph copy that several cells share counts
 in the row that builds it); its ``workers`` cell is the row's own
 value.  The sweep holds one live run per key of the current graph,
-freed when the graph's rows end, and per graph one kernel copy of the
+freed after the key's last row, and per graph one kernel copy of the
 graph and one visit order and strict level plan per seed.
 
 ``labelprop sweep`` runs each input graph's rows (`run_sweep` on that
@@ -54,6 +54,7 @@ gains nothing.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import product
 from typing import Iterator, Optional, Sequence
@@ -186,11 +187,14 @@ def run_sweep(spec: SweepSpec, graphs: Sequence[tuple[str, Graph]]) -> Iterator[
              product(*(getattr(spec, grid) for grid in grids), spec.workers, seeds)]
     # the rows that may continue one held run share its key (`labelprop.result.continues`)
     runs = [run_key(_params(spec.algorithm, **cell)) for cell in cells]
+    rows = Counter(runs)
     for name, graph in graphs:
         memo = {}  # what the runs of this graph share
-        held = {}  # held run key -> its handle, freed when the graph's rows end
+        held = {}  # held run key -> (its handle, rows left)
         for cell, run in zip(cells, runs):
-            handle = held.get(run) or held.setdefault(run, Held(graph, memo))
+            handle, left = held.pop(run, None) or (Held(graph, memo), rows[run])
+            if left > 1:
+                held[run] = handle, left - 1
             result = run_one(spec.algorithm, graph, held=handle, **cell)
             yield RunRecord.of(name, spec.algorithm, handle.params, result, handle.elapsed)
 

@@ -9,7 +9,9 @@ standalone calls, on grids that continue, repeat, and climb back to a
 looser tolerance or a smaller memory; they count the runs a sweep starts.
 """
 
+import gc
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -214,6 +216,35 @@ def test_rows_whose_workers_run_on_the_same_threads_share_a_run(monkeypatch, alg
     assert len(starts) == 2 * 2 * 2
     assert set(starts.values()) == {max_threads}
     assert [r.workers for r in records[:4]] == [1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("algorithm", list(SPECS))
+def test_one_outer_value_holds_one_live_run(monkeypatch, algorithm):
+    # with one tolerance (one SLPA memory) every key's rows come together,
+    # so each key's handle is freed after its last row, not when the graph ends
+    live = weakref.WeakSet()
+
+    class Counted(lp.Held):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    peaks = []
+    run_one = sweep.run_one
+
+    def recording(*args, **kwargs):
+        gc.collect()
+        peaks.append(len(live))
+        return run_one(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "Held", Counted)
+    monkeypatch.setattr(sweep, "run_one", recording)
+    spec = lp.SweepSpec(tolerances=(0.01,), repetitions=3,
+                        **{**SPECS[algorithm], "memory_sizes": (4,)})
+    records = list(lp.run_sweep(spec, [("ring", GRAPHS["ring"]())]))
+    # a key per mode (COPRA: per max_labels) and seed, one row each
+    assert len(records) == {"rak": 6, "copra": 9, "slpa": 6}[algorithm]
+    assert max(peaks) == 1
 
 
 @pytest.mark.parametrize("algorithm", list(SPECS))
