@@ -6,7 +6,8 @@ looser tolerance, a smaller SLPA memory, or a ``workers`` value that
 runs on the same threads.  These tests compare every row with a fresh
 `run_one` call of the same cell, and the detectors' held calls with
 standalone calls, on grids that continue, repeat, and climb back to a
-looser tolerance or a smaller memory; they count the runs a sweep starts.
+looser tolerance or a smaller memory; they count the runs a sweep starts
+and the runs it holds at once.
 """
 
 import gc
