@@ -1,23 +1,20 @@
 #!/usr/bin/env python3
-"""Alternating pairs of perfbench runs of two checkouts, and a BENCH record of them.
+"""Alternating pairs of perfbench runs of two revisions, and a BENCH record of them.
 
-Usage, from any directory, with two checkouts of the repository (the
-parent commit and the change) side by side:
+Usage, from any directory, with two revisions of the repository that
+holds this script (the parent commit and the change; commit uncommitted
+work first), which it checks out as fresh worktrees (`worktrees`) and
+names by commit id in the record's ``revisions``:
 
-    python3 bench/pairs.py --parent DIR --change DIR --seeds 28101-28110 \\
-        --seconds 25 --claim none --what "..." --out BENCH_x.json
-
-or with two revisions of the repository that holds this script, which it
-checks out as fresh worktrees for the run (`worktrees`):
-
-    python3 bench/pairs.py --parent-rev main~1 --change-rev main ...
+    python3 bench/pairs.py --parent-rev main~1 --change-rev main \\
+        --seeds 28101-28110 --seconds 25 --claim none --what "..." --out BENCH_x.json
 
 It runs, in order:
 
 1. ``--seeds`` (at least two) alternating pairs of ``perfbench/run.py
    --trace 0`` on every workload (parent first on even-indexed seeds,
    change first on odd ones; seeds outer, workloads inner), each run in
-   its own checkout, and summarises every end-to-end metric per workload:
+   its own worktree, and summarises every end-to-end metric per workload:
    each side's median and quartiles, those of the paired differences
    (change - parent, which cancel what the seeds' graphs add to both
    sides' spread), the pairs the change wins, and whether the change's
@@ -27,18 +24,20 @@ It runs, in order:
    interquartile range.  ``--claim none`` claims nothing and records only
    the bound checks.
 3. On the last seed's files, which its paired runs left in each side's
-   checkout: the detect TSVs, compared byte for byte, and the sweep CSVs,
-   compared row for row without the ``elapsed_ms`` column.
+   worktree: the detect TSVs, compared by the sha256 each run reported,
+   and the sweep CSVs, run again and compared row for row without the
+   ``elapsed_ms`` column.
+
+The record's ``machine`` is the one that every run's ``report.json`` gives;
+runs that report more than one give no record.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -156,12 +155,20 @@ def bounds_check(workloads: dict, bounds: dict) -> dict:
     } for workload, summary in workloads.items()}
 
 
+def run_dir(side: Path, workload: str, seed: int) -> Path:
+    return side / ".perfbench" / f"{workload}-seed{seed}-trace0"
+
+
+def report(side: Path, workload: str, seed: int) -> dict:
+    """The ``report.json`` an untraced run wrote."""
+    return json.loads((run_dir(side, workload, seed) / "report.json").read_text())
+
+
 def cli_stdout(side: Path, workload: str, seed: int) -> str:
     """The stdout of one workload's CLI call on the files an untraced run wrote."""
-    run_dir = side / ".perfbench" / f"{workload}-seed{seed}-trace0"
-    report = json.loads((run_dir / "report.json").read_text())
-    out = subprocess.run([sys.executable, "-m", "labelprop", *report["argv"]], cwd=run_dir,
-                         env=child_env(side), capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-m", "labelprop", *report(side, workload, seed)["argv"]],
+                         cwd=run_dir(side, workload, seed), env=child_env(side),
+                         capture_output=True, text=True, check=True)
     return out.stdout
 
 
@@ -173,15 +180,14 @@ def sweep_csv(side: Path, workload: str, seed: int) -> list[list[str]]:
 
 
 def same_outputs(sides: dict, seed: int) -> dict:
-    """On one paired seed's files, left by its runs in each side's checkout:
-    the detect TSVs compared byte for byte and the sweep CSVs without
-    ``elapsed_ms``."""
-    tsv = {side: cli_stdout(root, WORKLOADS[0], seed) for side, root in sides.items()}
+    """On one paired seed's files, left by its runs in each side's worktree:
+    the detect TSVs compared by the sha256 each run reported, and the sweep
+    CSVs without ``elapsed_ms``."""
+    digest = {side: report(root, WORKLOADS[0], seed)["assignment_sha256"][0]["sha256"]
+              for side, root in sides.items()}
     return {
         "detect_tsv_identical": {
-            "seed": seed, "equal": tsv["parent"] == tsv["change"],
-            "sha256": {side: hashlib.sha256(text.encode()).hexdigest()
-                       for side, text in tsv.items()},
+            "seed": seed, "equal": digest["parent"] == digest["change"], "sha256": digest,
         },
         "sweep_csv_equal_without_elapsed_ms": {"seed": seed, **{
             workload: sweep_csv(sides["parent"], workload, seed)
@@ -190,31 +196,26 @@ def same_outputs(sides: dict, seed: int) -> dict:
     }
 
 
-def numpy_version(side: Path) -> str:
-    out = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                         env=child_env(side), capture_output=True, text=True, check=True)
-    return out.stdout.strip()
-
-
-def record_head(what: str, sides: dict, seeds: list[int], seconds: float) -> dict:
-    """The fields every BENCH record opens with: what was measured, how, in
-    which order and on which machine."""
+def record_head(what: str, revisions: dict, sides: dict, seeds: list[int],
+                seconds: float) -> dict:
+    """The fields every BENCH record opens with: what was measured, of which
+    commits, how, in which order and on which machine, the one that every
+    run's report gives (less its side's ``labelprop`` path)."""
+    machines = {json.dumps({k: v for k, v in report(root, w, s)["machine"].items()
+                            if k != "labelprop"}, sort_keys=True)
+                for root in sides.values() for w in WORKLOADS for s in seeds}
+    if len(machines) > 1:
+        raise SystemExit("the runs report more than one machine, so no record is written:\n"
+                         + "\n".join(sorted(machines)))
     return {
-        "what": what,
+        "what": what, "revisions": revisions,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{seconds:g} --trace 0, run from a checkout of each side",
+                   f"{seconds:g} --trace 0, run from a fresh worktree of each revision",
         "script": "bench/pairs.py", "pairs": len(seeds), "seeds": seeds,
         "order": "alternating: parent first on even-indexed seeds, change first on odd; "
                  "seeds outer, workloads inner",
-        "machine": machine(sides["change"]),
+        "machine": json.loads(machines.pop()),
     }
-
-
-def machine(side: Path) -> dict:
-    """The machine a record was measured on, with ``side``'s numpy version."""
-    return {"python": platform.python_version(), "numpy": numpy_version(side),
-            "machine": platform.machine(), "nproc": os.cpu_count(),
-            "backend": "python (numba absent)"}
 
 
 @contextlib.contextmanager
@@ -243,18 +244,13 @@ def worktrees(repo: Path, revs: dict):
                                 str(path)], check=True)
 
 
-@contextlib.contextmanager
-def checkouts(args):
-    """Each side's checkout: ``--parent`` and ``--change`` as given, or
-    `worktrees` of ``--parent-rev`` and ``--change-rev``."""
-    dirs, revs = (args.parent, args.change), (args.parent_rev, args.change_rev)
-    if all(dirs) and not any(revs):
-        yield {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    elif all(revs) and not any(dirs):
-        with worktrees(REPO, {"parent": args.parent_rev, "change": args.change_rev}) as sides:
-            yield sides
-    else:
-        raise SystemExit("give --parent and --change, or --parent-rev and --change-rev")
+def commit(rev: str) -> str:
+    """The commit id of ``rev``, a revision of the repository that holds this script."""
+    out = subprocess.run(["git", "-C", str(REPO), "rev-parse", "--verify", "--quiet",
+                          f"{rev}^{{commit}}"], capture_output=True, text=True)
+    if out.returncode:
+        raise argparse.ArgumentTypeError(f"not a commit of {REPO}: {rev!r}")
+    return out.stdout.strip()
 
 
 def claim(text: str):
@@ -268,11 +264,9 @@ def claim(text: str):
 
 
 def main():
-    cli = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    cli.add_argument("--parent", type=Path, help="the parent's checkout")
-    cli.add_argument("--change", type=Path, help="the change's checkout")
-    cli.add_argument("--parent-rev", help="instead of --parent: a revision of this repository")
-    cli.add_argument("--change-rev", help="instead of --change: a revision of this repository")
+    cli = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
+    cli.add_argument("--parent-rev", type=commit, required=True, help="the parent's revision")
+    cli.add_argument("--change-rev", type=commit, required=True, help="the change's revision")
     cli.add_argument("--seeds", type=seeds, required=True, help="at least two, as LO-HI")
     cli.add_argument("--seconds", type=float, default=25.0)
     cli.add_argument("--out", type=Path, required=True)
@@ -281,10 +275,11 @@ def main():
     args = cli.parse_args()
     if len(args.seeds) < 2:
         cli.error("--seeds needs at least two seeds, for the quartiles of each side")
-    with checkouts(args) as sides:
+    revisions = {"parent": args.parent_rev, "change": args.change_rev}
+    with worktrees(REPO, revisions) as sides:
         limits = bounds(sides["change"])
         workloads = paired_workloads(sides, args.seeds, args.seconds, limits)
-        record = record_head(args.what, sides, args.seeds, args.seconds)
+        record = record_head(args.what, revisions, sides, args.seeds, args.seconds)
         outputs = same_outputs(sides, args.seeds[-1])
     if args.claim is None:
         record["claim"] = "none: no end-to-end metric gets worse beyond its BENCHMARK.json bound"

@@ -258,13 +258,13 @@ def _in_range(a: np.ndarray, lo: int, hi: int) -> bool:
 
 
 def _entries(
-    stream: IO[str], lineno: int, comment: str, widths: tuple, lo: int, hi: tuple,
+    stream: IO[str], lineno: int, comment: str, widths: tuple, lo: int, hi: int,
     count: int | None = None, integral: bool = False,
 ):
     """The entry lines left in ``stream`` as ``(u, v, w)`` arrays of 0-based arcs.
 
     An entry is ``u v`` or ``u v w`` (its width in ``widths``; a missing
-    weight is 1) with ``lo <= u <= hi[0]``, ``lo <= v <= hi[1]`` and a
+    weight is 1) with ``lo <= u, v <= hi`` and a
     finite positive ``w``, a whole number when ``integral``; ids are
     shifted down by ``lo``.  Blank lines and lines that start with
     ``comment`` are skipped, and ``count``, when given, is the number of
@@ -283,8 +283,8 @@ def _entries(
     if (
         parsed is not None
         and (count is None or parsed[0].size == count)
-        and _in_range(parsed[0], lo, hi[0])
-        and _in_range(parsed[1], lo, hi[1])
+        and _in_range(parsed[0], lo, hi)
+        and _in_range(parsed[1], lo, hi)
         and bool(((parsed[2] > 0) & (parsed[2] < np.inf)).all())
         and not (integral and (parsed[2] % 1).any())
     ):
@@ -316,11 +316,11 @@ def _entry_loop(lines, lineno, comment, widths, lo, hi, count, integral):
             weight = float(toks[2]) if len(toks) == 3 else 1.0
         except ValueError:
             raise GraphParseError(f"line {lineno}: non-numeric token in {line!r}") from None
-        for x, top in zip(ids, hi):
+        for x in ids:
             if x < lo:
                 raise GraphParseError(f"line {lineno}: vertex index {x} below {lo} in {line!r}")
-            if x > top:
-                raise GraphParseError(f"line {lineno}: vertex index {x} exceeds {top}")
+            if x > hi:
+                raise GraphParseError(f"line {lineno}: vertex index {x} exceeds {hi}")
         if not 0 < weight < math.inf:
             raise GraphParseError(f"line {lineno}: non-positive or non-finite weight {weight}")
         if integral and not weight.is_integer():
@@ -369,13 +369,16 @@ def _matrix_market(stream: IO[str]) -> Graph:
                 f"line {lineno}: size {max(rows, cols)} exceeds the supported maximum "
                 f"{MAX_VERTICES}"
             )
+        if rows != cols:
+            raise GraphParseError(f"line {lineno}: size line {line!r} declares {rows} rows "
+                                  f"and {cols} columns; a graph's matrix is square")
         break
     if rows < 0:
         raise GraphParseError(f"line {lineno}: missing size line")
 
     width = 2 if field == "pattern" else 3
     us, vs, ws = _entries(
-        stream, lineno, "%", (width,), 1, (rows, cols), count, field == "integer"
+        stream, lineno, "%", (width,), 1, rows, count, field == "integer"
     )
     if symmetry == "symmetric":
         off = us != vs
@@ -384,7 +387,7 @@ def _matrix_market(stream: IO[str]) -> Graph:
             np.concatenate([vs, us[off]]),
             np.concatenate([ws, ws[off]]),
         )
-    return from_arcs(max(rows, cols), us, vs, ws)
+    return from_arcs(rows, us, vs, ws)
 
 
 def load_graph(path: Source, fmt: str = "auto") -> Graph:
@@ -434,7 +437,7 @@ def _parse(stream: IO[str], source: Source, fmt: str) -> Graph:
         stream.seek(0)
     if fmt == "mtx":
         return _matrix_market(stream)
-    us, vs, ws = _entries(stream, 0, "#", (2, 3), 0, (MAX_VERTICES - 1,) * 2)
+    us, vs, ws = _entries(stream, 0, "#", (2, 3), 0, MAX_VERTICES - 1)
     return from_arcs(1 + max(us.max(initial=-1), vs.max(initial=-1)), us, vs, ws)
 
 

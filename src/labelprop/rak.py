@@ -243,10 +243,9 @@ def _first_max(seen, weights, keys, counts, starts) -> np.ndarray:
     group = np.empty(key.size, dtype=np.int64)  # (vertex, label) group of each sorted arc
     group[0] = 0
     np.cumsum(key[1:] != key[:-1], out=group[1:])
-    group_of_arc = np.empty_like(group)
-    group_of_arc[by_key] = group
-    # bincount adds each group's weights in arc order, as the kernel's tally does
-    total = np.bincount(group_of_arc, weights=weights)[group]
+    # the sort is stable, so bincount adds each group's weights in arc order,
+    # as the kernel's tally does
+    total = np.bincount(group, weights=weights[by_key])[group]
     # a vertex's arcs span the same slice sorted or not; among the arcs whose
     # label reaches the vertex's maximum, the earliest in scan order wins
     best = np.maximum.reduceat(total, starts)

@@ -6,8 +6,12 @@ build the arguments of the kernels' njit helpers (`rak._pick_from_tally`,
 `copra._select_labels`), so tests call those helpers as the kernels do.
 `copra_run` and `slpa_run` run a detector and read its final state back
 from the `Held` handle: COPRA's live label rows from either run shape
-(the kernel's launch or `copra._Rows`), SLPA's memories.
+(the kernel's launch or `copra._Rows`), SLPA's memories.  `git` and
+`worktree_count` drive the throwaway repositories of the bench tests.
 """
+
+import subprocess
+from pathlib import Path
 
 import numpy as np
 
@@ -123,3 +127,14 @@ def stream_row(state: int, size: int = 1024):
     output after ``state``; read it as slot 0 (`prng.next_output`)."""
     rows, cursors = stream_rows([state], size)
     return rows[0], cursors
+
+
+def git(repo: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        check=True, capture_output=True, text=True,
+    ).stdout
+
+
+def worktree_count(repo: Path) -> int:
+    return git(repo, "worktree", "list", "--porcelain").count("worktree ")

@@ -1,24 +1,18 @@
 """The checkout step of ``bench/pairs.py`` on a throwaway repository: no
 perfbench process."""
 
-import argparse
 import importlib.util
 import subprocess
 from pathlib import Path
 
 import pytest
 
+from helpers import git, worktree_count
+
 PAIRS = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
 spec = importlib.util.spec_from_file_location("pairs", PAIRS)
 pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)
-
-
-def git(repo: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
-        check=True, capture_output=True, text=True,
-    ).stdout
 
 
 @pytest.fixture()
@@ -33,10 +27,6 @@ def repo(tmp_path):
         git(root, "commit", "-q", "-m", text)
     (root / "untracked.txt").write_text("left out of every checkout")
     return root
-
-
-def worktree_count(repo: Path) -> int:
-    return git(repo, "worktree", "list", "--porcelain").count("worktree ")
 
 
 def test_worktrees_check_out_each_revision_alike_and_are_removed(repo):
@@ -56,15 +46,3 @@ def test_a_bad_revision_removes_the_worktrees_made(repo):
         with pairs.worktrees(repo, {"parent": "HEAD", "change": "no-such-revision"}):
             pass
     assert worktree_count(repo) == 1
-
-
-def test_checkouts_take_directories_or_revisions(tmp_path):
-    dirs = argparse.Namespace(parent=tmp_path, change=tmp_path / "x", parent_rev=None,
-                              change_rev=None)
-    with pairs.checkouts(dirs) as sides:
-        assert sides == {"parent": tmp_path.resolve(), "change": (tmp_path / "x").resolve()}
-    for mixed in (dict(parent_rev="HEAD"), dict(change=None, change_rev="HEAD")):
-        args = argparse.Namespace(**{**vars(dirs), **mixed})
-        with pytest.raises(SystemExit, match="--parent-rev and --change-rev"):
-            with pairs.checkouts(args):
-                pass

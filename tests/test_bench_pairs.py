@@ -1,13 +1,17 @@
-"""The summary, claim check, seed rule and output comparison of
-``bench/pairs.py``, on synthetic runs: no checkout, no perfbench process."""
+"""The summary, claim check, option rules, record head and output
+comparison of ``bench/pairs.py``, on synthetic runs and reports: no
+perfbench process."""
 
 import argparse
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import git, worktree_count
 
 PAIRS = Path(__file__).resolve().parents[1] / "bench" / "pairs.py"
 spec = importlib.util.spec_from_file_location("pairs", PAIRS)
@@ -111,21 +115,75 @@ def test_claim_option():
             pairs.claim(bad)
 
 
-def test_one_seed_is_refused_before_any_run(tmp_path):
+@pytest.fixture()
+def repo(tmp_path):
+    """A repository whose one commit holds a copy of ``bench/pairs.py``, whose
+    revisions resolve there."""
+    root = tmp_path / "repo"
+    (root / "bench").mkdir(parents=True)
+    shutil.copy(PAIRS, root / "bench" / "pairs.py")
+    git(root, "init", "-q")
+    git(root, "add", ".")
+    git(root, "commit", "-q", "-m", "pairs")
+    return root
+
+
+def run_pairs(repo: Path, out: Path, *args: str):
+    return subprocess.run([sys.executable, str(repo / "bench" / "pairs.py"), *args, "--claim",
+                           "none", "--what", "x", "--out", str(out)],
+                          capture_output=True, text=True)
+
+
+def test_one_seed_is_refused_before_any_run(repo, tmp_path):
     # the quartiles of each side need two runs at least
-    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "BENCH_x.json"
-    parent.mkdir()
-    change.mkdir()
-    run = subprocess.run([sys.executable, str(PAIRS), "--parent", str(parent), "--change",
-                          str(change), "--seeds", "4", "--claim", "none", "--what", "x",
-                          "--out", str(out)], capture_output=True, text=True)
+    out = tmp_path / "BENCH_x.json"
+    run = run_pairs(repo, out, "--parent-rev", "HEAD", "--change-rev", "HEAD", "--seeds", "4")
     assert run.returncode == 2
     assert "--seeds needs at least two seeds" in run.stderr
     assert not out.exists()
-    assert not (parent / ".perfbench").exists() and not (change / ".perfbench").exists()
+    assert worktree_count(repo) == 1
 
 
-TSV = "vertex\tcommunity\n0\t0\n1\t0\n"
+def test_checkout_directories_are_refused(repo, tmp_path):
+    # without allow_abbrev=False, argparse would read --parent as --parent-rev
+    out = tmp_path / "BENCH_x.json"
+    run = run_pairs(repo, out, "--parent", str(tmp_path), "--change", str(tmp_path),
+                    "--seeds", "1-2")
+    assert run.returncode == 2
+    assert "required: --parent-rev, --change-rev" in run.stderr
+    assert not out.exists()
+
+
+HOST = {"backend": "python", "JIT_ENABLED": False, "python": "3.11.7", "numpy": "2.4.6",
+        "nproc": 2}
+
+
+def reporting(monkeypatch, backend: dict):
+    """Stub reports whose machine differs by side in ``backend`` and in the
+    side's own ``labelprop`` path."""
+    monkeypatch.setattr(pairs, "report", lambda side, workload, seed: {"machine": dict(
+        HOST, backend=backend[side], labelprop=f"{side}/src/labelprop/__init__.py")})
+
+
+SIDES = {"parent": "parent", "change": "change"}
+REVISIONS = {"parent": "1" * 40, "change": "2" * 40}
+
+
+def test_record_head_names_both_revisions_and_the_machine_its_runs_report(monkeypatch):
+    reporting(monkeypatch, {"parent": "python", "change": "python"})
+    head = pairs.record_head("x", REVISIONS, SIDES, [1, 2], 1.0)
+    assert head["revisions"] == REVISIONS
+    assert head["machine"] == HOST
+
+
+def test_record_head_refuses_runs_that_report_two_machines(monkeypatch):
+    reporting(monkeypatch, {"parent": "python", "change": "numba"})
+    with pytest.raises(SystemExit, match="more than one machine") as refused:
+        pairs.record_head("x", REVISIONS, SIDES, [1, 2], 1.0)
+    assert '"backend": "numba"' in str(refused.value)
+    assert '"backend": "python"' in str(refused.value)
+
+
 CSV = "graph,algorithm,tolerance,elapsed_ms,modularity\ng,rak,0.1,{ms},{q}\n"
 
 
@@ -133,20 +191,27 @@ CSV = "graph,algorithm,tolerance,elapsed_ms,modularity\ng,rak,0.1,{ms},{q}\n"
     ({}, (True, True)),
     ({"ms": "99.5"}, (True, True)),  # elapsed_ms alone may differ
     ({"q": "0.41"}, (True, False)),
-    ({"tsv": TSV + "2\t1\n"}, (False, True)),
+    ({"sha256": "b" * 64}, (False, True)),
 ])
 def test_same_outputs_compares_the_files_the_paired_runs_left(monkeypatch, change, equal):
     def no_run(*args):
         raise AssertionError("same_outputs started a perfbench run")
 
+    def fields(side):
+        text = {"ms": "12.0", "q": "0.4", "sha256": "a" * 64}
+        return dict(text, **change) if side == "change" else text
+
     def stdout(side, workload, seed):
-        text = {"ms": "12.0", "q": "0.4", "tsv": TSV}
-        if side == "change":
-            text.update(change)
-        return text["tsv"] if workload == pairs.WORKLOADS[0] else CSV.format(**text)
+        assert workload != pairs.WORKLOADS[0], "same_outputs ran the detect CLI again"
+        return CSV.format(**fields(side))
+
+    def report(side, workload, seed):
+        assert workload == pairs.WORKLOADS[0]
+        return {"assignment_sha256": [{"graph": "g", "sha256": fields(side)["sha256"]}]}
 
     monkeypatch.setattr(pairs, "perfbench", no_run)
     monkeypatch.setattr(pairs, "cli_stdout", stdout)
+    monkeypatch.setattr(pairs, "report", report)
     got = pairs.same_outputs({"parent": "parent", "change": "change"}, 34110)
     tsv, csv = got["detect_tsv_identical"], got["sweep_csv_equal_without_elapsed_ms"]
     assert tsv["seed"] == csv["seed"] == 34110

@@ -448,6 +448,10 @@ class TestBadGraphFile:
         (b"0 1 nan\n", "line 1: non-positive or non-finite weight nan"),
         (b"0 1 inf\n", "line 1: non-positive or non-finite weight inf"),
         (b"0 99999999999999999999\n", "line 1: vertex index 99999999999999999999 exceeds"),
+        (b"%%MatrixMarket matrix coordinate pattern symmetric\n3 5 1\n1 5\n",
+         "line 2: size line '3 5 1' declares 3 rows and 5 columns"),
+        (b"%%MatrixMarket matrix coordinate pattern general\n3 5 1\n1 5\n",
+         "line 2: size line '3 5 1' declares 3 rows and 5 columns"),
     ])
     def test_one_error_line(self, tmp_path, assignment, capsys, command, content, message):
         graph = tmp_path / "bad.txt"

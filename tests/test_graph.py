@@ -100,6 +100,17 @@ class TestMatrixMarket:
         with pytest.raises(lp.GraphParseError, match="line 2: size 3037000500 exceeds"):
             mm(f"%%MatrixMarket matrix coordinate pattern general\n{MAX_VERTICES + 1} 1 0\n")
 
+    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
+    def test_non_square_size_line_rejected(self, tmp_path, symmetry):
+        # else row i and column i would silently become one vertex of a 5-vertex graph
+        text = f"%%MatrixMarket matrix coordinate pattern {symmetry}\n3 5 1\n1 5\n"
+        path = tmp_path / "wide.mtx"
+        path.write_text(text)
+        for source in (path, io.StringIO(text)):
+            with pytest.raises(lp.GraphParseError,
+                               match="line 2: size line '3 5 1' declares 3 rows and 5 columns"):
+                lp.load_graph(source)
+
     def test_huge_declared_count_allocates_nothing(self):
         with pytest.raises(lp.GraphParseError, match="ended after 1 of 1000000000000 entries"):
             mm("%%MatrixMarket matrix coordinate pattern general\n2 2 1000000000000\n1 2\n")
