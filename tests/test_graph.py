@@ -78,7 +78,13 @@ class TestMatrixMarket:
          "line 2: negative value in size line '3 -3 1'"),
         ("%%MatrixMarket matrix coordinate pattern general\n% no size line\n",
          "line 2: missing size line"),
-    ], ids=["empty", "array", "complex", "two-fields", "non-integer", "negative", "missing"])
+        # row i and column i are one vertex, so a 3 x 5 matrix names no graph
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n3 5 1\n1 5\n",
+         "line 2: size line '3 5 1' declares 3 rows and 5 columns; a graph's matrix is square"),
+        ("%%MatrixMarket matrix coordinate pattern general\n3 5 1\n1 5\n",
+         "line 2: size line '3 5 1' declares 3 rows and 5 columns; a graph's matrix is square"),
+    ], ids=["empty", "array", "complex", "two-fields", "non-integer", "negative", "missing",
+            "non-square-symmetric", "non-square-general"])
     def test_bad_header_or_size_line_names_the_line(self, text, message):
         with pytest.raises(lp.GraphParseError) as err:
             mm(text)
@@ -99,17 +105,6 @@ class TestMatrixMarket:
     def test_size_beyond_vertex_bound_rejected(self):
         with pytest.raises(lp.GraphParseError, match="line 2: size 3037000500 exceeds"):
             mm(f"%%MatrixMarket matrix coordinate pattern general\n{MAX_VERTICES + 1} 1 0\n")
-
-    @pytest.mark.parametrize("symmetry", ["symmetric", "general"])
-    def test_non_square_size_line_rejected(self, tmp_path, symmetry):
-        # else row i and column i would silently become one vertex of a 5-vertex graph
-        text = f"%%MatrixMarket matrix coordinate pattern {symmetry}\n3 5 1\n1 5\n"
-        path = tmp_path / "wide.mtx"
-        path.write_text(text)
-        for source in (path, io.StringIO(text)):
-            with pytest.raises(lp.GraphParseError,
-                               match="line 2: size line '3 5 1' declares 3 rows and 5 columns"):
-                lp.load_graph(source)
 
     def test_huge_declared_count_allocates_nothing(self):
         with pytest.raises(lp.GraphParseError, match="ended after 1 of 1000000000000 entries"):
